@@ -9,7 +9,7 @@ a constructed 50/50 probability split.
 import numpy as np
 
 from abusekit.layers import AdamConfig
-from abusekit.model import ModelConfig, labels_from_probs, predict
+from abusekit.model import ModelConfig, labels_from_probs
 from abusekit.synthetic import make_marker_corpus, make_vector_file, vocabulary_of
 from abusekit.text import encode_batch
 from abusekit.text import preprocess as preprocess_text
@@ -38,8 +38,8 @@ def main():
     gold = np.array([ex.labels["1"] for ex in held_out])
 
     averaged = ensemble_predict(result.fold_states, sequences)[0]
-    best = best_fold_index(result.report)
-    solo = predict(result.fold_states[best], sequences)[0]
+    best = best_fold_index(result.report.to_dict())
+    solo = ensemble_predict([result.fold_states[best]], sequences)[0]
 
     print(f"40 unseen posts, gold positives: {gold.sum()}")
     print(f"ensemble of 5 folds accuracy:   {(averaged == gold).mean():.3f}")

@@ -21,8 +21,8 @@ from .layers import AdamConfig, Parameter, adam_step, softmax_cross_entropy
 from .metrics import (ClassificationReport, classification_report, confusion,
                       macro_average, macro_f1, per_class_pr)
 from .model import (ModelConfig, Network, build_model, load_checkpoint,
-                    predict, save_checkpoint, train_step)
-from .text import (PreprocessConfig, Vocabulary, build_vocab, clean, encode,
+                    save_checkpoint, train_step)
+from .text import (PreprocessConfig, Vocabulary, build_vocab, clean,
                    encode_batch, preprocess, remove_stopwords, tokenize)
 from .training import (CvResult, RunReport, TrainConfig, emit_curves,
                        ensemble_predict, read_curves, run_cv, write_report)
@@ -62,7 +62,6 @@ __all__ = [
     "clean",
     "confusion",
     "emit_curves",
-    "encode",
     "encode_batch",
     "ensemble_predict",
     "kfold_indices",
@@ -74,7 +73,6 @@ __all__ = [
     "parse_uli_csv",
     "parse_vector_file",
     "per_class_pr",
-    "predict",
     "preprocess",
     "read_cache",
     "read_curves",

@@ -14,9 +14,10 @@ import sys
 
 import numpy as np
 
-from .corpus import (LANGUAGES, assemble_examples, load_external,
-                     merge_external, parse_uli_csv, read_dataset,
-                     split_train_test, write_dataset)
+from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
+                     load_external, merge_external, parse_integer,
+                     parse_uli_csv, read_dataset, split_train_test,
+                     write_dataset)
 from .embeddings import (build_matrix, parse_vector_file, read_cache,
                          write_cache)
 from .errors import (AbusekitError, ConfigurationError, NumericError,
@@ -26,13 +27,10 @@ from .metrics import classification_report
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .text import PreprocessConfig, Vocabulary, encode_batch
 from .text import preprocess as preprocess_text
-from .training import (TrainConfig, emit_curves, ensemble_predict,
-                       head_keys_for_task, run_cv, write_report)
+from .training import (TrainConfig, best_fold_index, emit_curves,
+                       ensemble_predict, run_cv, write_report)
 
 __all__ = ["entrypoint", "main"]
-
-_TASK_TO_KEYS = {1: ("question_1",), 2: ("question_1",),
-                 3: ("question_1", "question_3")}
 
 
 def _resolve_threads(flag_value: int | None, config_value: int | None) -> int:
@@ -163,13 +161,12 @@ def _parse_external_arg(value: str) -> tuple[str, str]:
 
 
 def cmd_prepare(args) -> int:
-    keys = _TASK_TO_KEYS[args.task]
     rows = parse_uli_csv(args.input)
     rows = [r for r in rows if r.language == args.language]
     if not rows:
         raise SchemaError(f"no rows for language {args.language!r}", path=args.input)
     total_posts = len({r.id for r in rows})
-    examples = assemble_examples(rows, keys)
+    examples = assemble_examples(rows, TASK_QUESTIONS[args.task])
     dropped = total_posts - len(examples)
 
     split = split_train_test(examples, ratio=args.ratio, seed=args.seed,
@@ -281,29 +278,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_id_text_csv(path) -> tuple[list[int], list[str]]:
-    ids, texts = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError("file is empty", path=path)
-        fields = {name.strip().lower(): name for name in reader.fieldnames}
-        for required in ("id", "text"):
-            if required not in fields:
-                raise SchemaError(f"missing required column {required!r}", path=path)
-        for index, record in enumerate(reader):
-            raw = (record[fields["id"]] or "").strip()
-            try:
-                ids.append(int(float(raw)))
-            except ValueError:
-                raise ParseError(f"row {index}: non-integer id {raw!r}",
-                                 path=path) from None
-            texts.append(record[fields["text"]])
-    return ids, texts
-
-
-def _read_label_csv(path, column: str = "label") -> dict[int, int]:
-    out = {}
+def _read_id_csv(path, column: str) -> list[tuple[int, str]]:
+    """(post id, raw cell of column) for each row of a CSV with an id column."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
@@ -313,15 +290,28 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
             if required not in fields:
                 raise SchemaError(f"missing required column {required!r}", path=path)
         for index, record in enumerate(reader):
+            raw = record[fields["id"]] or ""
             try:
-                post_id = int(float((record[fields["id"]] or "").strip()))
-                label = int(float((record[fields[column]] or "").strip()))
+                rows.append((parse_integer(raw), record[fields[column]]))
             except ValueError:
-                raise ParseError(f"row {index}: bad id/label", path=path) from None
-            if label not in (0, 1):
-                raise ParseError(f"row {index}: label must be 0 or 1, got {label}",
-                                 path=path)
-            out[post_id] = label
+                raise ParseError(f"row {index}: non-integer id {raw!r}",
+                                 path=path) from None
+    return rows
+
+
+def _read_label_csv(path, column: str = "label") -> dict[int, int]:
+    out = {}
+    for index, (post_id, raw) in enumerate(_read_id_csv(path, column)):
+        try:
+            label = parse_integer(raw or "")
+        except ValueError:
+            raise ParseError(f"row {index}: bad label {raw!r}", path=path) from None
+        if label not in (0, 1):
+            raise ParseError(f"row {index}: label must be 0 or 1, got {label}",
+                             path=path)
+        if post_id in out:
+            raise ParseError(f"row {index}: duplicate id {post_id}", path=path)
+        out[post_id] = label
     return out
 
 
@@ -343,13 +333,6 @@ def cmd_predict(args) -> int:
     with open(os.path.join(run_dir, "preprocess.json"), encoding="utf-8") as fh:
         prep_config = PreprocessConfig.from_dict(json.load(fh))
 
-    states = []
-    for fold in range(folds):
-        fold_dir = os.path.join(run_dir, f"fold{fold}")
-        if not os.path.isdir(fold_dir):
-            raise ConfigurationError(f"missing checkpoint directory {fold_dir}")
-        states.append(load_checkpoint(fold_dir))
-
     mode = args.ensemble
     if mode is None:
         mode = "average"
@@ -357,15 +340,17 @@ def cmd_predict(args) -> int:
         if os.path.exists(ensemble_path):
             with open(ensemble_path, encoding="utf-8") as fh:
                 mode = json.load(fh).get("mode", "average")
-    if mode == "best":
-        scores = [
-            float(np.mean([fr["head_reports"][k]["macro_f1"] for k in head_keys]))
-            for fr in report["folds"]
-        ]
-        states = [states[int(np.argmax(scores))]]
+    chosen = [best_fold_index(report)] if mode == "best" else range(folds)
+    states = []
+    for fold in chosen:
+        fold_dir = os.path.join(run_dir, f"fold{fold}")
+        if not os.path.isdir(fold_dir):
+            raise ConfigurationError(f"missing checkpoint directory {fold_dir}")
+        states.append(load_checkpoint(fold_dir))
 
-    ids, texts = _read_id_text_csv(args.input)
-    token_lists = [preprocess_text(t, language, prep_config) for t in texts]
+    rows = _read_id_csv(args.input, "text")
+    ids = [post_id for post_id, _ in rows]
+    token_lists = [preprocess_text(text, language, prep_config) for _, text in rows]
     sequences = encode_batch(token_lists, vocab, max_len=seq_len)
     labels = ensemble_predict(states, sequences)
 

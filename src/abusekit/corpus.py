@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,6 +30,7 @@ __all__ = [
     "MACD_LABEL_MAP",
     "MULTILATE_LABEL_MAP",
     "TASK_KEYS",
+    "TASK_QUESTIONS",
     "DatasetSplit",
     "FoldAssignment",
     "LabeledExample",
@@ -39,6 +41,7 @@ __all__ = [
     "kfold_indices",
     "load_external",
     "merge_external",
+    "parse_integer",
     "parse_uli_csv",
     "read_dataset",
     "split_train_test",
@@ -59,9 +62,14 @@ ANNOTATOR_COLUMNS = {
     "ta": tuple(f"ta_a{i}" for i in range(1, 7)),
 }
 
-TASK_KEYS = ("question_1", "question_2", "question_3")
-
+# CSV question key -> the label key it fills in LabeledExample.labels.
 KEY_TO_LABEL = {"question_1": "1", "question_2": "2", "question_3": "3"}
+
+TASK_KEYS = tuple(KEY_TO_LABEL)
+
+# The questions each task trains on, in model head order.
+TASK_QUESTIONS = {1: ("question_1",), 2: ("question_1",),
+                  3: ("question_1", "question_3")}
 
 # Raw external-corpus labels mapped onto the label-1 convention (1 = abusive).
 # The MACD files annotate 0 for abusive and 1 for non-abusive, so polarity flips.
@@ -124,8 +132,6 @@ class LabeledExample:
 class DatasetSplit:
     train: list[LabeledExample]
     test: list[LabeledExample]
-    seed: int
-    ratio: float
 
 
 @dataclass
@@ -140,6 +146,21 @@ class FoldAssignment:
 
     def train_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.membership != fold)
+
+
+_INTEGER_RE = re.compile(r"([+-]?\d+)(?:\.0*)?")
+
+
+def parse_integer(raw: str) -> int:
+    """Strict integer cell: digits, optionally with a zero fraction ("12.0").
+
+    Parsed as text, never through float, so ids above 2**53 keep every
+    digit.  Anything else ("1.7", "1e3", "") raises ValueError.
+    """
+    match = _INTEGER_RE.fullmatch(raw.strip())
+    if match is None:
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(match.group(1))
 
 
 def _normalize_language(raw: str, line: int | None = None, path=None) -> str:
@@ -189,9 +210,7 @@ def parse_uli_csv(path) -> list[RawAnnotationRow]:
                 )
             raw_id = (record["id"] or "").strip()
             try:
-                row_id = int(float(raw_id)) if raw_id else None
-                if row_id is None or float(raw_id) != row_id:
-                    raise ValueError
+                row_id = parse_integer(raw_id)
             except ValueError:
                 raise ParseError(f"non-integer id {raw_id!r}", path=path, line=line) from None
             try:
@@ -285,8 +304,7 @@ def load_external(path, source: str, language: str) -> list[LabeledExample]:
             raw = (record[fields["label"]] or "").strip()
             if source == "macd":
                 try:
-                    value = int(float(raw))
-                    label = MACD_LABEL_MAP[value]
+                    label = MACD_LABEL_MAP[parse_integer(raw)]
                 except (ValueError, KeyError):
                     raise ParseError(
                         f"row {index}: unrecognized label {raw!r}", path=path
@@ -328,12 +346,11 @@ def split_train_test(
     ratio: float = 0.8,
     seed: int = 0,
     stratified: bool = False,
-    label_key: str = "1",
 ) -> DatasetSplit:
     """Shuffle with a seeded RNG and partition into train/test.
 
     Train size is round(n * ratio), clamped so both sides are non-empty.
-    With ``stratified`` the ratio is applied within each label group.
+    With ``stratified`` the ratio is applied within each group of label "1".
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigurationError(f"ratio must be in (0, 1), got {ratio}")
@@ -351,7 +368,7 @@ def split_train_test(
     if stratified:
         groups: dict[int, list[int]] = {}
         for i, ex in enumerate(examples):
-            groups.setdefault(ex.labels.get(label_key, -1), []).append(i)
+            groups.setdefault(ex.labels.get("1", -1), []).append(i)
         train_idx: list[int] = []
         test_idx: list[int] = []
         for value in sorted(groups):
@@ -366,8 +383,6 @@ def split_train_test(
     return DatasetSplit(
         train=[examples[i] for i in train_idx],
         test=[examples[i] for i in test_idx],
-        seed=seed,
-        ratio=ratio,
     )
 
 

@@ -164,31 +164,24 @@ class EmbeddingTable:
 
     matrix: np.ndarray
     coverage: float
-    trainable: bool = False
 
 
 def build_matrix(
     vocab: Vocabulary,
     vectors: WordVectorFile,
     expected_dim: int | None = None,
-    missing_init: str = "zero",
-    seed: int = 0,
 ) -> EmbeddingTable:
     """Assemble the frozen lookup matrix for a vocabulary.
 
-    Rows 0 (PAD) and 1 (OOV) are always zero.  Tokens absent from the file
-    get zero rows by default, or seeded uniform(-0.05, 0.05) rows when
-    missing_init="uniform".  Coverage counts only non-reserved tokens.
+    Rows 0 (PAD) and 1 (OOV) are always zero, and so are the rows of
+    tokens absent from the file.  Coverage counts only non-reserved tokens.
     """
     if expected_dim is not None and vectors.dimension != expected_dim:
         raise ConfigurationError(
             f"vector file has dimension {vectors.dimension}, model expects {expected_dim}")
-    if missing_init not in ("zero", "uniform"):
-        raise ConfigurationError(f"unknown missing_init {missing_init!r}")
 
     tokens = vocab.tokens()
     matrix = np.zeros((len(tokens) + 2, vectors.dimension), dtype=np.float32)
-    rng = np.random.default_rng(seed)
     hits = 0
     for token in tokens:
         row = vocab.index_of(token)
@@ -196,9 +189,7 @@ def build_matrix(
         if vec is not None:
             matrix[row] = vec
             hits += 1
-        elif missing_init == "uniform":
-            matrix[row] = rng.uniform(-0.05, 0.05, size=vectors.dimension)
     matrix[PAD_INDEX] = 0.0
     matrix[OOV_INDEX] = 0.0
     coverage = hits / len(tokens) if tokens else 0.0
-    return EmbeddingTable(matrix=matrix, coverage=coverage, trainable=False)
+    return EmbeddingTable(matrix=matrix, coverage=coverage)

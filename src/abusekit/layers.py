@@ -20,17 +20,14 @@ __all__ = [
     "Conv1D",
     "Dense",
     "Dropout",
-    "DropoutMask",
     "EmbeddingLookup",
     "GlobalAveragePool1D",
     "Lstm",
-    "LstmCellParams",
     "Module",
     "Parameter",
     "SpatialDropout1D",
     "adam_step",
     "glorot_uniform",
-    "lstm_cell_forward",
     "make_dropout_mask",
     "orthogonal",
     "sigmoid",
@@ -115,24 +112,14 @@ def adam_step(param: Parameter, config: AdamConfig = AdamConfig()) -> None:
     param.zero_grad()
 
 
-@dataclass
-class DropoutMask:
-    """Inverted-dropout keep mask: entries are 0 or 1/(1-rate)."""
-
-    keep: np.ndarray
-    rate: float
-    variational: bool = False
-
-
 def make_dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
-                      dtype=np.float32, variational: bool = False) -> DropoutMask:
+                      dtype=np.float32) -> np.ndarray:
+    """Inverted-dropout keep mask: entries are 0 or 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
-        keep = np.ones(shape, dtype=dtype)
-    else:
-        keep = (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
-    return DropoutMask(keep=keep, rate=rate, variational=variational)
+        return np.ones(shape, dtype=dtype)
+    return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
 _ACTIVATIONS = ("relu", "linear", "tanh")
@@ -200,8 +187,8 @@ class SpatialDropout1D(Module):
             self._mask = None
             return x
         batch, _, channels = x.shape
-        mask = make_dropout_mask((batch, 1, channels), self.rate, rng, dtype=x.dtype)
-        self._mask = mask.keep
+        self._mask = make_dropout_mask((batch, 1, channels), self.rate, rng,
+                                       dtype=x.dtype)
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -224,8 +211,7 @@ class Dropout(Module):
         if not train_mode or self.rate == 0.0:
             self._mask = None
             return x
-        mask = make_dropout_mask(x.shape, self.rate, rng, dtype=x.dtype)
-        self._mask = mask.keep
+        self._mask = make_dropout_mask(x.shape, self.rate, rng, dtype=x.dtype)
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -344,45 +330,12 @@ class GlobalAveragePool1D(Module):
         return np.repeat(grad_out[:, None, :] / length, length, axis=1)
 
 
-@dataclass
-class LstmCellParams:
-    """Raw gate parameters, gate order i, f, g, o along the first axis.
+def _init_lstm_params(input_dim: int, hidden: int, rng: np.random.Generator,
+                      dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gate parameters in gate order i, f, g, o along the first axis.
 
     W: (4H, D_in) input weights, U: (4H, H) recurrent weights, b: (4H,).
     """
-
-    W: np.ndarray
-    U: np.ndarray
-    b: np.ndarray
-
-    @property
-    def hidden_size(self) -> int:
-        return self.U.shape[1]
-
-
-def lstm_cell_forward(x_t: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-                      params: LstmCellParams,
-                      rec_mask: np.ndarray | None = None
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Single LSTM step with the standard forget-gate formulation.
-
-    rec_mask, when given, multiplies h_prev before the gate projections
-    (variational recurrent dropout).
-    """
-    hidden = params.hidden_size
-    hm = h_prev if rec_mask is None else h_prev * rec_mask
-    z = x_t @ params.W.T + hm @ params.U.T + params.b
-    i = sigmoid(z[:, :hidden])
-    f = sigmoid(z[:, hidden:2 * hidden])
-    g = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o = sigmoid(z[:, 3 * hidden:])
-    c_t = f * c_prev + i * g
-    h_t = o * np.tanh(c_t)
-    return h_t, c_t
-
-
-def _init_lstm_params(input_dim: int, hidden: int, rng: np.random.Generator,
-                      dtype) -> LstmCellParams:
     # Glorot per gate block for W, orthogonal per gate block for U; forget
     # gate bias starts at 1 so memory persists early in training.
     W = np.concatenate(
@@ -392,23 +345,23 @@ def _init_lstm_params(input_dim: int, hidden: int, rng: np.random.Generator,
         [orthogonal(hidden, hidden, rng, dtype) for _ in range(4)], axis=0)
     b = np.zeros(4 * hidden, dtype=dtype)
     b[hidden:2 * hidden] = 1.0
-    return LstmCellParams(W=W, U=U, b=b)
+    return W, U, b
 
 
 class Lstm(Module):
     """Unidirectional LSTM emitting every timestep (B x L x H).
 
-    Input dropout and recurrent dropout both use one mask per sequence,
-    reused at every timestep.
+    Input dropout and recurrent dropout are variational (Gal & Ghahramani
+    2016): one mask per sequence, reused at every timestep.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator,
                  dropout: float = 0.0, recurrent_dropout: float = 0.0,
                  dtype=np.float32):
-        init = _init_lstm_params(input_dim, hidden_size, rng, dtype)
-        self.W = Parameter(init.W, name="lstm.W")
-        self.U = Parameter(init.U, name="lstm.U")
-        self.b = Parameter(init.b, name="lstm.b")
+        W, U, b = _init_lstm_params(input_dim, hidden_size, rng, dtype)
+        self.W = Parameter(W, name="lstm.W")
+        self.U = Parameter(U, name="lstm.U")
+        self.b = Parameter(b, name="lstm.b")
         self.hidden_size = hidden_size
         self.dropout = dropout
         self.recurrent_dropout = recurrent_dropout
@@ -425,11 +378,10 @@ class Lstm(Module):
 
         in_mask = rec_mask = None
         if train_mode and self.dropout > 0.0:
-            in_mask = make_dropout_mask((batch, dim), self.dropout, rng,
-                                        dtype=dtype, variational=True).keep
+            in_mask = make_dropout_mask((batch, dim), self.dropout, rng, dtype=dtype)
         if train_mode and self.recurrent_dropout > 0.0:
             rec_mask = make_dropout_mask((batch, hidden), self.recurrent_dropout,
-                                         rng, dtype=dtype, variational=True).keep
+                                         rng, dtype=dtype)
 
         xm = x if in_mask is None else x * in_mask[:, None, :]
         # Input projections for the whole sequence in one GEMM.
@@ -521,6 +473,10 @@ class BiLstm(Module):
         self.backward_cell = Lstm(input_dim, hidden_size, rng, dropout,
                                   recurrent_dropout, dtype)
         self.hidden_size = hidden_size
+        for prefix, cell in (("bilstm.fwd", self.forward_cell),
+                             ("bilstm.bwd", self.backward_cell)):
+            for param in cell.parameters():
+                param.name = param.name.replace("lstm", prefix, 1)
 
     def parameters(self) -> list[Parameter]:
         return self.forward_cell.parameters() + self.backward_cell.parameters()

@@ -16,7 +16,6 @@ from .errors import BoundsError, ShapeError
 
 __all__ = [
     "ClassificationReport",
-    "binary_macro_average",
     "classification_report",
     "confusion",
     "macro_average",
@@ -61,26 +60,6 @@ def macro_average(matrix: np.ndarray) -> tuple[float, float]:
     map_ = sum(p for p, _ in pairs) / n
     mar = sum(r for _, r in pairs) / n
     return map_, mar
-
-
-def binary_macro_average(matrix: np.ndarray) -> tuple[float, float]:
-    """Two-class macro averages written out via TP/FP/FN/TN counts.
-
-    Treats class 1 as positive and class 0 as negative and averages the two
-    class scores.  Kept separate from :func:`macro_average` as an internal
-    cross-check; the two must agree exactly on every 2x2 matrix.
-    """
-    if matrix.shape != (2, 2):
-        raise ShapeError(f"expected a 2x2 matrix, got {matrix.shape}")
-    tp = float(matrix[1, 1])
-    fp = float(matrix[0, 1])
-    fn = float(matrix[1, 0])
-    tn = float(matrix[0, 0])
-    p_pos = tp / (tp + fp) if tp + fp > 0 else 0.0
-    r_pos = tp / (tp + fn) if tp + fn > 0 else 0.0
-    p_neg = tn / (tn + fn) if tn + fn > 0 else 0.0
-    r_neg = tn / (tn + fp) if tn + fp > 0 else 0.0
-    return (p_pos + p_neg) / 2, (r_pos + r_neg) / 2
 
 
 def macro_f1(map_: float, mar: float) -> float:

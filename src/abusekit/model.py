@@ -1,4 +1,4 @@
-"""CNN-BiLSTM network assembly, training step, prediction, checkpoints.
+"""CNN-BiLSTM network assembly, training step, checkpoints.
 
 The trunk is shared by every classification head: embedding lookup, spatial
 dropout, width-2 convolution, bidirectional LSTM over all timesteps, a
@@ -28,13 +28,13 @@ __all__ = [
     "build_model",
     "labels_from_probs",
     "load_checkpoint",
-    "predict",
     "save_checkpoint",
     "train_step",
 ]
 
 _MANIFEST_NAME = "manifest.json"
 _WEIGHTS_NAME = "weights.bin"
+_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -53,7 +53,6 @@ class ModelConfig:
     classes_per_head: int = 2
     conv_activation: str = "relu"
     dense_activation: str = "relu"
-    pool_before_dense: bool = False
     seed: int = 0
 
     def validate(self) -> None:
@@ -136,12 +135,8 @@ class Network:
         x = self.spatial_dropout.forward(x, train_mode, rng)
         x = self.conv.forward(x)
         x = self.bilstm.forward(x, train_mode, rng)
-        if self.config.pool_before_dense:
-            x = self.pool.forward(x)
-            x = self.dense.forward(x)
-        else:
-            x = self.dense.forward(x)
-            x = self.pool.forward(x)
+        x = self.dense.forward(x)
+        x = self.pool.forward(x)
         x = self.final_dropout.forward(x, train_mode, rng)
         if __debug__:
             assert x.shape == (batch.shape[0], self.config.dense_units)
@@ -149,25 +144,18 @@ class Network:
 
     def trunk_backward(self, grad: np.ndarray) -> None:
         grad = self.final_dropout.backward(grad)
-        if self.config.pool_before_dense:
-            grad = self.dense.backward(grad)
-            grad = self.pool.backward(grad)
-        else:
-            grad = self.pool.backward(grad)
-            grad = self.dense.backward(grad)
+        grad = self.pool.backward(grad)
+        grad = self.dense.backward(grad)
         grad = self.bilstm.backward(grad)
         grad = self.conv.backward(grad)
         grad = self.spatial_dropout.backward(grad)
         self.embedding.backward(grad)
 
-    def head_logits(self, shared: np.ndarray) -> list[np.ndarray]:
-        return [head.forward(shared) for head in self.heads]
-
     def forward(self, batch: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> list[np.ndarray]:
         """Per-head softmax probability matrices, each B x classes."""
         shared = self.trunk_forward(batch, train_mode, rng)
-        return [softmax(logits) for logits in self.head_logits(shared)]
+        return [softmax(head.forward(shared)) for head in self.heads]
 
 
 def build_model(config: ModelConfig, table: EmbeddingTable,
@@ -188,7 +176,11 @@ def train_step(network: Network, batch: np.ndarray,
                onehot_labels: list[np.ndarray],
                optimizer: AdamConfig = AdamConfig(),
                rng: np.random.Generator | None = None) -> float:
-    """One forward/backward/Adam update; returns the averaged head loss."""
+    """One forward/backward/Adam update; returns the averaged head loss.
+
+    A non-finite loss or gradient raises NumericError before any weight
+    is updated.
+    """
     if len(onehot_labels) != len(network.heads):
         raise ConfigurationError(
             f"{len(network.heads)} heads need {len(network.heads)} label arrays, "
@@ -205,7 +197,11 @@ def train_step(network: Network, batch: np.ndarray,
     if not np.isfinite(total_loss):
         raise NumericError(f"non-finite training loss {total_loss}")
     network.trunk_backward(grad_shared)
-    for param in network.parameters():
+    params = network.parameters()
+    for param in params:
+        if not np.isfinite(param.grad).all():
+            raise NumericError(f"non-finite gradient for {param.name}")
+    for param in params:
         adam_step(param, optimizer)
     return total_loss
 
@@ -220,34 +216,6 @@ def labels_from_probs(probs: np.ndarray) -> np.ndarray:
     return classes - 1 - np.argmax(probs[:, ::-1], axis=1)
 
 
-def predict(network: Network, sequences: np.ndarray,
-            batch_size: int = 256) -> list[np.ndarray]:
-    """Per-head hard labels in eval mode."""
-    sequences = np.asarray(sequences)
-    outs = [[] for _ in network.heads]
-    for start in range(0, len(sequences), batch_size):
-        probs = network.forward(sequences[start:start + batch_size])
-        for h, p in enumerate(probs):
-            outs[h].append(labels_from_probs(p))
-    return [np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            for chunks in outs]
-
-
-def _named_arrays(network: Network) -> list[tuple[str, np.ndarray, bool]]:
-    entries = [("embedding.matrix", network.embedding.matrix, False)]
-    names = ["conv.kernels", "conv.bias",
-             "bilstm.fwd.W", "bilstm.fwd.U", "bilstm.fwd.b",
-             "bilstm.bwd.W", "bilstm.bwd.U", "bilstm.bwd.b",
-             "dense.weight", "dense.bias"]
-    params = (network.conv.parameters() + network.bilstm.parameters()
-              + network.dense.parameters())
-    for h, head in enumerate(network.heads):
-        names += [f"head{h}.weight", f"head{h}.bias"]
-        params += head.parameters()
-    entries += [(name, p.value, True) for name, p in zip(names, params)]
-    return entries
-
-
 def save_checkpoint(network: Network, directory) -> None:
     """Write manifest.json plus weights.bin (all arrays as f32 LE).
 
@@ -255,17 +223,19 @@ def save_checkpoint(network: Network, directory) -> None:
     without the original vector file.
     """
     os.makedirs(directory, exist_ok=True)
+    arrays = [("embedding.matrix", network.embedding.matrix, False)]
+    arrays += [(p.name, p.value, True) for p in network.parameters()]
     entries = []
     offset = 0
     blobs = []
-    for name, value, trainable in _named_arrays(network):
+    for name, value, trainable in arrays:
         blob = np.ascontiguousarray(value, dtype="<f4").tobytes()
         entries.append({"name": name, "shape": list(value.shape),
                         "offset": offset, "trainable": trainable})
         offset += len(blob)
         blobs.append(blob)
     manifest = {
-        "format_version": 1,
+        "format_version": _FORMAT_VERSION,
         "config": network.config.to_dict(),
         "coverage": network.coverage,
         "entries": entries,
@@ -293,6 +263,11 @@ def load_checkpoint(directory, expected: dict | None = None) -> Network:
         raise CorruptionError(f"missing {manifest_path}") from None
     except json.JSONDecodeError as exc:
         raise CorruptionError(f"{manifest_path}: invalid JSON ({exc})") from None
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
+    if version != _FORMAT_VERSION:
+        raise CorruptionError(
+            f"{manifest_path}: checkpoint format_version {version}, "
+            f"this version of abusekit reads {_FORMAT_VERSION}")
 
     config = ModelConfig.from_dict(manifest["config"])
     if expected:
@@ -302,7 +277,8 @@ def load_checkpoint(directory, expected: dict | None = None) -> Network:
                 raise ConfigurationError(
                     f"checkpoint has {key}={have}, expected {want}")
 
-    raw = open(os.path.join(directory, _WEIGHTS_NAME), "rb").read()
+    with open(os.path.join(directory, _WEIGHTS_NAME), "rb") as fh:
+        raw = fh.read()
     if len(raw) != manifest["total_bytes"]:
         raise CorruptionError(
             f"weights.bin holds {len(raw)} bytes, manifest says {manifest['total_bytes']}")
@@ -324,14 +300,13 @@ def load_checkpoint(directory, expected: dict | None = None) -> Network:
     table = EmbeddingTable(matrix=arrays["embedding.matrix"],
                            coverage=manifest.get("coverage", 0.0))
     network = build_model(config, table, rng=np.random.default_rng(config.seed))
-    for name, value, trainable in _named_arrays(network):
-        if name == "embedding.matrix":
-            continue
-        stored = arrays.get(name)
+    for param in network.parameters():
+        stored = arrays.get(param.name)
         if stored is None:
-            raise CorruptionError(f"checkpoint lacks parameter {name}")
-        if stored.shape != value.shape:
+            raise CorruptionError(f"checkpoint lacks parameter {param.name}")
+        if stored.shape != param.value.shape:
             raise CorruptionError(
-                f"parameter {name}: stored shape {stored.shape} != built {value.shape}")
-        value[...] = stored
+                f"parameter {param.name}: stored shape {stored.shape} "
+                f"!= built {param.value.shape}")
+        param.value[...] = stored
     return network

@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from .corpus import ANNOTATOR_COLUMNS, LabeledExample
+from .corpus import ANNOTATOR_COLUMNS, KEY_TO_LABEL, LabeledExample
 from .embeddings import WordVectorFile
 
 __all__ = [
@@ -157,8 +157,7 @@ def write_uli_csv(path, examples: list[LabeledExample], language: str = "en",
         for i, ex in enumerate(examples):
             post_id = start_id + i
             dropped = i < drop_first_n
-            for question, key in (("question_1", "1"), ("question_2", "2"),
-                                  ("question_3", "3")):
+            for question, key in KEY_TO_LABEL.items():
                 label = None if dropped else ex.labels.get(key, 0)
                 votes = _pattern_for(label, post_id * 3 + int(key), width)
                 writer.writerow([post_id, ex.text, ex.language, question] + votes)

@@ -22,12 +22,10 @@ from .errors import ConfigurationError
 __all__ = [
     "OOV_INDEX",
     "PAD_INDEX",
-    "EncodedSequence",
     "PreprocessConfig",
     "Vocabulary",
     "build_vocab",
     "clean",
-    "encode",
     "encode_batch",
     "load_emoji_ranges",
     "load_stopwords",
@@ -49,50 +47,52 @@ _HASHTAG_DROP_RE = re.compile(r"#\w+")
 _ZERO_WIDTH = {0x200D} | set(range(0xFE00, 0xFE10))
 
 
+def _content_lines(text: str):
+    """(line number, stripped line) for each non-blank, non-'#' line."""
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
+def _parse_stopwords(text: str, source) -> frozenset[str]:
+    tokens = frozenset(line for _, line in _content_lines(text))
+    if not tokens:
+        raise ConfigurationError(f"stopword file {source} is empty")
+    return tokens
+
+
+def _parse_ranges(text: str, source) -> tuple[tuple[int, int], ...]:
+    ranges = []
+    for line_no, line in _content_lines(text):
+        try:
+            lo_s, hi_s = line.split("-")
+            ranges.append((int(lo_s, 16), int(hi_s, 16)))
+        except ValueError:
+            raise ConfigurationError(
+                f"{source}:{line_no}: expected 'LO-HI' hex range, got {line!r}"
+            ) from None
+    return tuple(ranges)
+
+
+def _read_text(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _packaged(parse, name: str):
+    text = resources.files("abusekit.data").joinpath(name).read_text(encoding="utf-8")
+    return parse(text, name)
+
+
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' comment lines ignored."""
-    tokens = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                tokens.add(line)
-    if not tokens:
-        raise ConfigurationError(f"stopword file {path} is empty")
-    return frozenset(tokens)
+    return _parse_stopwords(_read_text(path), path)
 
 
 def load_emoji_ranges(path) -> tuple[tuple[int, int], ...]:
     """Read inclusive hex codepoint ranges, one 'LO-HI' per line."""
-    ranges = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                lo_s, hi_s = line.split("-")
-                lo, hi = int(lo_s, 16), int(hi_s, 16)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}:{line_no}: expected 'LO-HI' hex range, got {line!r}"
-                ) from None
-            ranges.append((lo, hi))
-    return tuple(ranges)
-
-
-def _packaged_text(name: str) -> str:
-    return resources.files("abusekit.data").joinpath(name).read_text(encoding="utf-8")
-
-
-def _parse_ranges(text: str) -> tuple[tuple[int, int], ...]:
-    ranges = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            lo_s, hi_s = line.split("-")
-            ranges.append((int(lo_s, 16), int(hi_s, 16)))
-    return tuple(ranges)
+    return _parse_ranges(_read_text(path), path)
 
 
 @dataclass
@@ -110,14 +110,9 @@ class PreprocessConfig:
     @classmethod
     def default(cls, **flags) -> "PreprocessConfig":
         """Config backed by the packaged stopword lists and emoji table."""
-        stopwords = {
-            lang: frozenset(
-                t for t in _packaged_text(f"stopwords_{lang}.txt").splitlines()
-                if t.strip() and not t.startswith("#")
-            )
-            for lang in ("en", "hi", "ta")
-        }
-        ranges = _parse_ranges(_packaged_text("emoji_ranges.txt"))
+        stopwords = {lang: _packaged(_parse_stopwords, f"stopwords_{lang}.txt")
+                     for lang in ("en", "hi", "ta")}
+        ranges = _packaged(_parse_ranges, "emoji_ranges.txt")
         return cls(stopwords=stopwords, emoji_ranges=ranges, **flags)
 
     @classmethod
@@ -126,7 +121,7 @@ class PreprocessConfig:
         if emoji_path is not None:
             ranges = load_emoji_ranges(emoji_path)
         else:
-            ranges = _parse_ranges(_packaged_text("emoji_ranges.txt"))
+            ranges = _packaged(_parse_ranges, "emoji_ranges.txt")
         return cls(stopwords=stopwords, emoji_ranges=ranges, **flags)
 
     def to_dict(self) -> dict:
@@ -166,18 +161,22 @@ def _in_ranges(cp: int, ranges) -> bool:
     return False
 
 
-def _strip_emoji(text: str, ranges) -> str:
+def _strip_emoji(text: str, ranges) -> tuple[str, bool]:
+    """Returns the text and whether a zero-width codepoint was deleted."""
     if not ranges:
-        return text
+        return text, False
     out = []
+    deleted = False
     for ch in text:
         cp = ord(ch)
         if _in_ranges(cp, ranges):
             if cp not in _ZERO_WIDTH:
                 out.append(" ")
+            else:
+                deleted = True
             continue
         out.append(ch)
-    return "".join(out)
+    return "".join(out), deleted
 
 
 def _strip_symbols(text: str) -> str:
@@ -202,8 +201,9 @@ def _lowercase_latin(text: str) -> str:
     return "".join(ch.lower() if ch.isupper() and ord(ch) < 0x250 else ch for ch in text)
 
 
-def clean(text: str, config: PreprocessConfig) -> str:
-    """Normalize one post. Idempotent; empty output is valid."""
+def _clean_pass(text: str, config: PreprocessConfig) -> tuple[str, bool]:
+    """One cleaning pass; also reports whether it deleted characters
+    (hashmarks, zero-width codepoints) without leaving a space behind."""
     s = text
     if config.strip_html:
         s = _HTML_RE.sub(" ", s)
@@ -212,14 +212,33 @@ def clean(text: str, config: PreprocessConfig) -> str:
     if config.strip_mentions:
         s = _MENTION_RE.sub(" ", s)
     if config.strip_hashmark:
-        s = _HASHTAG_KEEP_RE.sub(r"\1", s)
+        s, joined = _HASHTAG_KEEP_RE.subn(r"\1", s)
     else:
-        s = _HASHTAG_DROP_RE.sub(" ", s)
-    s = _strip_emoji(s, config.emoji_ranges)
+        s, joined = _HASHTAG_DROP_RE.sub(" ", s), 0
+    s, deleted = _strip_emoji(s, config.emoji_ranges)
     s = _strip_symbols(s)
     if config.lowercase_latin:
         s = _lowercase_latin(s)
-    return " ".join(s.split())
+    return " ".join(s.split()), bool(joined) or deleted
+
+
+def _strippable(text: str, config: PreprocessConfig) -> bool:
+    # Whether an early step of _clean_pass would still remove something.
+    return bool((config.strip_html and _HTML_RE.search(text))
+                or (config.strip_urls and _URL_RE.search(text))
+                or (config.strip_mentions and _MENTION_RE.search(text))
+                or _HASHTAG_DROP_RE.search(text))
+
+
+def clean(text: str, config: PreprocessConfig) -> str:
+    """Normalize one post. Idempotent; empty output is valid."""
+    s, joined = _clean_pass(text, config)
+    # A deletion can join its neighbours into a tag, URL, mention or
+    # hashtag ("0@#0" -> "0@0") that an earlier step strips; only then is
+    # the output cleaned again.
+    while joined and _strippable(s, config):
+        s, joined = _clean_pass(s, config)
+    return s
 
 
 def tokenize(text: str) -> list[str]:
@@ -255,7 +274,6 @@ class Vocabulary:
     """
 
     token_to_index: dict[str, int]
-    min_frequency: int = 1
 
     def __len__(self) -> int:
         return len(self.token_to_index) + 2
@@ -297,31 +315,14 @@ def build_vocab(corpus: list[list[str]], min_frequency: int = 1) -> Vocabulary:
         (t for t, c in counts.items() if c >= min_frequency),
         key=lambda t: (-counts[t], t),
     )
-    return Vocabulary(
-        token_to_index={t: i + 2 for i, t in enumerate(kept)},
-        min_frequency=min_frequency,
-    )
-
-
-@dataclass
-class EncodedSequence:
-    """Fixed-length index array; positions >= true_length hold PAD."""
-
-    indices: np.ndarray
-    true_length: int
-
-
-def encode(tokens: list[str], vocab: Vocabulary, max_len: int = 100) -> EncodedSequence:
-    """Map tokens to indices, truncating to the first max_len and post-padding."""
-    kept = tokens[:max_len]
-    indices = np.full(max_len, PAD_INDEX, dtype=np.int32)
-    for i, token in enumerate(kept):
-        indices[i] = vocab.index_of(token)
-    return EncodedSequence(indices=indices, true_length=len(kept))
+    return Vocabulary(token_to_index={t: i + 2 for i, t in enumerate(kept)})
 
 
 def encode_batch(corpus: list[list[str]], vocab: Vocabulary, max_len: int = 100) -> np.ndarray:
-    """Encode many documents into one (N, max_len) int32 matrix."""
+    """Encode many documents into one (N, max_len) int32 matrix.
+
+    Each row keeps a document's first max_len tokens, then PAD.
+    """
     out = np.full((len(corpus), max_len), PAD_INDEX, dtype=np.int32)
     for row, tokens in enumerate(corpus):
         for i, token in enumerate(tokens[:max_len]):

@@ -11,15 +11,16 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .corpus import LANGUAGES, LabeledExample, kfold_indices
+from .corpus import (KEY_TO_LABEL, LANGUAGES, TASK_QUESTIONS, LabeledExample,
+                     kfold_indices)
 from .embeddings import WordVectorFile, build_matrix
 from .errors import ConfigurationError, DataIntegrityError
-from .layers import AdamConfig, adam_step, softmax_cross_entropy
+from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (ModelConfig, Network, build_model, labels_from_probs,
                     train_step)
@@ -36,7 +37,6 @@ __all__ = [
     "emit_curves",
     "ensemble_predict",
     "evaluate",
-    "head_keys_for_task",
     "one_hot",
     "read_curves",
     "run_cv",
@@ -45,11 +45,6 @@ __all__ = [
 ]
 
 _TASK_DEFAULTS = {1: (32, 5), 2: (64, 7), 3: (32, 5)}
-
-
-def head_keys_for_task(task: int) -> list[str]:
-    """Label keys the given task trains on (two heads only for task 3)."""
-    return ["1", "3"] if task == 3 else ["1"]
 
 
 @dataclass
@@ -87,11 +82,7 @@ class TrainConfig:
             raise ConfigurationError("threads must be positive")
 
     def to_dict(self) -> dict:
-        data = {k: getattr(self, k) for k in
-                ("task", "language", "folds", "batch_size", "epochs", "seed", "threads")}
-        data["optimizer"] = {"lr": self.optimizer.lr, "beta1": self.optimizer.beta1,
-                             "beta2": self.optimizer.beta2, "eps": self.optimizer.eps}
-        return data
+        return asdict(self)
 
 
 @dataclass
@@ -103,9 +94,7 @@ class EpochRecord:
     val_accuracy: float
 
     def to_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss,
-                "train_accuracy": self.train_accuracy,
-                "val_loss": self.val_loss, "val_accuracy": self.val_accuracy}
+        return asdict(self)
 
 
 @dataclass
@@ -217,9 +206,7 @@ def evaluate(network: Network, sequences: np.ndarray,
             logits = head.forward(shared)
             loss, _ = softmax_cross_entropy(logits, onehots[h][start:stop])
             loss_sum += loss * (min(stop, n) - start) / num_heads
-            probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-            probs /= probs.sum(axis=1, keepdims=True)
-            preds[h].append(labels_from_probs(probs))
+            preds[h].append(labels_from_probs(softmax(logits)))
     merged = [np.concatenate(p) for p in preds]
     accuracy = float(np.mean([
         (merged[h] == np.asarray(labels_per_head[h])).mean()
@@ -268,7 +255,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
         model_config = ModelConfig()
     if prep_config is None:
         prep_config = PreprocessConfig.default()
-    head_keys = head_keys_for_task(config.task)
+    head_keys = [KEY_TO_LABEL[q] for q in TASK_QUESTIONS[config.task]]
     model_config = replace(model_config, num_heads=len(head_keys))
     model_config.validate()
 
@@ -361,11 +348,15 @@ def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
             for chunks in outs]
 
 
-def best_fold_index(report: RunReport) -> int:
-    """Fold whose validation macro-F1 (mean over heads) is highest."""
+def best_fold_index(report: dict) -> int:
+    """Fold whose validation macro-F1 (mean over heads) is highest.
+
+    report is a run report in its JSON form: RunReport.to_dict(), or
+    run_report.json as read back from a run directory.
+    """
     scores = [
-        float(np.mean([fr.head_reports[k].macro_f1 for k in report.head_keys]))
-        for fr in report.folds
+        float(np.mean([fr["head_reports"][k]["macro_f1"] for k in report["head_keys"]]))
+        for fr in report["folds"]
     ]
     return int(np.argmax(scores))
 

@@ -29,3 +29,22 @@ def max_rel_error(analytic, numeric, floor=1e-8):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def binary_macro_average(matrix):
+    """Two-class macro averages written out via TP/FP/FN/TN counts.
+
+    Treats class 1 as positive and class 0 as negative and averages the two
+    class scores: an independent oracle for metrics.macro_average, which
+    must agree with it exactly on every 2x2 matrix.
+    """
+    assert matrix.shape == (2, 2)
+    tp = float(matrix[1, 1])
+    fp = float(matrix[0, 1])
+    fn = float(matrix[1, 0])
+    tn = float(matrix[0, 0])
+    p_pos = tp / (tp + fp) if tp + fp > 0 else 0.0
+    r_pos = tp / (tp + fn) if tp + fn > 0 else 0.0
+    p_neg = tn / (tn + fn) if tn + fn > 0 else 0.0
+    r_neg = tn / (tn + fp) if tn + fp > 0 else 0.0
+    return (p_pos + p_neg) / 2, (r_pos + r_neg) / 2

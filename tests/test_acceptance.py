@@ -12,15 +12,14 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from conftest import max_rel_error, numerical_grad
+from conftest import binary_macro_average, max_rel_error, numerical_grad
 
 from abusekit.corpus import Vote, aggregate_label
 from abusekit.embeddings import (build_matrix, parse_vector_file, read_cache,
                                  write_cache, write_vector_file)
 from abusekit.layers import (AdamConfig, BiLstm, Conv1D, Dense,
                              GlobalAveragePool1D, Lstm, softmax_cross_entropy)
-from abusekit.metrics import (binary_macro_average, classification_report,
-                              confusion, macro_average, macro_f1)
+from abusekit.metrics import confusion, macro_average, macro_f1
 from abusekit.model import (ModelConfig, build_model, load_checkpoint,
                             save_checkpoint)
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
@@ -285,7 +284,7 @@ def test_checkpoint_round_trip(tmp_path):
     table_rows = rng.standard_normal((20, 12)).astype(np.float32)
     table_rows[:2] = 0.0
     from abusekit.embeddings import EmbeddingTable
-    table = EmbeddingTable(matrix=table_rows, coverage=1.0, trainable=False)
+    table = EmbeddingTable(matrix=table_rows, coverage=1.0)
     network = build_model(config, table)
 
     batches = [rng.integers(0, 20, size=(4, 10)) for _ in range(3)]

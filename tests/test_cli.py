@@ -6,6 +6,7 @@ so the full pipeline stays fast enough for the default suite.
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ import pytest
 from abusekit.cli import main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import write_vector_file
+from abusekit.layers import Conv1D
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_gold_csv, write_test_csv,
                                 write_uli_csv)
+from abusekit.training import best_fold_index
 
 MODEL_SECTION = {
     "seq_len": 12, "embed_dim": 16, "conv_filters": 8, "conv_kernel": 2,
@@ -240,6 +243,26 @@ class TestTrain:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_non_finite_gradient_exits_3(self, pipeline, tmp_path, capsys,
+                                         monkeypatch):
+        # the loss stays finite; only one parameter's gradient goes bad
+        backward = Conv1D.backward
+
+        def poisoned(self, grad_out):
+            dx = backward(self, grad_out)
+            self.kernels.grad[0, 0, 0] = np.nan
+            return dx
+
+        monkeypatch.setattr(Conv1D, "backward", poisoned)
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1, folds=2)
+        rc = main(["train", "--config", str(config),
+                   "--out-dir", str(tmp_path / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "conv.kernels" in err
+
 
 class TestPredict:
     def test_submission_format_exact(self, pipeline):
@@ -271,6 +294,22 @@ class TestPredict:
         assert lines[0] == "id,label"
         assert len(lines) == 1 + pipeline["test_count"]
 
+        # only the chosen fold is loaded: the others may be gone
+        report = json.loads(
+            (pipeline["run_dir"] / "run_report.json").read_text(encoding="utf-8"))
+        chosen = best_fold_index(report)
+        clone = tmp_path / "run_clone"
+        shutil.copytree(pipeline["run_dir"], clone)
+        for fold in range(3):
+            if fold != chosen:
+                shutil.rmtree(clone / f"fold{fold}")
+        again = tmp_path / "again.csv"
+        rc = main(["predict", "--run-dir", str(clone),
+                   "--input", str(pipeline["test_csv"]),
+                   "--out", str(again), "--ensemble", "best"])
+        assert rc == 0
+        assert again.read_bytes() == best.read_bytes()
+
     def test_missing_run_dir(self, pipeline, tmp_path, capsys):
         rc = main(["predict", "--run-dir", str(tmp_path / "ghost"),
                    "--input", str(pipeline["test_csv"]),
@@ -279,7 +318,6 @@ class TestPredict:
         capsys.readouterr()
 
     def test_missing_fold_checkpoint(self, pipeline, tmp_path, capsys):
-        import shutil
         clone = tmp_path / "run_clone"
         shutil.copytree(pipeline["run_dir"], clone)
         shutil.rmtree(clone / "fold1")
@@ -288,6 +326,39 @@ class TestPredict:
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
         assert "fold1" in capsys.readouterr().err
+
+    def test_old_checkpoint_version(self, pipeline, tmp_path, capsys):
+        clone = tmp_path / "run_clone"
+        shutil.copytree(pipeline["run_dir"], clone)
+        manifest_path = clone / "fold0" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["format_version"] = 1
+        manifest["config"]["pool_before_dense"] = False   # as version 1 wrote it
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        rc = main(["predict", "--run-dir", str(clone),
+                   "--input", str(pipeline["test_csv"]),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "format_version 1" in err and "reads 2" in err
+
+    def test_ids_parsed_strictly(self, pipeline, tmp_path, capsys):
+        posts = tmp_path / "posts.csv"
+        posts.write_text("id,text\n9007199254740993,hello\n12.0,there\n",
+                         encoding="utf-8")
+        out = tmp_path / "out.csv"
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(posts), "--out", str(out)])
+        assert rc == 0
+        ids = [line.split(",")[0] for line in
+               out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert ids == ["9007199254740993", "12"]
+
+        posts.write_text("id,text\n1.7,hello\n", encoding="utf-8")
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(posts), "--out", str(out)])
+        assert rc == 2
+        assert "non-integer id '1.7'" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -339,6 +410,31 @@ class TestEvaluate:
         rc = main(["evaluate", "--gold", str(gold), "--pred", str(pred)])
         assert rc == 2
         assert "label must be 0 or 1" in capsys.readouterr().err
+
+    def test_ids_above_2_53_stay_distinct(self, tmp_path, capsys):
+        gold = tmp_path / "gold.csv"
+        pred = tmp_path / "pred.csv"
+        gold.write_text("id,label\n9007199254740992,0\n9007199254740993,1\n",
+                        encoding="utf-8")
+        pred.write_text("id,label\n9007199254740993.0,1\n9007199254740992,0\n",
+                        encoding="utf-8")
+        rc = main(["evaluate", "--gold", str(gold), "--pred", str(pred)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+
+    @pytest.mark.parametrize("rows, message", [
+        ("1,1\n2,0\n1,0\n", "duplicate id 1"),
+        ("1.7,1\n2,0\n", "non-integer id '1.7'"),
+        ("1,0.5\n2,0\n", "bad label '0.5'")],
+        ids=["duplicate-id", "fractional-id", "fractional-label"])
+    def test_bad_rows_rejected(self, tmp_path, capsys, rows, message):
+        gold = tmp_path / "gold.csv"
+        gold.write_text("id,label\n1,1\n2,0\n", encoding="utf-8")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("id,label\n" + rows, encoding="utf-8")
+        rc = main(["evaluate", "--gold", str(gold), "--pred", str(pred)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestInspectEmbeddings:

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from abusekit.corpus import (LabeledExample, Vote, aggregate_label,
                              assemble_examples, kfold_indices, load_external,
-                             merge_external, parse_uli_csv, read_dataset,
-                             split_train_test, write_dataset)
+                             merge_external, parse_integer, parse_uli_csv,
+                             read_dataset, split_train_test, write_dataset)
 from abusekit.errors import (ConfigurationError, DataIntegrityError,
                              ParseError, SchemaError)
 
@@ -119,9 +119,24 @@ class TestUliParsing:
             parse_uli_csv(path)
 
     def test_non_integer_id(self, tmp_path):
-        path = uli_rows(tmp_path, "x9,x,en,question_1,1,,,,,\n")
-        with pytest.raises(ParseError, match="non-integer"):
-            parse_uli_csv(path)
+        for raw in ("x9", "1.7"):
+            path = uli_rows(tmp_path, f"{raw},x,en,question_1,1,,,,,\n")
+            with pytest.raises(ParseError, match="non-integer"):
+                parse_uli_csv(path)
+
+
+class TestParseInteger:
+    @pytest.mark.parametrize("raw, value", [
+        ("12", 12), (" 12.0 ", 12), ("-3", -3), ("7.", 7),
+        ("9007199254740993", 2**53 + 1), ("9007199254740993.00", 2**53 + 1)])
+    def test_integral_spellings(self, raw, value):
+        assert parse_integer(raw) == value
+
+    @pytest.mark.parametrize("raw", ["1.7", "1e3", "", "x9", "nan", "inf",
+                                     "1.0.0", "0x10"])
+    def test_everything_else_rejected(self, raw):
+        with pytest.raises(ValueError):
+            parse_integer(raw)
 
 
 class TestAssembly:

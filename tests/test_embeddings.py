@@ -179,21 +179,6 @@ class TestMatrixAssembly:
         np.testing.assert_array_equal(table.matrix[vocab.index_of("cat")], [1, 2])
         assert table.matrix[vocab.index_of("bird")].tolist() == [0.0, 0.0]
         assert table.coverage == pytest.approx(2 / 3)
-        assert table.trainable is False
-
-    def test_missing_init_uniform(self):
-        vocab = build_vocab([["aa", "bb"]])
-        vectors = WordVectorFile(dimension=8,
-                                 entries={"aa": np.ones(8, dtype=np.float32)},
-                                 had_header=False)
-        table = build_matrix(vocab, vectors, missing_init="uniform", seed=5)
-        row = table.matrix[vocab.index_of("bb")]
-        assert np.all(np.abs(row) <= 0.5) and np.any(row != 0.0)
-        # PAD and OOV stay zero even with uniform fallback
-        np.testing.assert_array_equal(table.matrix[0], 0.0)
-        np.testing.assert_array_equal(table.matrix[1], 0.0)
-        again = build_matrix(vocab, vectors, missing_init="uniform", seed=5)
-        np.testing.assert_array_equal(table.matrix, again.matrix)
 
     def test_expected_dim_enforced(self):
         vocab = build_vocab([["cat"]])

@@ -16,9 +16,9 @@ from abusekit.errors import (BoundsError, ConfigurationError,
                              DataIntegrityError, ShapeError)
 from abusekit.layers import (AdamConfig, BiLstm, Conv1D, Dense, Dropout,
                              EmbeddingLookup, GlobalAveragePool1D, Lstm,
-                             LstmCellParams, Parameter, SpatialDropout1D,
-                             adam_step, glorot_uniform, lstm_cell_forward,
-                             make_dropout_mask, orthogonal, sigmoid, softmax)
+                             Parameter, SpatialDropout1D, adam_step,
+                             glorot_uniform, make_dropout_mask, orthogonal,
+                             sigmoid, softmax)
 
 GRAD_TOL = 1e-4
 SEEDS = range(5)
@@ -365,7 +365,7 @@ class TestDropoutOps:
 
     def test_mask_values(self):
         mask = make_dropout_mask((10000,), 0.25, np.random.default_rng(3))
-        values = set(np.unique(mask.keep))
+        values = set(np.unique(mask))
         assert values == {0.0, np.float32(1.0 / 0.75)}
 
     def test_expectation_monte_carlo(self):
@@ -373,7 +373,7 @@ class TestDropoutOps:
         # must hold the mean within 1% of 1.0
         mask = make_dropout_mask((100000,), 0.1, np.random.default_rng(7),
                                  dtype=np.float64)
-        assert abs(mask.keep.mean() - 1.0) < 0.01
+        assert abs(mask.mean() - 1.0) < 0.01
 
     def test_spatial_channels_constant_over_time(self):
         x = np.ones((4, 9, 8))
@@ -407,8 +407,9 @@ class TestDropoutOps:
         np.testing.assert_array_equal(a, b)
 
 
-def scalar_lstm_cell(x_t, h_prev, c_prev, params, rec_mask=None):
-    """Pure-Python per-element reference for one LSTM step."""
+def scalar_lstm_cell(x_t, h_prev, c_prev, lstm, rec_mask=None):
+    """Pure-Python per-element reference for one step of an Lstm layer."""
+    W, U, b_ = lstm.W.value, lstm.U.value, lstm.b.value
     batch, hidden = h_prev.shape
     dim = x_t.shape[1]
     h_out = np.zeros((batch, hidden))
@@ -420,11 +421,11 @@ def scalar_lstm_cell(x_t, h_prev, c_prev, params, rec_mask=None):
             acc = [0.0, 0.0, 0.0, 0.0]
             for gate in range(4):
                 row = gate * hidden + j
-                s = float(params.b[row])
+                s = float(b_[row])
                 for d in range(dim):
-                    s += float(x_t[b, d]) * float(params.W[row, d])
+                    s += float(x_t[b, d]) * float(W[row, d])
                 for k in range(hidden):
-                    s += hm[k] * float(params.U[row, k])
+                    s += hm[k] * float(U[row, k])
                 acc[gate] = s
             i = 1.0 / (1.0 + math.exp(-acc[0]))
             f = 1.0 / (1.0 + math.exp(-acc[1]))
@@ -436,54 +437,61 @@ def scalar_lstm_cell(x_t, h_prev, c_prev, params, rec_mask=None):
     return h_out, c_out
 
 
+def scalar_lstm_chain(x, lstm, in_mask=None, rec_mask=None):
+    """Hidden states of the scalar reference run over a whole sequence."""
+    batch, length, _ = x.shape
+    h = np.zeros((batch, lstm.hidden_size))
+    c = np.zeros((batch, lstm.hidden_size))
+    out = np.zeros((batch, length, lstm.hidden_size))
+    for t in range(length):
+        x_t = x[:, t] if in_mask is None else x[:, t] * in_mask
+        h, c = scalar_lstm_cell(x_t, h, c, lstm, rec_mask)
+        out[:, t] = h
+    return out
+
+
 class TestLstmCell:
-    def make_params(self, seed, dim=3, hidden=4):
+    """The per-step LSTM arithmetic, checked through the Lstm layer."""
+
+    def make_lstm(self, seed, dim=3, hidden=4, **dropout):
+        # Gaussian weights instead of the init scheme, to reach saturated gates
         rng = np.random.default_rng(seed)
-        return LstmCellParams(
-            W=rng.standard_normal((4 * hidden, dim)),
-            U=rng.standard_normal((4 * hidden, hidden)),
-            b=rng.standard_normal(4 * hidden))
+        lstm = Lstm(dim, hidden, rng, dtype=np.float64, **dropout)
+        for p in lstm.parameters():
+            p.value[...] = rng.standard_normal(p.value.shape)
+        return lstm
 
     def test_zero_weights_zero_output(self):
-        params = LstmCellParams(W=np.zeros((16, 3)), U=np.zeros((16, 4)),
-                                b=np.zeros(16))
-        x = np.random.default_rng(0).standard_normal((2, 3))
-        h, c = lstm_cell_forward(x, np.zeros((2, 4)), np.zeros((2, 4)), params)
-        np.testing.assert_array_equal(h, 0.0)
-        np.testing.assert_array_equal(c, 0.0)
+        lstm = self.make_lstm(0)
+        for p in lstm.parameters():
+            p.value[...] = 0.0
+        x = np.random.default_rng(0).standard_normal((2, 5, 3))
+        np.testing.assert_array_equal(lstm.forward(x), 0.0)
 
     def test_matches_scalar_oracle(self):
         for seed in SEEDS:
-            params = self.make_params(seed)
-            rng = np.random.default_rng(seed + 40)
-            x = rng.standard_normal((2, 3))
-            h_prev = rng.standard_normal((2, 4))
-            c_prev = rng.standard_normal((2, 4))
-            h, c = lstm_cell_forward(x, h_prev, c_prev, params)
-            h_ref, c_ref = scalar_lstm_cell(x, h_prev, c_prev, params)
-            assert np.max(np.abs(h - h_ref)) < 1e-12
-            assert np.max(np.abs(c - c_ref)) < 1e-12
+            lstm = self.make_lstm(seed)
+            x = np.random.default_rng(seed + 40).standard_normal((2, 3, 3))
+            ref = scalar_lstm_chain(x, lstm)
+            assert np.max(np.abs(lstm.forward(x) - ref)) < 1e-12
 
     def test_matches_scalar_oracle_with_mask(self):
-        params = self.make_params(31)
-        rng = np.random.default_rng(77)
-        x = rng.standard_normal((3, 3))
-        h_prev = rng.standard_normal((3, 4))
-        c_prev = rng.standard_normal((3, 4))
-        rec = make_dropout_mask((3, 4), 0.5, rng, dtype=np.float64).keep
-        h, c = lstm_cell_forward(x, h_prev, c_prev, params, rec_mask=rec)
-        h_ref, c_ref = scalar_lstm_cell(x, h_prev, c_prev, params, rec_mask=rec)
-        assert np.max(np.abs(h - h_ref)) < 1e-12
-        assert np.max(np.abs(c - c_ref)) < 1e-12
+        # train mode draws the input mask, then the recurrent mask, from rng
+        lstm = self.make_lstm(31, dropout=0.3, recurrent_dropout=0.5)
+        x = np.random.default_rng(77).standard_normal((3, 4, 3))
+        out = lstm.forward(x, train_mode=True, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        in_mask = make_dropout_mask((3, 3), 0.3, rng, dtype=np.float64)
+        rec_mask = make_dropout_mask((3, 4), 0.5, rng, dtype=np.float64)
+        assert (rec_mask == 0).any()
+        ref = scalar_lstm_chain(x, lstm, in_mask, rec_mask)
+        assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_hidden_state_bounded(self):
         for seed in SEEDS:
-            params = self.make_params(seed)
-            rng = np.random.default_rng(seed)
-            h, c = lstm_cell_forward(rng.standard_normal((2, 3)) * 50,
-                                     rng.standard_normal((2, 4)) * 50,
-                                     rng.standard_normal((2, 4)) * 50, params)
-            assert np.all(np.abs(h) <= 1.0)   # |o * tanh(c)| <= 1
+            lstm = self.make_lstm(seed)
+            x = np.random.default_rng(seed).standard_normal((2, 6, 3)) * 50
+            assert np.all(np.abs(lstm.forward(x)) <= 1.0)   # |o * tanh(c)| <= 1
 
 
 class TestLstmLayer:
@@ -500,12 +508,7 @@ class TestLstmLayer:
         lstm = Lstm(3, 4, rng, dtype=np.float64)
         x = rng.standard_normal((2, 5, 3))
         out = lstm.forward(x)
-        params = LstmCellParams(W=lstm.W.value, U=lstm.U.value, b=lstm.b.value)
-        h = np.zeros((2, 4))
-        c = np.zeros((2, 4))
-        for t in range(5):
-            h, c = lstm_cell_forward(x[:, t], h, c, params)
-            np.testing.assert_allclose(out[:, t], h, atol=1e-12)
+        np.testing.assert_allclose(out, scalar_lstm_chain(x, lstm), atol=1e-12)
 
     def test_eval_deterministic(self):
         rng = np.random.default_rng(1)
@@ -532,7 +535,7 @@ class TestLstmLayer:
             lstm = Lstm(3, 5, rng, dtype=np.float64)
             x = np.random.default_rng(seed + 90).standard_normal((2, 4, 3))
             mask = make_dropout_mask((2, 3), 0.4, np.random.default_rng(seed),
-                                     dtype=np.float64).keep
+                                     dtype=np.float64)
 
             def forward(a):
                 return lstm.forward(a * mask[:, None, :], train_mode=False)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from conftest import binary_macro_average
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abusekit.errors import BoundsError, ShapeError
-from abusekit.metrics import (binary_macro_average, classification_report,
-                              confusion, macro_average, macro_f1,
-                              per_class_pr)
+from abusekit.metrics import (classification_report, confusion, macro_average,
+                              macro_f1, per_class_pr)
 
 
 def brute_force_scores(golds, preds, num_classes):

@@ -9,8 +9,8 @@ from abusekit.embeddings import EmbeddingTable
 from abusekit.errors import (ConfigurationError, CorruptionError, ShapeError)
 from abusekit.layers import AdamConfig, softmax_cross_entropy
 from abusekit.model import (ModelConfig, build_model, labels_from_probs,
-                            load_checkpoint, predict, save_checkpoint,
-                            train_step)
+                            load_checkpoint, save_checkpoint, train_step)
+from abusekit.training import ensemble_predict
 
 
 def make_table(vocab_rows, dim, seed=0, dtype=np.float32):
@@ -18,7 +18,7 @@ def make_table(vocab_rows, dim, seed=0, dtype=np.float32):
     matrix = rng.uniform(-0.5, 0.5, size=(vocab_rows, dim)).astype(dtype)
     matrix[0] = 0.0
     matrix[1] = 0.0
-    return EmbeddingTable(matrix=matrix, coverage=1.0, trainable=False)
+    return EmbeddingTable(matrix=matrix, coverage=1.0)
 
 
 def tiny_config(**overrides):
@@ -95,12 +95,6 @@ class TestShapes:
     def test_table_dim_mismatch(self):
         with pytest.raises(ConfigurationError):
             build_model(tiny_config(), make_table(20, 12))
-
-    def test_pool_before_dense_variant(self):
-        config = tiny_config(pool_before_dense=True)
-        net = build_model(config, make_table(20, 6))
-        batch = random_batch(config, 20)
-        assert net.trunk_forward(batch).shape == (2, 7)
 
 
 class TestForward:
@@ -239,19 +233,19 @@ class TestPredict:
         config = tiny_config()
         net = build_model(config, make_table(30, 6))
         batch = random_batch(config, 30, batch=16, seed=21)
-        before = predict(net, batch)[0]
+        before = ensemble_predict([net], batch)[0]
         for head in net.heads:
             head.weight.value *= 2.0
             head.bias.value *= 2.0
-        after = predict(net, batch)[0]
+        after = ensemble_predict([net], batch)[0]
         np.testing.assert_array_equal(before, after)
 
     def test_batching_invisible(self):
         config = tiny_config()
         net = build_model(config, make_table(30, 6))
         batch = random_batch(config, 30, batch=10, seed=2)
-        np.testing.assert_array_equal(predict(net, batch, batch_size=3)[0],
-                                      predict(net, batch, batch_size=64)[0])
+        np.testing.assert_array_equal(ensemble_predict([net], batch, batch_size=3)[0],
+                                      ensemble_predict([net], batch, batch_size=64)[0])
 
 
 class TestCheckpoint:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from abusekit.errors import ConfigurationError
 from abusekit.text import (OOV_INDEX, PAD_INDEX, PreprocessConfig, Vocabulary,
-                           build_vocab, clean, encode, encode_batch,
+                           build_vocab, clean, encode_batch,
                            load_emoji_ranges, load_stopwords, preprocess,
                            remove_stopwords, tokenize)
 
@@ -73,7 +73,11 @@ class TestClean:
     def test_idempotent_on_fixed_cases(self, config):
         cases = ["Check this 😂 http://t.co/x @user", "##double #tag",
                  "a!!b c.d-e 🤔", "यह @user बुरा», है", "x👍🏽y",
-                 "<p>HTML</p> with WWW.SITE.COM", "don't.. stop"]
+                 "<p>HTML</p> with WWW.SITE.COM", "don't.. stop",
+                 # a deleted hashmark or zero-width joiner glues a new
+                 # mention, URL, tag or hashtag together
+                 "0@#0", "a@\u200db", "w\u200dww.site.com x", "a##x",
+                 "a#\u200dx", "w#ww.site.com x"]
         for text in cases:
             once = clean(text, config)
             assert clean(once, config) == once
@@ -180,27 +184,24 @@ class TestVocabulary:
 class TestEncode:
     def test_fixed_length_always(self):
         vocab = build_vocab([["a", "b", "c"]])
-        for tokens in ([], ["a"], ["a"] * 250):
-            seq = encode(tokens, vocab, max_len=100)
-            assert seq.indices.shape == (100,)
-            assert seq.indices.dtype == np.int32
+        batch = encode_batch([[], ["a"], ["a"] * 250], vocab, max_len=100)
+        assert batch.shape == (3, 100)
+        assert batch.dtype == np.int32
 
     def test_truncation_keeps_prefix(self):
         vocab = build_vocab([["a", "b"]])
-        seq = encode(["a", "b", "a", "b"], vocab, max_len=2)
-        assert seq.indices.tolist() == [vocab.index_of("a"), vocab.index_of("b")]
-        assert seq.true_length == 2
+        row = encode_batch([["a", "b", "a", "b"]], vocab, max_len=2)[0]
+        assert row.tolist() == [vocab.index_of("a"), vocab.index_of("b")]
 
     def test_post_padding(self):
         vocab = build_vocab([["a"]])
-        seq = encode(["a"], vocab, max_len=4)
-        assert seq.indices.tolist() == [2, 0, 0, 0]
-        assert seq.true_length == 1
+        row = encode_batch([["a"]], vocab, max_len=4)[0]
+        assert row.tolist() == [2, 0, 0, 0]
 
     def test_oov_mapping(self):
         vocab = build_vocab([["known"]])
-        seq = encode(["unknown", "known"], vocab, max_len=3)
-        assert seq.indices.tolist() == [OOV_INDEX, 2, PAD_INDEX]
+        row = encode_batch([["unknown", "known"]], vocab, max_len=3)[0]
+        assert row.tolist() == [OOV_INDEX, 2, PAD_INDEX]
 
     def test_batch_matches_single(self):
         vocab = build_vocab([["a", "b", "c"]])
@@ -208,14 +209,14 @@ class TestEncode:
         batch = encode_batch(docs, vocab, max_len=5)
         assert batch.shape == (3, 5)
         for i, doc in enumerate(docs):
-            np.testing.assert_array_equal(batch[i], encode(doc, vocab, 5).indices)
+            np.testing.assert_array_equal(batch[i], encode_batch([doc], vocab, 5)[0])
 
     def test_no_test_leak_into_vocab(self):
         train = [["seen", "words"], ["seen"]]
         vocab = build_vocab(train)
         test_tokens = ["novel", "unseen", "seen"]
-        seq = encode(test_tokens, vocab, max_len=3)
-        assert seq.indices.tolist()[:2] == [OOV_INDEX, OOV_INDEX]
+        row = encode_batch([test_tokens], vocab, max_len=3)[0]
+        assert row.tolist()[:2] == [OOV_INDEX, OOV_INDEX]
 
 
 class TestPipelineDeterminism:

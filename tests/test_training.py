@@ -5,16 +5,16 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from abusekit.corpus import LabeledExample
+from abusekit.corpus import KEY_TO_LABEL, TASK_QUESTIONS
 from abusekit.errors import ConfigurationError, DataIntegrityError
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
-from abusekit.model import ModelConfig, build_model, predict
+from abusekit.model import ModelConfig, build_model
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
 from abusekit.training import (CvResult, EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
-                               ensemble_predict, head_keys_for_task, one_hot,
+                               ensemble_predict, one_hot,
                                read_curves, run_cv, train_epoch, write_report)
 
 
@@ -58,9 +58,11 @@ class TestTrainConfig:
             TrainConfig(threads=0).validate()
 
     def test_head_keys(self):
-        assert head_keys_for_task(1) == ["1"]
-        assert head_keys_for_task(2) == ["1"]
-        assert head_keys_for_task(3) == ["1", "3"]
+        def head_keys(task):
+            return [KEY_TO_LABEL[q] for q in TASK_QUESTIONS[task]]
+        assert head_keys(1) == ["1"]
+        assert head_keys(2) == ["1"]
+        assert head_keys(3) == ["1", "3"]
 
     def test_to_dict_shape(self):
         data = TrainConfig.for_task(1, "en").to_dict()
@@ -248,7 +250,7 @@ class TestEnsemble:
         sequences = np.random.default_rng(2).integers(
             0, 5, size=(9, config.seq_len), dtype=np.int32)
         ensembled = ensemble_predict(states, sequences)[0]
-        single = predict(states[0], sequences)[0]
+        single = ensemble_predict(states[:1], sequences)[0]
         np.testing.assert_array_equal(ensembled, single)
 
     def test_order_invariance(self):
@@ -300,7 +302,7 @@ def report_with_scores(per_fold_preds):
 class TestReportHelpers:
     def test_best_fold_index(self):
         report = report_with_scores([[0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 0, 0]])
-        assert best_fold_index(report) == 1   # the perfect fold
+        assert best_fold_index(report.to_dict()) == 1   # the perfect fold
 
     def test_write_report_round_trips(self, tmp_path):
         report = report_with_scores([[0, 0, 1, 1]])
