@@ -290,7 +290,10 @@ def _read_id_csv(path, column: str) -> list[tuple[int, str]]:
             if required not in fields:
                 raise SchemaError(f"missing required column {required!r}", path=path)
         for index, record in enumerate(reader):
-            raw = record[fields["id"]] or ""
+            for name in ("id", column):
+                if record[fields[name]] is None:
+                    raise ParseError(f"row {index}: no {name!r} cell", path=path)
+            raw = record[fields["id"]]
             try:
                 rows.append((parse_integer(raw), record[fields[column]]))
             except ValueError:
@@ -303,7 +306,7 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
     out = {}
     for index, (post_id, raw) in enumerate(_read_id_csv(path, column)):
         try:
-            label = parse_integer(raw or "")
+            label = parse_integer(raw)
         except ValueError:
             raise ParseError(f"row {index}: bad label {raw!r}", path=path) from None
         if label not in (0, 1):
@@ -470,3 +473,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> int:
     return main()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BoundsError, ConfigurationError, DataIntegrityError, ShapeError
+from .errors import (AbusekitError, BoundsError, ConfigurationError,
+                     DataIntegrityError, ShapeError)
 
 __all__ = [
     "AdamConfig",
@@ -36,14 +37,25 @@ __all__ = [
 ]
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign so exp never receives a large positive argument.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function; exp only ever sees -|x|, so it cannot overflow.
+
+    With e = exp(-|x|), the result is num / (1 + e) where the sign bit of x
+    picks num: 1 for x >= +0, e otherwise.  Each element gets the same bits
+    as 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) for x < 0.  The pick
+    is an and/xor on the bit patterns, with no branch, gather or scatter.
+    out may be x itself.
+    """
+    e = np.exp(-np.abs(x))
+    den = e + 1
+    ints = np.dtype(f"i{x.itemsize}")
+    one = np.array(1, x.dtype).view(ints)
+    num = e.view(ints)
+    num ^= one
+    # Arithmetic shift: all ones where x is negative (or -0), else zero.
+    num &= x.view(ints) >> (8 * x.itemsize - 1)
+    num ^= one
+    return np.divide(e, den, out=e if out is None else out)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -103,8 +115,10 @@ def adam_step(param: Parameter, config: AdamConfig = AdamConfig()) -> None:
     """One bias-corrected Adam update; consumes and zeroes the gradient."""
     g = param.grad
     t = param.step_count + 1
-    param.adam_m = config.beta1 * param.adam_m + (1.0 - config.beta1) * g
-    param.adam_v = config.beta2 * param.adam_v + (1.0 - config.beta2) * (g * g)
+    param.adam_m *= config.beta1
+    param.adam_m += (1.0 - config.beta1) * g
+    param.adam_v *= config.beta2
+    param.adam_v += (1.0 - config.beta2) * (g * g)
     m_hat = param.adam_m / (1.0 - config.beta1 ** t)
     v_hat = param.adam_v / (1.0 - config.beta2 ** t)
     param.value -= config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
@@ -348,6 +362,118 @@ def _init_lstm_params(input_dim: int, hidden: int, rng: np.random.Generator,
     return W, U, b
 
 
+def _lstm_forward(cells, inputs, outputs, train_mode, rng):
+    """Run D Lstm cells of one shape through a single time loop.
+
+    inputs[d] is cell d's B x L x D_in input in the order the cell reads it,
+    and outputs[d] a B x L x H view its hidden states are written into, in
+    the same order.  Each step makes one stacked recurrent matmul and one
+    activation pass over the D x B x 4H gate slice.  Returns the cache that
+    _lstm_backward consumes.
+    """
+    batch, length, _ = inputs[0].shape
+    hidden = cells[0].hidden_size
+    dtype = inputs[0].dtype
+
+    # Masks are drawn cell by cell, input mask before recurrent mask.
+    masked, in_masks, rec_masks = [], [], []
+    for cell, x in zip(cells, inputs):
+        in_mask = rec_mask = None
+        if train_mode and cell.dropout > 0.0:
+            in_mask = make_dropout_mask((batch, x.shape[2]), cell.dropout, rng,
+                                        dtype=dtype)
+        if train_mode and cell.recurrent_dropout > 0.0:
+            rec_mask = make_dropout_mask((batch, hidden), cell.recurrent_dropout,
+                                         rng, dtype=dtype)
+        masked.append(x if in_mask is None else x * in_mask[:, None, :])
+        in_masks.append(in_mask)
+        rec_masks.append(rec_mask)
+    rec_mask = None
+    if any(m is not None for m in rec_masks):
+        rec_mask = np.stack([np.ones((batch, hidden), dtype) if m is None else m
+                             for m in rec_masks])
+
+    # gates[d, :, s] holds cell d's input projection for step s, then its
+    # activations i, f, g, o; backward overwrites them with the gate grads.
+    gates = np.empty((len(cells), batch, length, 4 * hidden), dtype=dtype)
+    for d, (cell, xm) in enumerate(zip(cells, masked)):
+        np.matmul(xm, cell.W.value.T, out=gates[d])
+        gates[d] += cell.b.value
+    # cs[s] is the cell state entering step s, so cs[s + 1] is its output.
+    cs = np.empty((length + 1, len(cells), batch, hidden), dtype=dtype)
+    cs[0] = 0.0
+    h_masked = np.empty((len(cells), batch, length, hidden), dtype=dtype)
+    h = np.zeros((len(cells), batch, hidden), dtype=dtype)
+    U_T = np.stack([cell.U.value for cell in cells]).transpose(0, 2, 1)
+    for s in range(length):
+        hm = h if rec_mask is None else h * rec_mask
+        h_masked[:, :, s] = hm
+        z = gates[:, :, s]
+        z += np.matmul(hm, U_T)
+        g = np.tanh(z[..., 2 * hidden:3 * hidden])
+        sigmoid(z, out=z)
+        z[..., 2 * hidden:3 * hidden] = g
+        c = z[..., hidden:2 * hidden] * cs[s] + z[..., :hidden] * g
+        cs[s + 1] = c
+        h = z[..., 3 * hidden:] * np.tanh(c)
+        for out, h_d in zip(outputs, h):
+            out[:, s] = h_d
+    return masked, in_masks, rec_mask, gates, cs, h_masked
+
+
+def _lstm_backward(cells, cache, grads):
+    """Backward of _lstm_forward; grads[d] is laid out like outputs[d].
+
+    Accumulates every cell's parameter gradients and returns each cell's
+    input gradient in its own time order.  Step s reads the activations
+    in the gate slab before writing its gate gradients there.
+    """
+    masked, in_masks, rec_mask, gates, cs, h_masked = cache
+    _, batch, length, four_h = gates.shape
+    hidden = four_h // 4
+    dh_carry = np.zeros(cs.shape[1:], dtype=gates.dtype)
+    dc_carry = np.zeros_like(dh_carry)
+    U = np.stack([cell.U.value for cell in cells])
+    for s in range(length - 1, -1, -1):
+        a = gates[:, :, s]
+        i, f = a[..., :hidden], a[..., hidden:2 * hidden]
+        g, o = a[..., 2 * hidden:3 * hidden], a[..., 3 * hidden:]
+        tanh_c = np.tanh(cs[s + 1])
+        dh = np.stack([grad[:, s] for grad in grads])
+        dh += dh_carry
+        do = dh * tanh_c
+        dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_carry
+        df = dc * cs[s]
+        di = dc * g
+        dg = dc * i
+        dc_carry = dc * f
+        a[..., :hidden] = di * i * (1.0 - i)
+        a[..., hidden:2 * hidden] = df * f * (1.0 - f)
+        a[..., 2 * hidden:3 * hidden] = dg * (1.0 - g * g)
+        a[..., 3 * hidden:] = do * o * (1.0 - o)
+        dhm = np.matmul(a, U)
+        dh_carry = dhm if rec_mask is None else dhm * rec_mask
+
+    dxs = []
+    for cell, d_z, xm, h_m, in_mask in zip(cells, gates, masked, h_masked, in_masks):
+        dz_flat = d_z.reshape(batch * length, four_h)
+        cell.W.grad += dz_flat.T @ xm.reshape(batch * length, -1)
+        cell.U.grad += dz_flat.T @ h_m.reshape(batch * length, hidden)
+        cell.b.grad += dz_flat.sum(axis=0)
+        dxm = d_z @ cell.W.value
+        dxs.append(dxm if in_mask is None else dxm * in_mask[:, None, :])
+    return dxs
+
+
+def _take_cache(layer: Module):
+    """The layer's forward cache, which its backward consumes exactly once."""
+    cache, layer._cache = layer._cache, None
+    if cache is None:
+        raise AbusekitError(
+            f"{type(layer).__name__}.backward needs a fresh forward pass")
+    return cache
+
+
 class Lstm(Module):
     """Unidirectional LSTM emitting every timestep (B x L x H).
 
@@ -372,97 +498,20 @@ class Lstm(Module):
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        batch, length, dim = x.shape
-        hidden = self.hidden_size
-        dtype = x.dtype
-
-        in_mask = rec_mask = None
-        if train_mode and self.dropout > 0.0:
-            in_mask = make_dropout_mask((batch, dim), self.dropout, rng, dtype=dtype)
-        if train_mode and self.recurrent_dropout > 0.0:
-            rec_mask = make_dropout_mask((batch, hidden), self.recurrent_dropout,
-                                         rng, dtype=dtype)
-
-        xm = x if in_mask is None else x * in_mask[:, None, :]
-        # Input projections for the whole sequence in one GEMM.
-        zx = xm @ self.W.value.T + self.b.value
-
-        gates_i = np.empty((batch, length, hidden), dtype=dtype)
-        gates_f = np.empty_like(gates_i)
-        gates_g = np.empty_like(gates_i)
-        gates_o = np.empty_like(gates_i)
-        c_prevs = np.empty_like(gates_i)
-        tanh_cs = np.empty_like(gates_i)
-        h_masked = np.empty_like(gates_i)
-        out = np.empty_like(gates_i)
-
-        h = np.zeros((batch, hidden), dtype=dtype)
-        c = np.zeros((batch, hidden), dtype=dtype)
-        U_T = self.U.value.T
-        for t in range(length):
-            hm = h if rec_mask is None else h * rec_mask
-            z = zx[:, t] + hm @ U_T
-            i = sigmoid(z[:, :hidden])
-            f = sigmoid(z[:, hidden:2 * hidden])
-            g = np.tanh(z[:, 2 * hidden:3 * hidden])
-            o = sigmoid(z[:, 3 * hidden:])
-            c_prevs[:, t] = c
-            h_masked[:, t] = hm
-            c = f * c + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            gates_i[:, t] = i
-            gates_f[:, t] = f
-            gates_g[:, t] = g
-            gates_o[:, t] = o
-            tanh_cs[:, t] = tanh_c
-            out[:, t] = h
-
-        self._cache = (xm, in_mask, rec_mask, gates_i, gates_f, gates_g,
-                       gates_o, c_prevs, tanh_cs, h_masked)
+        out = np.empty(x.shape[:2] + (self.hidden_size,), dtype=x.dtype)
+        self._cache = _lstm_forward((self,), (x,), (out,), train_mode, rng)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        (xm, in_mask, rec_mask, gates_i, gates_f, gates_g, gates_o,
-         c_prevs, tanh_cs, h_masked) = self._cache
-        batch, length, hidden = grad_out.shape
-        dtype = grad_out.dtype
-
-        d_z = np.empty((batch, length, 4 * hidden), dtype=dtype)
-        dh_carry = np.zeros((batch, hidden), dtype=dtype)
-        dc_carry = np.zeros((batch, hidden), dtype=dtype)
-        U = self.U.value
-        for t in range(length - 1, -1, -1):
-            i, f = gates_i[:, t], gates_f[:, t]
-            g, o = gates_g[:, t], gates_o[:, t]
-            tanh_c = tanh_cs[:, t]
-            dh = grad_out[:, t] + dh_carry
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c * tanh_c) + dc_carry
-            df = dc * c_prevs[:, t]
-            di = dc * g
-            dg = dc * i
-            d_z[:, t, :hidden] = di * i * (1.0 - i)
-            d_z[:, t, hidden:2 * hidden] = df * f * (1.0 - f)
-            d_z[:, t, 2 * hidden:3 * hidden] = dg * (1.0 - g * g)
-            d_z[:, t, 3 * hidden:] = do * o * (1.0 - o)
-            dhm = d_z[:, t] @ U
-            dh_carry = dhm if rec_mask is None else dhm * rec_mask
-            dc_carry = dc * f
-
-        dz_flat = d_z.reshape(batch * length, 4 * hidden)
-        self.W.grad += dz_flat.T @ xm.reshape(batch * length, -1)
-        self.U.grad += dz_flat.T @ h_masked.reshape(batch * length, hidden)
-        self.b.grad += dz_flat.sum(axis=0)
-        dxm = d_z @ self.W.value
-        return dxm if in_mask is None else dxm * in_mask[:, None, :]
+        return _lstm_backward((self,), _take_cache(self), (grad_out,))[0]
 
 
 class BiLstm(Module):
     """Two LSTMs over opposite time directions, outputs concatenated.
 
     Output is B x L x 2H with the forward direction in channels [:H] and
-    the backward direction in channels [H:].
+    the backward direction in channels [H:].  Both directions advance in
+    one time loop; the backward cell reads the time-reversed input.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator,
@@ -473,6 +522,7 @@ class BiLstm(Module):
         self.backward_cell = Lstm(input_dim, hidden_size, rng, dropout,
                                   recurrent_dropout, dtype)
         self.hidden_size = hidden_size
+        self._cache = None
         for prefix, cell in (("bilstm.fwd", self.forward_cell),
                              ("bilstm.bwd", self.backward_cell)):
             for param in cell.parameters():
@@ -481,19 +531,25 @@ class BiLstm(Module):
     def parameters(self) -> list[Parameter]:
         return self.forward_cell.parameters() + self.backward_cell.parameters()
 
+    def _directions(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of a B x L x 2H array in each direction's time order."""
+        hidden = self.hidden_size
+        return a[:, :, :hidden], a[:, ::-1, hidden:]
+
     def forward(self, x: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        out_f = self.forward_cell.forward(x, train_mode, rng)
+        batch, length, _ = x.shape
+        out = np.empty((batch, length, 2 * self.hidden_size), dtype=x.dtype)
         rev = np.ascontiguousarray(x[:, ::-1, :])
-        out_b = self.backward_cell.forward(rev, train_mode, rng)[:, ::-1, :]
-        return np.concatenate([out_f, out_b], axis=2)
+        self._cache = _lstm_forward((self.forward_cell, self.backward_cell),
+                                    (x, rev), self._directions(out),
+                                    train_mode, rng)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        hidden = self.hidden_size
-        dx_f = self.forward_cell.backward(grad_out[:, :, :hidden])
-        rev_grad = np.ascontiguousarray(grad_out[:, ::-1, hidden:])
-        dx_b = self.backward_cell.backward(rev_grad)[:, ::-1, :]
-        return dx_f + dx_b
+        dx_f, dx_b = _lstm_backward((self.forward_cell, self.backward_cell),
+                                    _take_cache(self), self._directions(grad_out))
+        return dx_f + dx_b[:, ::-1, :]
 
 
 def softmax_cross_entropy(logits: np.ndarray,

@@ -249,6 +249,14 @@ def save_checkpoint(network: Network, directory) -> None:
             fh.write(blob)
 
 
+def _field(record, key: str, where: str):
+    """record[key] from a checkpoint manifest; a missing key is corruption."""
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise CorruptionError(f"{where}: missing {key!r}") from None
+
+
 def load_checkpoint(directory, expected: dict | None = None) -> Network:
     """Rebuild a network from a checkpoint directory.
 
@@ -269,7 +277,7 @@ def load_checkpoint(directory, expected: dict | None = None) -> Network:
             f"{manifest_path}: checkpoint format_version {version}, "
             f"this version of abusekit reads {_FORMAT_VERSION}")
 
-    config = ModelConfig.from_dict(manifest["config"])
+    config = ModelConfig.from_dict(_field(manifest, "config", manifest_path))
     if expected:
         for key, want in expected.items():
             have = getattr(config, key, None)
@@ -279,18 +287,22 @@ def load_checkpoint(directory, expected: dict | None = None) -> Network:
 
     with open(os.path.join(directory, _WEIGHTS_NAME), "rb") as fh:
         raw = fh.read()
-    if len(raw) != manifest["total_bytes"]:
+    total_bytes = _field(manifest, "total_bytes", manifest_path)
+    if len(raw) != total_bytes:
         raise CorruptionError(
-            f"weights.bin holds {len(raw)} bytes, manifest says {manifest['total_bytes']}")
+            f"weights.bin holds {len(raw)} bytes, manifest says {total_bytes}")
 
     arrays = {}
-    for entry in manifest["entries"]:
-        shape = tuple(entry["shape"])
+    for index, entry in enumerate(_field(manifest, "entries", manifest_path)):
+        where = f"{manifest_path} entry {index}"
+        name = _field(entry, "name", where)
+        shape = tuple(_field(entry, "shape", where))
+        offset = _field(entry, "offset", where)
         nbytes = 4 * int(np.prod(shape))
-        chunk = raw[entry["offset"]:entry["offset"] + nbytes]
+        chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
-            raise CorruptionError(f"entry {entry['name']} extends past file end")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
+            raise CorruptionError(f"entry {name} extends past file end")
+        arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
 
     if "embedding.matrix" not in arrays:
         raise CorruptionError("checkpoint lacks the embedding matrix")

@@ -48,3 +48,26 @@ def binary_macro_average(matrix):
     p_neg = tn / (tn + fn) if tn + fn > 0 else 0.0
     r_neg = tn / (tn + fp) if tn + fp > 0 else 0.0
     return (p_pos + p_neg) / 2, (r_pos + r_neg) / 2
+
+
+def boolean_mask_sigmoid(x):
+    """Two-branch logistic function split by boolean masks.
+
+    1/(1+exp(-x)) where x >= 0 and exp(x)/(1+exp(x)) elsewhere: the oracle
+    that layers.sigmoid must match bit for bit.
+    """
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def assert_same_bits(actual, expected):
+    """Same dtype, shape and bit pattern; NaNs need only match in place."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()

@@ -1,16 +1,21 @@
 """End-to-end command tests: prepare -> train -> predict -> evaluate.
 
 Everything runs in-process through main(argv) on a small synthetic corpus,
-so the full pipeline stays fast enough for the default suite.
+so the full pipeline stays fast enough for the default suite; only
+test_runs_as_module starts a child interpreter.
 """
 
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import abusekit
 from abusekit.cli import main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import write_vector_file
@@ -342,6 +347,32 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "format_version 1" in err and "reads 2" in err
 
+    @pytest.mark.parametrize("case", ["bare-object", "entry-without-offset"])
+    def test_partial_manifest(self, pipeline, tmp_path, capsys, case):
+        clone = tmp_path / "run_clone"
+        shutil.copytree(pipeline["run_dir"], clone)
+        manifest_path = clone / "fold0" / "manifest.json"
+        if case == "bare-object":
+            manifest, message = {"format_version": 2}, "missing 'config'"
+        else:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+            del manifest["entries"][1]["offset"]
+            message = "entry 1: missing 'offset'"
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        rc = main(["predict", "--run-dir", str(clone),
+                   "--input", str(pipeline["test_csv"]),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_short_row_rejected(self, pipeline, tmp_path, capsys):
+        posts = tmp_path / "posts.csv"
+        posts.write_text("id,text\n4,hello\n5\n", encoding="utf-8")
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(posts), "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert "row 1: no 'text' cell" in capsys.readouterr().err
+
     def test_ids_parsed_strictly(self, pipeline, tmp_path, capsys):
         posts = tmp_path / "posts.csv"
         posts.write_text("id,text\n9007199254740993,hello\n12.0,there\n",
@@ -472,3 +503,19 @@ class TestInspectEmbeddings:
         rc = main(["inspect-embeddings", "--file", str(bad)])
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["abusekit", "abusekit.cli"])
+def test_runs_as_module(module, tmp_path):
+    src = str(Path(abusekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and "inspect-embeddings" in shown.stdout
+    missing = run("inspect-embeddings", "--file", "missing")
+    assert missing.returncode == 2 and "missing" in missing.stderr

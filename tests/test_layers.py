@@ -10,9 +10,10 @@ import time
 
 import numpy as np
 import pytest
-from conftest import max_rel_error, numerical_grad
+from conftest import (assert_same_bits, boolean_mask_sigmoid, max_rel_error,
+                      numerical_grad)
 
-from abusekit.errors import (BoundsError, ConfigurationError,
+from abusekit.errors import (AbusekitError, BoundsError, ConfigurationError,
                              DataIntegrityError, ShapeError)
 from abusekit.layers import (AdamConfig, BiLstm, Conv1D, Dense, Dropout,
                              EmbeddingLookup, GlobalAveragePool1D, Lstm,
@@ -76,6 +77,23 @@ class TestInitializers:
         assert s[0] == 0.0 or s[0] < 1e-20
         assert s[2] == 0.5
         assert s[-1] == 1.0 or s[-1] > 1 - 1e-20
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bits_match_two_branch_oracle(self, dtype):
+        tiny = np.geomspace(1e-30, 120.0, 20_001)
+        cases = [
+            np.linspace(-120.0, 120.0, 480_001),
+            np.concatenate([-tiny, tiny]),
+            np.array([0.0, -0.0, np.inf, -np.inf, 1e4, -1e4, -1e4 - 1.0, np.nan]),
+            np.random.default_rng(0).standard_normal((3, 5, 8))[:, 1:4, ::2] * 30,
+        ]
+        for x in cases:
+            x = x.astype(dtype)
+            expected = boolean_mask_sigmoid(x)
+            assert_same_bits(sigmoid(x), expected)
+            in_place = x.copy()
+            assert sigmoid(in_place, out=in_place) is in_place
+            assert_same_bits(in_place, expected)
 
 
 class TestSoftmax:
@@ -605,7 +623,72 @@ class TestBiLstm:
                                    atol=1e-12)
 
 
+class TestFusedLoop:
+    """BiLstm runs both directions in one time loop over one gate slab."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bilstm_equals_two_lstm_runs(self, dtype):
+        hidden = 7
+        net = BiLstm(5, hidden, np.random.default_rng(8), dropout=0.3,
+                     recurrent_dropout=0.4, dtype=dtype)
+        data = np.random.default_rng(9)
+        x = data.standard_normal((6, 9, 5)).astype(dtype)
+        grad = data.standard_normal((6, 9, 2 * hidden)).astype(dtype)
+        out = net.forward(x, train_mode=True, rng=np.random.default_rng(21))
+        assert not np.array_equal(out, net.forward(x))   # dropout was on
+        out = net.forward(x, train_mode=True, rng=np.random.default_rng(21))
+        dx = net.backward(grad)
+        fused_grads = [p.grad.copy() for p in net.parameters()]
+
+        # Same mask draws: the forward cell's pair, then the backward cell's.
+        net.zero_grad()
+        rng = np.random.default_rng(21)
+        fwd, bwd = net.forward_cell, net.backward_cell
+        out_f = fwd.forward(x, train_mode=True, rng=rng)
+        out_b = bwd.forward(np.ascontiguousarray(x[:, ::-1]), train_mode=True,
+                            rng=rng)
+        dx_f = fwd.backward(grad[:, :, :hidden])
+        dx_b = bwd.backward(np.ascontiguousarray(grad[:, ::-1, hidden:]))
+
+        assert_same_bits(out, np.concatenate([out_f, out_b[:, ::-1]], axis=2))
+        assert_same_bits(dx, dx_f + dx_b[:, ::-1])
+        for got, param in zip(fused_grads, net.parameters()):
+            assert_same_bits(got, param.grad)
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: Lstm(3, 4, rng, dtype=np.float64),
+        lambda rng: BiLstm(3, 4, rng, dtype=np.float64)], ids=["lstm", "bilstm"])
+    def test_backward_consumes_the_forward_cache(self, make):
+        # backward writes the gate gradients over the cached activations
+        layer = make(np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 5, 3))
+        out = layer.forward(x)
+        first = layer.backward(np.ones_like(out))
+        with pytest.raises(AbusekitError, match="fresh forward"):
+            layer.backward(np.ones_like(out))
+        layer.zero_grad()
+        layer.forward(x)
+        assert_same_bits(layer.backward(np.ones_like(out)), first)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_moments_updated_in_place(self, dtype):
+        rng = np.random.default_rng(3)
+        p = Parameter(rng.standard_normal(16).astype(dtype))
+        m, v = p.adam_m, p.adam_v
+        want_m, want_v = np.zeros_like(m), np.zeros_like(v)
+        config = AdamConfig()
+        for _ in range(20):
+            g = rng.standard_normal(16).astype(dtype)
+            p.grad[...] = g
+            want_m = config.beta1 * want_m + (1.0 - config.beta1) * g
+            want_v = config.beta2 * want_v + (1.0 - config.beta2) * (g * g)
+            adam_step(p, config)
+            assert p.adam_m is m and p.adam_v is v
+            assert_same_bits(p.adam_m, want_m)
+            assert_same_bits(p.adam_v, want_v)
+
     def test_first_step_magnitude(self):
         p = Parameter(np.zeros(1))
         p.grad[...] = 1.0
