@@ -20,8 +20,8 @@ from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
                      write_dataset)
 from .embeddings import (build_matrix, parse_vector_file, read_cache,
                          write_cache)
-from .errors import (AbusekitError, ConfigurationError, NumericError,
-                     ParseError, SchemaError)
+from .errors import (AbusekitError, ConfigurationError, CorruptionError,
+                     NumericError, ParseError, SchemaError)
 from .layers import AdamConfig
 from .metrics import classification_report
 from .model import ModelConfig, load_checkpoint, save_checkpoint
@@ -31,6 +31,8 @@ from .training import (TrainConfig, best_fold_index, emit_curves,
                        ensemble_predict, run_cv, write_report)
 
 __all__ = ["entrypoint", "main"]
+
+_EMBEDDING_NAME = "embedding.npy"
 
 
 def _resolve_threads(flag_value: int | None, config_value: int | None) -> int:
@@ -86,9 +88,6 @@ def load_run_config(path) -> dict:
     optimizer_section = train_section.pop("optimizer", {})
     _check_keys(optimizer_section, {"lr", "beta1", "beta2", "eps"},
                 "train.optimizer")
-    ensemble = train_section.pop("ensemble", "average")
-    if ensemble not in ("average", "best"):
-        raise ConfigurationError(f"ensemble must be 'average' or 'best', got {ensemble!r}")
 
     model_section = raw.get("model", {})
     if "num_heads" in model_section:
@@ -105,7 +104,6 @@ def load_run_config(path) -> dict:
         "data": data,
         "train": train_section,
         "optimizer": optimizer_section,
-        "ensemble": ensemble,
         "model": model_section,
         "preprocess": prep_section,
         "output_dir": raw.get("output_dir"),
@@ -114,18 +112,13 @@ def load_run_config(path) -> dict:
 
 def _build_train_config(section: dict, optimizer: dict,
                         seed_override: int | None, threads: int) -> TrainConfig:
-    task = section["task"]
-    language = section["language"]
     overrides = {k: v for k, v in section.items()
-                 if k in ("folds", "batch_size", "epochs", "seed")}
+                 if k in ("folds", "batch_size", "epochs", "seed", "ensemble")}
     if seed_override is not None:
         overrides["seed"] = seed_override
-    config = TrainConfig.for_task(task, language, **overrides)
-    config.threads = threads
-    if optimizer:
-        config.optimizer = AdamConfig(**{**vars(AdamConfig()), **optimizer})
-    config.validate()
-    return config
+    return TrainConfig.for_task(section["task"], section["language"],
+                                optimizer=AdamConfig(**optimizer), threads=threads,
+                                **overrides)
 
 
 def _build_prep_config(section: dict) -> PreprocessConfig:
@@ -228,13 +221,10 @@ def cmd_train(args) -> int:
         raise ConfigurationError("give --out-dir or output_dir in the config")
 
     threads = _resolve_threads(args.threads, config["train"].get("threads"))
-    train_section = {k: v for k, v in config["train"].items() if k != "threads"}
-    train_config = _build_train_config(train_section, config["optimizer"],
+    train_config = _build_train_config(config["train"], config["optimizer"],
                                        args.seed, threads)
     prep_config = _build_prep_config(config["preprocess"])
-
-    model_config = ModelConfig.from_dict(config["model"]) if config["model"] \
-        else ModelConfig()
+    model_config = ModelConfig.from_dict(config["model"])
 
     examples = read_dataset(config["data"]["train"])
     if not examples:
@@ -245,14 +235,13 @@ def cmd_train(args) -> int:
     result = run_cv(examples, train_config, vectors, model_config, prep_config)
 
     os.makedirs(out_dir, exist_ok=True)
+    np.save(os.path.join(out_dir, _EMBEDDING_NAME),
+            result.fold_states[0].embedding.matrix.astype("<f4", copy=False))
     for fold, state in enumerate(result.fold_states):
         save_checkpoint(state, os.path.join(out_dir, f"fold{fold}"))
     result.vocab.save(os.path.join(out_dir, "vocab.txt"))
     with open(os.path.join(out_dir, "preprocess.json"), "w", encoding="utf-8") as fh:
         json.dump(result.prep_config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "ensemble.json"), "w", encoding="utf-8") as fh:
-        json.dump({"mode": config["ensemble"]}, fh)
         fh.write("\n")
     write_report(result.report, os.path.join(out_dir, "run_report.json"))
     emit_curves(result.report, os.path.join(out_dir, "curves.csv"),
@@ -293,6 +282,9 @@ def _read_id_csv(path, column: str) -> list[tuple[int, str]]:
             for name in ("id", column):
                 if record[fields[name]] is None:
                     raise ParseError(f"row {index}: no {name!r} cell", path=path)
+            if None in record:
+                raise ParseError(f"row {index}: more cells than the header "
+                                 "(quote a cell that holds a comma)", path=path)
             raw = record[fields["id"]]
             try:
                 rows.append((parse_integer(raw), record[fields[column]]))
@@ -318,6 +310,23 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
     return out
 
 
+def _load_embedding(path, rows: int) -> np.ndarray:
+    """The run's frozen embedding matrix: float32, one row per vocabulary index."""
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise CorruptionError(f"missing {path}; runs trained before checkpoint "
+                              "format_version 3 must be retrained") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise CorruptionError(f"{path}: unreadable ({exc})") from None
+    if matrix.ndim != 2 or matrix.dtype != np.float32 or len(matrix) != rows:
+        raise CorruptionError(
+            f"{path}: {matrix.dtype} array of shape {matrix.shape}, expected "
+            f"a 2-D float32 array with {rows} rows, one per vocab.txt index")
+    return matrix
+
+
 def cmd_predict(args) -> int:
     run_dir = args.run_dir
     report_path = os.path.join(run_dir, "run_report.json")
@@ -335,21 +344,13 @@ def cmd_predict(args) -> int:
     vocab = Vocabulary.load(os.path.join(run_dir, "vocab.txt"))
     with open(os.path.join(run_dir, "preprocess.json"), encoding="utf-8") as fh:
         prep_config = PreprocessConfig.from_dict(json.load(fh))
+    matrix = _load_embedding(os.path.join(run_dir, _EMBEDDING_NAME), len(vocab))
 
-    mode = args.ensemble
-    if mode is None:
-        mode = "average"
-        ensemble_path = os.path.join(run_dir, "ensemble.json")
-        if os.path.exists(ensemble_path):
-            with open(ensemble_path, encoding="utf-8") as fh:
-                mode = json.load(fh).get("mode", "average")
+    mode = args.ensemble or report["train_config"]["ensemble"]
     chosen = [best_fold_index(report)] if mode == "best" else range(folds)
     states = []
     for fold in chosen:
-        fold_dir = os.path.join(run_dir, f"fold{fold}")
-        if not os.path.isdir(fold_dir):
-            raise ConfigurationError(f"missing checkpoint directory {fold_dir}")
-        states.append(load_checkpoint(fold_dir))
+        states.append(load_checkpoint(os.path.join(run_dir, f"fold{fold}"), matrix))
 
     rows = _read_id_csv(args.input, "text")
     ids = [post_id for post_id, _ in rows]
@@ -436,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="CSV with id,text columns")
     p.add_argument("--out", required=True, help="submission CSV path")
     p.add_argument("--ensemble", choices=["average", "best"],
-                   help="fold combination (default: run setting, else average)")
+                   help="fold combination (default: the run's train.ensemble)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")

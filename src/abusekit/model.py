@@ -34,7 +34,7 @@ __all__ = [
 
 _MANIFEST_NAME = "manifest.json"
 _WEIGHTS_NAME = "weights.bin"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -88,11 +88,9 @@ class Network:
     """Built model: layer stack, head layers, and the frozen embedding."""
 
     def __init__(self, config: ModelConfig, embedding: EmbeddingLookup,
-                 rng: np.random.Generator, coverage: float = 0.0,
-                 dtype=np.float32):
+                 rng: np.random.Generator, dtype=np.float32):
         config.validate()
         self.config = config
-        self.coverage = coverage
         self.dtype = dtype
         self.embedding = embedding
         self.spatial_dropout = SpatialDropout1D(config.spatial_dropout_rate)
@@ -169,7 +167,7 @@ def build_model(config: ModelConfig, table: EmbeddingTable,
     if rng is None:
         rng = np.random.default_rng(config.seed)
     embedding = EmbeddingLookup(table.matrix, dtype=dtype)
-    return Network(config, embedding, rng, coverage=table.coverage, dtype=dtype)
+    return Network(config, embedding, rng, dtype=dtype)
 
 
 def train_step(network: Network, batch: np.ndarray,
@@ -217,27 +215,24 @@ def labels_from_probs(probs: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(network: Network, directory) -> None:
-    """Write manifest.json plus weights.bin (all arrays as f32 LE).
+    """Write manifest.json plus weights.bin (the trainable arrays as f32 LE).
 
-    The frozen embedding matrix is stored too, so a checkpoint reloads
-    without the original vector file.
+    The frozen embedding matrix is not stored: the fold networks of a run
+    share one, which the run directory keeps once as embedding.npy.
     """
     os.makedirs(directory, exist_ok=True)
-    arrays = [("embedding.matrix", network.embedding.matrix, False)]
-    arrays += [(p.name, p.value, True) for p in network.parameters()]
     entries = []
     offset = 0
     blobs = []
-    for name, value, trainable in arrays:
-        blob = np.ascontiguousarray(value, dtype="<f4").tobytes()
-        entries.append({"name": name, "shape": list(value.shape),
-                        "offset": offset, "trainable": trainable})
+    for param in network.parameters():
+        blob = np.ascontiguousarray(param.value, dtype="<f4").tobytes()
+        entries.append({"name": param.name, "shape": list(param.value.shape),
+                        "offset": offset})
         offset += len(blob)
         blobs.append(blob)
     manifest = {
         "format_version": _FORMAT_VERSION,
         "config": network.config.to_dict(),
-        "coverage": network.coverage,
         "entries": entries,
         "total_bytes": offset,
     }
@@ -257,12 +252,13 @@ def _field(record, key: str, where: str):
         raise CorruptionError(f"{where}: missing {key!r}") from None
 
 
-def load_checkpoint(directory, expected: dict | None = None) -> Network:
-    """Rebuild a network from a checkpoint directory.
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
-    expected, when given, is a partial config dict checked against the
-    stored config (mismatch raises a configuration error).
-    """
+
+def load_checkpoint(directory, matrix: np.ndarray) -> Network:
+    """Rebuild a network from a checkpoint directory around the run's
+    frozen embedding matrix (|V| x embed_dim)."""
     manifest_path = os.path.join(directory, _MANIFEST_NAME)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
@@ -278,12 +274,10 @@ def load_checkpoint(directory, expected: dict | None = None) -> Network:
             f"this version of abusekit reads {_FORMAT_VERSION}")
 
     config = ModelConfig.from_dict(_field(manifest, "config", manifest_path))
-    if expected:
-        for key, want in expected.items():
-            have = getattr(config, key, None)
-            if have != want:
-                raise ConfigurationError(
-                    f"checkpoint has {key}={have}, expected {want}")
+    if matrix.ndim != 2 or matrix.shape[1] != config.embed_dim:
+        raise CorruptionError(
+            f"{manifest_path}: embed_dim {config.embed_dim} does not fit "
+            f"an embedding matrix of shape {matrix.shape}")
 
     with open(os.path.join(directory, _WEIGHTS_NAME), "rb") as fh:
         raw = fh.read()
@@ -296,22 +290,19 @@ def load_checkpoint(directory, expected: dict | None = None) -> Network:
     for index, entry in enumerate(_field(manifest, "entries", manifest_path)):
         where = f"{manifest_path} entry {index}"
         name = _field(entry, "name", where)
-        shape = tuple(_field(entry, "shape", where))
+        shape = _field(entry, "shape", where)
         offset = _field(entry, "offset", where)
+        if not (isinstance(shape, list) and all(map(_is_count, shape + [offset]))):
+            raise CorruptionError(f"{where}: shape {shape!r} and offset {offset!r} "
+                                  "must be non-negative integers")
         nbytes = 4 * int(np.prod(shape))
         chunk = raw[offset:offset + nbytes]
         if len(chunk) != nbytes:
             raise CorruptionError(f"entry {name} extends past file end")
         arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
 
-    if "embedding.matrix" not in arrays:
-        raise CorruptionError("checkpoint lacks the embedding matrix")
-    if arrays["embedding.matrix"].shape[1] != config.embed_dim:
-        raise CorruptionError("stored embedding dimension contradicts config")
-
-    table = EmbeddingTable(matrix=arrays["embedding.matrix"],
-                           coverage=manifest.get("coverage", 0.0))
-    network = build_model(config, table, rng=np.random.default_rng(config.seed))
+    network = Network(config, EmbeddingLookup(matrix),
+                      rng=np.random.default_rng(config.seed))
     for param in network.parameters():
         stored = arrays.get(param.name)
         if stored is None:

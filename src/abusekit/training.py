@@ -57,6 +57,7 @@ class TrainConfig:
     optimizer: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
     threads: int = 1
+    ensemble: str = "average"
 
     @classmethod
     def for_task(cls, task: int, language: str, **overrides) -> "TrainConfig":
@@ -80,6 +81,9 @@ class TrainConfig:
             raise ConfigurationError("batch_size and epochs must be positive")
         if self.threads < 1:
             raise ConfigurationError("threads must be positive")
+        if self.ensemble not in ("average", "best"):
+            raise ConfigurationError(
+                f"ensemble must be 'average' or 'best', got {self.ensemble!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

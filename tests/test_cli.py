@@ -16,10 +16,11 @@ import numpy as np
 import pytest
 
 import abusekit
-from abusekit.cli import main
+from abusekit.cli import _read_id_csv, main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import write_vector_file
 from abusekit.layers import Conv1D
+from abusekit.model import load_checkpoint
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_gold_csv, write_test_csv,
                                 write_uli_csv)
@@ -142,13 +143,19 @@ class TestPrepare:
 
 class TestTrain:
     def test_artifacts_written(self, pipeline):
+        # the README's "Run directory" list, exactly
         run = pipeline["run_dir"]
-        for name in ("run_report.json", "curves.csv", "curves.svg",
-                     "vocab.txt", "preprocess.json", "ensemble.json"):
-            assert (run / name).exists(), name
+        assert sorted(os.listdir(run)) == [
+            "curves.csv", "curves.svg", "embedding.npy", "fold0", "fold1",
+            "fold2", "preprocess.json", "run_report.json", "vocab.txt"]
+        matrix = np.load(run / "embedding.npy", allow_pickle=False)
+        assert matrix.dtype == np.dtype("<f4") and matrix.shape[1] == 16
         for fold in range(3):
-            assert (run / f"fold{fold}" / "manifest.json").exists()
-            assert (run / f"fold{fold}" / "weights.bin").exists()
+            fold_dir = run / f"fold{fold}"
+            assert sorted(os.listdir(fold_dir)) == ["manifest.json", "weights.bin"]
+            params = load_checkpoint(fold_dir, matrix).parameters()
+            assert os.path.getsize(fold_dir / "weights.bin") == \
+                4 * sum(p.value.size for p in params)
 
     def test_report_contents(self, pipeline):
         report = json.loads(
@@ -159,6 +166,7 @@ class TestTrain:
         assert len(report["folds"]) == 3
         assert all(len(f["epochs"]) == 8 for f in report["folds"])
         assert report["embedding_coverage"] == 1.0
+        assert report["train_config"]["ensemble"] == "average"
 
     def test_curves_rows(self, pipeline):
         lines = (pipeline["run_dir"] / "curves.csv").read_text(
@@ -337,15 +345,62 @@ class TestPredict:
         shutil.copytree(pipeline["run_dir"], clone)
         manifest_path = clone / "fold0" / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = 1
-        manifest["config"]["pool_before_dense"] = False   # as version 1 wrote it
+        manifest["format_version"] = 2
+        manifest["coverage"] = 1.0   # as version 2 wrote it
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         rc = main(["predict", "--run-dir", str(clone),
                    "--input", str(pipeline["test_csv"]),
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "format_version 1" in err and "reads 2" in err
+        assert "format_version 2" in err and "reads 3" in err
+
+    @pytest.mark.parametrize("case", ["missing", "truncated", "float64", "1-D",
+                                      "row-count", "width"])
+    def test_damaged_embedding(self, pipeline, tmp_path, capsys, case):
+        clone = tmp_path / "run_clone"
+        shutil.copytree(pipeline["run_dir"], clone)
+        path = clone / "embedding.npy"
+        matrix = np.load(path, allow_pickle=False)
+        named = "embedding.npy"
+        if case == "missing":
+            path.unlink()
+        elif case == "truncated":
+            path.write_bytes(path.read_bytes()[:-4])
+        elif case == "float64":
+            np.save(path, matrix.astype(np.float64))
+        elif case == "1-D":
+            np.save(path, matrix.ravel())
+        elif case == "row-count":
+            vocab = clone / "vocab.txt"
+            vocab.write_text("".join(vocab.read_text(encoding="utf-8")
+                                     .splitlines(keepends=True)[:-1]),
+                             encoding="utf-8")
+        else:
+            np.save(path, np.ascontiguousarray(matrix[:, :8]))
+            named = "manifest.json"   # its embed_dim disagrees with the matrix
+        rc = main(["predict", "--run-dir", str(clone),
+                   "--input", str(pipeline["test_csv"]),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_run_ensemble_setting_is_default(self, pipeline, tmp_path):
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1, folds=2,
+                              ensemble="best")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(run)]) == 0
+        outputs = []
+        for flags in ([], ["--ensemble", "best"]):
+            out = tmp_path / f"sub{len(outputs)}.csv"
+            rc = main(["predict", "--run-dir", str(run),
+                       "--input", str(pipeline["test_csv"]), "--out", str(out)]
+                      + flags)
+            assert rc == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("case", ["bare-object", "entry-without-offset"])
     def test_partial_manifest(self, pipeline, tmp_path, capsys, case):
@@ -353,7 +408,7 @@ class TestPredict:
         shutil.copytree(pipeline["run_dir"], clone)
         manifest_path = clone / "fold0" / "manifest.json"
         if case == "bare-object":
-            manifest, message = {"format_version": 2}, "missing 'config'"
+            manifest, message = {"format_version": 3}, "missing 'config'"
         else:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             del manifest["entries"][1]["offset"]
@@ -372,6 +427,17 @@ class TestPredict:
                    "--input", str(posts), "--out", str(tmp_path / "out.csv")])
         assert rc == 2
         assert "row 1: no 'text' cell" in capsys.readouterr().err
+
+    def test_long_row_rejected(self, pipeline, tmp_path, capsys):
+        posts = tmp_path / "posts.csv"
+        posts.write_text('id,text\n4,"hello, world"\n5,hello, world\n',
+                         encoding="utf-8")
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(posts), "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert "row 1: more cells than the header" in capsys.readouterr().err
+        posts.write_text('id,text\n4,"hello, world"\n', encoding="utf-8")
+        assert _read_id_csv(posts, "text") == [(4, "hello, world")]
 
     def test_ids_parsed_strictly(self, pipeline, tmp_path, capsys):
         posts = tmp_path / "posts.csv"

@@ -251,63 +251,72 @@ class TestPredict:
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         config = tiny_config(num_heads=2, seed=8)
-        net = build_model(config, make_table(30, 6))
+        table = make_table(30, 6)
+        net = build_model(config, table)
         batch = random_batch(config, 30, batch=4, seed=1)
         before = net.forward(batch)
         save_checkpoint(net, tmp_path / "ckpt")
-        restored = load_checkpoint(tmp_path / "ckpt")
+        restored = load_checkpoint(tmp_path / "ckpt", table.matrix)
         assert restored.config == net.config
         for pa, pb in zip(net.parameters(), restored.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
-        np.testing.assert_array_equal(restored.embedding.matrix,
-                                      net.embedding.matrix)
+        assert restored.embedding.matrix is table.matrix
         after = restored.forward(batch)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
-    def test_coverage_persisted(self, tmp_path):
-        config = tiny_config()
-        table = make_table(30, 6)
-        table.coverage = 0.625
-        net = build_model(config, table)
-        save_checkpoint(net, tmp_path / "ckpt")
-        assert load_checkpoint(tmp_path / "ckpt").coverage == 0.625
-
     def test_truncated_weights(self, tmp_path):
-        net = build_model(tiny_config(), make_table(30, 6))
-        save_checkpoint(net, tmp_path / "ckpt")
+        table = make_table(30, 6)
+        save_checkpoint(build_model(tiny_config(), table), tmp_path / "ckpt")
         weights = tmp_path / "ckpt" / "weights.bin"
         blob = weights.read_bytes()
         weights.write_bytes(blob[:-16])
         with pytest.raises(CorruptionError):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(tmp_path / "ckpt", table.matrix)
 
     def test_garbled_manifest(self, tmp_path):
-        net = build_model(tiny_config(), make_table(30, 6))
-        save_checkpoint(net, tmp_path / "ckpt")
+        table = make_table(30, 6)
+        save_checkpoint(build_model(tiny_config(), table), tmp_path / "ckpt")
         manifest = tmp_path / "ckpt" / "manifest.json"
         manifest.write_text("{not json", encoding="utf-8")
         with pytest.raises(CorruptionError):
-            load_checkpoint(tmp_path / "ckpt")
+            load_checkpoint(tmp_path / "ckpt", table.matrix)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CorruptionError):
-            load_checkpoint(tmp_path / "absent")
+            load_checkpoint(tmp_path / "absent", make_table(30, 6).matrix)
 
-    def test_expected_config_mismatch(self, tmp_path):
-        net = build_model(tiny_config(), make_table(30, 6))
-        save_checkpoint(net, tmp_path / "ckpt")
-        with pytest.raises(ConfigurationError):
-            load_checkpoint(tmp_path / "ckpt", expected={"seq_len": 100})
-        assert load_checkpoint(tmp_path / "ckpt",
-                               expected={"seq_len": 8}).config.seq_len == 8
+    @pytest.mark.parametrize("shape", [(30,), (30, 5), (30, 7)])
+    def test_embedding_width_checked(self, tmp_path, shape):
+        save_checkpoint(build_model(tiny_config(), make_table(30, 6)),
+                        tmp_path / "ckpt")
+        with pytest.raises(CorruptionError, match="embed_dim 6"):
+            load_checkpoint(tmp_path / "ckpt", np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("key, value", [
+        ("offset", -16), ("offset", 8.0), ("offset", "8"), ("offset", True),
+        ("shape", [-2]), ("shape", [2.0]), ("shape", 2), ("shape", None)])
+    def test_bad_entry_rejected(self, tmp_path, key, value):
+        # a negative offset used to slice weights.bin from its end and load
+        # the wrong bytes without an error
+        table = make_table(30, 6)
+        save_checkpoint(build_model(tiny_config(), table), tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        entry = next(e for e in manifest["entries"] if e["name"] == "head0.bias")
+        entry[key] = value
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CorruptionError, match="must be non-negative integers"):
+            load_checkpoint(tmp_path / "ckpt", table.matrix)
 
     def test_manifest_records_frozen_embedding(self, tmp_path):
+        # the frozen matrix is the run's, not the checkpoint's: only the
+        # trainable parameters are stored
         net = build_model(tiny_config(), make_table(30, 6))
         save_checkpoint(net, tmp_path / "ckpt")
         manifest = json.loads(
             (tmp_path / "ckpt" / "manifest.json").read_text(encoding="utf-8"))
-        rows = {e["name"]: e for e in manifest["entries"]}
-        assert rows["embedding.matrix"]["trainable"] is False
+        params = net.parameters()
+        assert [e["name"] for e in manifest["entries"]] == [p.name for p in params]
         total = os.path.getsize(tmp_path / "ckpt" / "weights.bin")
-        assert manifest["total_bytes"] == total
+        assert manifest["total_bytes"] == total == 4 * sum(p.value.size for p in params)

@@ -56,6 +56,8 @@ class TestTrainConfig:
             TrainConfig(folds=1).validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(threads=0).validate()
+        with pytest.raises(ConfigurationError, match="ensemble"):
+            TrainConfig(ensemble="median").validate()
 
     def test_head_keys(self):
         def head_keys(task):
