@@ -27,8 +27,8 @@ from .metrics import classification_report
 from .model import ModelConfig, load_checkpoint, save_checkpoint
 from .text import PreprocessConfig, Vocabulary, encode_batch
 from .text import preprocess as preprocess_text
-from .training import (TrainConfig, best_fold_index, emit_curves,
-                       ensemble_predict, run_cv, write_report)
+from .training import (FORMAT_VERSION, TrainConfig, best_fold_index,
+                       emit_curves, ensemble_predict, run_cv, write_report)
 
 __all__ = ["entrypoint", "main"]
 
@@ -310,52 +310,74 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
     return out
 
 
-def _load_embedding(path, rows: int) -> np.ndarray:
+def _load_embedding(path, shape: tuple[int, int]) -> np.ndarray:
     """The run's frozen embedding matrix: float32, one row per vocabulary index."""
     try:
         with open(path, "rb") as fh:
             matrix = np.lib.format.read_array(fh, allow_pickle=False)
     except FileNotFoundError:
-        raise CorruptionError(f"missing {path}; runs trained before checkpoint "
-                              "format_version 3 must be retrained") from None
+        raise CorruptionError(f"missing {path}") from None
     except (OSError, ValueError, EOFError) as exc:
         raise CorruptionError(f"{path}: unreadable ({exc})") from None
-    if matrix.ndim != 2 or matrix.dtype != np.float32 or len(matrix) != rows:
+    if matrix.dtype != np.float32 or matrix.shape != shape:
         raise CorruptionError(
-            f"{path}: {matrix.dtype} array of shape {matrix.shape}, expected "
-            f"a 2-D float32 array with {rows} rows, one per vocab.txt index")
+            f"{path}: {matrix.dtype} array of shape {matrix.shape}, expected float32 "
+            f"of shape {shape}: a row per vocab.txt index, a column per "
+            "model_config.embed_dim of run_report.json")
     return matrix
+
+
+def _read_run_json(path, parse):
+    """parse(the JSON object of a run-directory file).  A file that is
+    missing, garbled or not an object, that lacks a key parse reads, or
+    whose values fail validation is a CorruptionError naming it (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise CorruptionError("not a JSON object")
+        return parse(data)
+    except FileNotFoundError:
+        raise CorruptionError(f"missing {path}") from None
+    except json.JSONDecodeError as exc:
+        raise CorruptionError(f"{path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise CorruptionError(f"{path}: missing key {exc}") from None
+    except (AbusekitError, TypeError, ValueError) as exc:
+        raise CorruptionError(f"{path}: {exc}") from None
+
+
+def _run_settings(report: dict):
+    """What predict takes from run_report.json: (head keys, model config,
+    train config, best fold)."""
+    version = report.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CorruptionError(f"format_version {version}, this version of abusekit "
+                              f"reads {FORMAT_VERSION}; retrain older runs")
+    return (report["head_keys"], ModelConfig.from_dict(report["model_config"]),
+            TrainConfig.from_dict(report["train_config"]), best_fold_index(report))
 
 
 def cmd_predict(args) -> int:
     run_dir = args.run_dir
-    report_path = os.path.join(run_dir, "run_report.json")
-    try:
-        with open(report_path, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"no run_report.json under {run_dir}") from None
-
-    head_keys = report["head_keys"]
-    language = report["language"]
-    seq_len = report["model_config"]["seq_len"]
-    folds = report["train_config"]["folds"]
-
+    head_keys, model_config, train_config, best_fold = _read_run_json(
+        os.path.join(run_dir, "run_report.json"), _run_settings)
     vocab = Vocabulary.load(os.path.join(run_dir, "vocab.txt"))
-    with open(os.path.join(run_dir, "preprocess.json"), encoding="utf-8") as fh:
-        prep_config = PreprocessConfig.from_dict(json.load(fh))
-    matrix = _load_embedding(os.path.join(run_dir, _EMBEDDING_NAME), len(vocab))
+    prep_config = _read_run_json(os.path.join(run_dir, "preprocess.json"),
+                                 PreprocessConfig.from_dict)
+    matrix = _load_embedding(os.path.join(run_dir, _EMBEDDING_NAME),
+                             (len(vocab), model_config.embed_dim))
 
-    mode = args.ensemble or report["train_config"]["ensemble"]
-    chosen = [best_fold_index(report)] if mode == "best" else range(folds)
-    states = []
-    for fold in chosen:
-        states.append(load_checkpoint(os.path.join(run_dir, f"fold{fold}"), matrix))
+    mode = args.ensemble or train_config.ensemble
+    chosen = [best_fold] if mode == "best" else range(train_config.folds)
+    states = [load_checkpoint(os.path.join(run_dir, f"fold{fold}"), model_config, matrix)
+              for fold in chosen]
 
     rows = _read_id_csv(args.input, "text")
     ids = [post_id for post_id, _ in rows]
-    token_lists = [preprocess_text(text, language, prep_config) for _, text in rows]
-    sequences = encode_batch(token_lists, vocab, max_len=seq_len)
+    token_lists = [preprocess_text(text, train_config.language, prep_config)
+                   for _, text in rows]
+    sequences = encode_batch(token_lists, vocab, max_len=model_config.seq_len)
     labels = ensemble_predict(states, sequences)
 
     if len(head_keys) == 1:

@@ -9,7 +9,6 @@ two heads to the same pooled vector and averages their losses.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass
 
@@ -32,9 +31,7 @@ __all__ = [
     "train_step",
 ]
 
-_MANIFEST_NAME = "manifest.json"
 _WEIGHTS_NAME = "weights.bin"
-_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -215,101 +212,43 @@ def labels_from_probs(probs: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(network: Network, directory) -> None:
-    """Write manifest.json plus weights.bin (the trainable arrays as f32 LE).
+    """Write weights.bin: the trainable arrays as f32 LE, in
+    Network.parameters() order, with no header.
 
-    The frozen embedding matrix is not stored: the fold networks of a run
-    share one, which the run directory keeps once as embedding.npy.
+    The config and the frozen embedding matrix are the run's, stored once
+    in run_report.json and embedding.npy; they fix every array's shape.
     """
     os.makedirs(directory, exist_ok=True)
-    entries = []
-    offset = 0
-    blobs = []
-    for param in network.parameters():
-        blob = np.ascontiguousarray(param.value, dtype="<f4").tobytes()
-        entries.append({"name": param.name, "shape": list(param.value.shape),
-                        "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
-    manifest = {
-        "format_version": _FORMAT_VERSION,
-        "config": network.config.to_dict(),
-        "entries": entries,
-        "total_bytes": offset,
-    }
-    with open(os.path.join(directory, _MANIFEST_NAME), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     with open(os.path.join(directory, _WEIGHTS_NAME), "wb") as fh:
-        for blob in blobs:
-            fh.write(blob)
+        for param in network.parameters():
+            fh.write(np.ascontiguousarray(param.value, dtype="<f4").tobytes())
 
 
-def _field(record, key: str, where: str):
-    """record[key] from a checkpoint manifest; a missing key is corruption."""
-    try:
-        return record[key]
-    except (KeyError, TypeError):
-        raise CorruptionError(f"{where}: missing {key!r}") from None
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def load_checkpoint(directory, matrix: np.ndarray) -> Network:
-    """Rebuild a network from a checkpoint directory around the run's
-    frozen embedding matrix (|V| x embed_dim)."""
-    manifest_path = os.path.join(directory, _MANIFEST_NAME)
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError:
-        raise CorruptionError(f"missing {manifest_path}") from None
-    except json.JSONDecodeError as exc:
-        raise CorruptionError(f"{manifest_path}: invalid JSON ({exc})") from None
-    version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version != _FORMAT_VERSION:
-        raise CorruptionError(
-            f"{manifest_path}: checkpoint format_version {version}, "
-            f"this version of abusekit reads {_FORMAT_VERSION}")
-
-    config = ModelConfig.from_dict(_field(manifest, "config", manifest_path))
+def load_checkpoint(directory, config: ModelConfig, matrix: np.ndarray) -> Network:
+    """Build a network of the given config around the run's frozen
+    embedding matrix (|V| x embed_dim) and fill its parameters, in order,
+    from the directory's weights.bin."""
     if matrix.ndim != 2 or matrix.shape[1] != config.embed_dim:
         raise CorruptionError(
-            f"{manifest_path}: embed_dim {config.embed_dim} does not fit "
-            f"an embedding matrix of shape {matrix.shape}")
-
-    with open(os.path.join(directory, _WEIGHTS_NAME), "rb") as fh:
-        raw = fh.read()
-    total_bytes = _field(manifest, "total_bytes", manifest_path)
-    if len(raw) != total_bytes:
-        raise CorruptionError(
-            f"weights.bin holds {len(raw)} bytes, manifest says {total_bytes}")
-
-    arrays = {}
-    for index, entry in enumerate(_field(manifest, "entries", manifest_path)):
-        where = f"{manifest_path} entry {index}"
-        name = _field(entry, "name", where)
-        shape = _field(entry, "shape", where)
-        offset = _field(entry, "offset", where)
-        if not (isinstance(shape, list) and all(map(_is_count, shape + [offset]))):
-            raise CorruptionError(f"{where}: shape {shape!r} and offset {offset!r} "
-                                  "must be non-negative integers")
-        nbytes = 4 * int(np.prod(shape))
-        chunk = raw[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptionError(f"entry {name} extends past file end")
-        arrays[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-
+            f"embed_dim {config.embed_dim} does not fit an embedding matrix "
+            f"of shape {matrix.shape}")
+    path = os.path.join(directory, _WEIGHTS_NAME)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise CorruptionError(f"missing {path}") from None
     network = Network(config, EmbeddingLookup(matrix),
                       rng=np.random.default_rng(config.seed))
-    for param in network.parameters():
-        stored = arrays.get(param.name)
-        if stored is None:
-            raise CorruptionError(f"checkpoint lacks parameter {param.name}")
-        if stored.shape != param.value.shape:
-            raise CorruptionError(
-                f"parameter {param.name}: stored shape {stored.shape} "
-                f"!= built {param.value.shape}")
-        param.value[...] = stored
+    params = network.parameters()
+    expected = 4 * sum(param.value.size for param in params)
+    if len(raw) != expected:
+        raise CorruptionError(
+            f"{path} holds {len(raw)} bytes, the model config needs {expected}")
+    values = np.frombuffer(raw, dtype="<f4")
+    offset = 0
+    for param in params:
+        size = param.value.size
+        param.value[...] = values[offset:offset + size].reshape(param.value.shape)
+        offset += size
     return network

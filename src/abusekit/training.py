@@ -30,6 +30,7 @@ from .text import preprocess as preprocess_text
 __all__ = [
     "CvResult",
     "EpochRecord",
+    "FORMAT_VERSION",
     "FoldReport",
     "RunReport",
     "TrainConfig",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 _TASK_DEFAULTS = {1: (32, 5), 2: (64, 7), 3: (32, 5)}
+# Version of the run directory layout: run_report.json and the fold
+# weights.bin files it describes.
+FORMAT_VERSION = 4
 
 
 @dataclass
@@ -88,6 +92,16 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "TrainConfig":
+        """Inverse of to_dict: every field must be present (a missing one
+        raises KeyError naming it), and the values are validated."""
+        fields = {name: data[name] for name in cls.__dataclass_fields__}
+        fields["optimizer"] = AdamConfig(**fields["optimizer"])
+        config = cls(**fields)
+        config.validate()
+        return config
+
 
 @dataclass
 class EpochRecord:
@@ -128,6 +142,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return {
+            "format_version": FORMAT_VERSION,
             "task": self.task,
             "language": self.language,
             "head_keys": self.head_keys,
@@ -199,6 +214,8 @@ def evaluate(network: Network, sequences: np.ndarray,
              ) -> tuple[float, float, list[np.ndarray]]:
     """Eval-mode (mean loss, accuracy averaged over heads, per-head preds)."""
     n = len(sequences)
+    if n == 0:
+        raise ConfigurationError("cannot evaluate on an empty set")
     onehots = [one_hot(labels) for labels in labels_per_head]
     num_heads = len(network.heads)
     loss_sum = 0.0

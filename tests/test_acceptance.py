@@ -291,7 +291,7 @@ def test_checkpoint_round_trip(tmp_path):
     before = [[p.copy() for p in network.forward(b)] for b in batches]
 
     save_checkpoint(network, tmp_path / "ckpt")
-    restored = load_checkpoint(tmp_path / "ckpt", table_rows)
+    restored = load_checkpoint(tmp_path / "ckpt", config, table_rows)
     for batch, probs in zip(batches, before):
         after = restored.forward(batch)
         for old, new in zip(probs, after):

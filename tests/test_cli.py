@@ -20,7 +20,7 @@ from abusekit.cli import _read_id_csv, main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import write_vector_file
 from abusekit.layers import Conv1D
-from abusekit.model import load_checkpoint
+from abusekit.model import ModelConfig, load_checkpoint
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_gold_csv, write_test_csv,
                                 write_uli_csv)
@@ -150,16 +150,19 @@ class TestTrain:
             "fold2", "preprocess.json", "run_report.json", "vocab.txt"]
         matrix = np.load(run / "embedding.npy", allow_pickle=False)
         assert matrix.dtype == np.dtype("<f4") and matrix.shape[1] == 16
+        report = json.loads((run / "run_report.json").read_text(encoding="utf-8"))
+        config = ModelConfig.from_dict(report["model_config"])
         for fold in range(3):
             fold_dir = run / f"fold{fold}"
-            assert sorted(os.listdir(fold_dir)) == ["manifest.json", "weights.bin"]
-            params = load_checkpoint(fold_dir, matrix).parameters()
+            assert os.listdir(fold_dir) == ["weights.bin"]
+            params = load_checkpoint(fold_dir, config, matrix).parameters()
             assert os.path.getsize(fold_dir / "weights.bin") == \
                 4 * sum(p.value.size for p in params)
 
     def test_report_contents(self, pipeline):
         report = json.loads(
             (pipeline["run_dir"] / "run_report.json").read_text(encoding="utf-8"))
+        assert report["format_version"] == 4
         assert report["task"] == 1
         assert report["train_config"]["batch_size"] == 8
         assert report["train_config"]["epochs"] == 8
@@ -343,17 +346,17 @@ class TestPredict:
     def test_old_checkpoint_version(self, pipeline, tmp_path, capsys):
         clone = tmp_path / "run_clone"
         shutil.copytree(pipeline["run_dir"], clone)
-        manifest_path = clone / "fold0" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["format_version"] = 2
-        manifest["coverage"] = 1.0   # as version 2 wrote it
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        report_path = clone / "run_report.json"
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["format_version"] = 3
+        report_path.write_text(json.dumps(report), encoding="utf-8")
         rc = main(["predict", "--run-dir", str(clone),
                    "--input", str(pipeline["test_csv"]),
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "format_version 2" in err and "reads 3" in err
+        assert "run_report.json" in err
+        assert "format_version 3" in err and "reads 4" in err
 
     @pytest.mark.parametrize("case", ["missing", "truncated", "float64", "1-D",
                                       "row-count", "width"])
@@ -362,7 +365,6 @@ class TestPredict:
         shutil.copytree(pipeline["run_dir"], clone)
         path = clone / "embedding.npy"
         matrix = np.load(path, allow_pickle=False)
-        named = "embedding.npy"
         if case == "missing":
             path.unlink()
         elif case == "truncated":
@@ -378,12 +380,14 @@ class TestPredict:
                              encoding="utf-8")
         else:
             np.save(path, np.ascontiguousarray(matrix[:, :8]))
-            named = "manifest.json"   # its embed_dim disagrees with the matrix
         rc = main(["predict", "--run-dir", str(clone),
                    "--input", str(pipeline["test_csv"]),
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "embedding.npy" in err
+        if case == "width":   # narrower than the report's embed_dim
+            assert "embed_dim of run_report.json" in err
 
     def test_run_ensemble_setting_is_default(self, pipeline, tmp_path):
         config = write_config(tmp_path / "c.json",
@@ -402,23 +406,48 @@ class TestPredict:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("case", ["bare-object", "entry-without-offset"])
+    DAMAGED_RUN_FILES = {   # case: (file, expected message)
+        "bare-object": ("run_report.json", "missing key 'head_keys'"),
+        "no-model-config": ("run_report.json", "missing key 'model_config'"),
+        "no-ensemble": ("run_report.json", "missing key 'ensemble'"),
+        "median-ensemble": ("run_report.json", "ensemble must be 'average' or 'best'"),
+        "no-macro-f1": ("run_report.json", "missing key 'macro_f1'"),
+        "list": ("run_report.json", "not a JSON object"),
+        "garbled": ("run_report.json", "invalid JSON"),
+        "no-emoji-ranges": ("preprocess.json", "missing key 'emoji_ranges'"),
+    }
+
+    @pytest.mark.parametrize("case", list(DAMAGED_RUN_FILES))
     def test_partial_manifest(self, pipeline, tmp_path, capsys, case):
+        # run_report.json is the run's manifest; preprocess.json is read
+        # through the same checked reader
+        named, message = self.DAMAGED_RUN_FILES[case]
         clone = tmp_path / "run_clone"
         shutil.copytree(pipeline["run_dir"], clone)
-        manifest_path = clone / "fold0" / "manifest.json"
+        path = clone / named
+        data = json.loads(path.read_text(encoding="utf-8"))
         if case == "bare-object":
-            manifest, message = {"format_version": 3}, "missing 'config'"
-        else:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-            del manifest["entries"][1]["offset"]
-            message = "entry 1: missing 'offset'"
-        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+            data = {"format_version": 4}
+        elif case == "no-model-config":
+            del data["model_config"]
+        elif case == "no-ensemble":
+            del data["train_config"]["ensemble"]
+        elif case == "median-ensemble":
+            data["train_config"]["ensemble"] = "median"
+        elif case == "no-macro-f1":
+            del data["folds"][1]["head_reports"]["1"]["macro_f1"]
+        elif case == "list":
+            data = [data]
+        elif case == "no-emoji-ranges":
+            del data["emoji_ranges"]
+        path.write_text("{bad" if case == "garbled" else json.dumps(data),
+                        encoding="utf-8")
         rc = main(["predict", "--run-dir", str(clone),
                    "--input", str(pipeline["test_csv"]),
                    "--out", str(tmp_path / "out.csv")])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and message in err
 
     def test_short_row_rejected(self, pipeline, tmp_path, capsys):
         posts = tmp_path / "posts.csv"

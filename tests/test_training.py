@@ -14,7 +14,7 @@ from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
 from abusekit.training import (CvResult, EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
-                               ensemble_predict, one_hot,
+                               ensemble_predict, evaluate, one_hot,
                                read_curves, run_cv, train_epoch, write_report)
 
 
@@ -72,6 +72,16 @@ class TestTrainConfig:
                                      "beta2": 0.999, "eps": 1e-7}
         assert data["task"] == 1 and data["language"] == "en"
 
+    def test_dict_round_trip(self):
+        config = TrainConfig.for_task(3, "ta", folds=4, ensemble="best")
+        assert TrainConfig.from_dict(config.to_dict()) == config
+        data = config.to_dict()
+        del data["ensemble"]   # no silent default for a field of the run
+        with pytest.raises(KeyError, match="ensemble"):
+            TrainConfig.from_dict(data)
+        with pytest.raises(ConfigurationError, match="ensemble"):
+            TrainConfig.from_dict({**config.to_dict(), "ensemble": "median"})
+
 
 class TestOneHot:
     def test_basic(self):
@@ -120,6 +130,20 @@ class TestTrainEpoch:
             outcomes.append(train_epoch(net, sequences, labels, 8,
                                         AdamConfig(), rng))
         assert outcomes[0] == outcomes[1]
+
+
+class TestEvaluate:
+    def test_empty_set_rejected(self):
+        # a zero-row set used to die in np.concatenate with a ValueError
+        config = small_model_config()
+        examples, vectors = marker_setup(n=10)
+        from abusekit.embeddings import build_matrix
+        from abusekit.text import build_vocab
+        vocab = build_vocab([ex.text.split() for ex in examples])
+        net = build_model(config, build_matrix(vocab, vectors, expected_dim=8))
+        empty = np.zeros((0, config.seq_len), dtype=np.int32)
+        with pytest.raises(ConfigurationError, match="empty set"):
+            evaluate(net, empty, [np.zeros(0, dtype=int)])
 
 
 class TestRunCv:
