@@ -234,7 +234,13 @@ def cmd_train(args) -> int:
 
     result = run_cv(examples, train_config, vectors, model_config, prep_config)
 
+    # run_report.json marks a finished run: remove an old one before any
+    # new file lands, and write the new one last, so a retrain cut short
+    # leaves a run dir that predict rejects instead of mixing two runs.
     os.makedirs(out_dir, exist_ok=True)
+    report_path = os.path.join(out_dir, "run_report.json")
+    if os.path.exists(report_path):
+        os.remove(report_path)
     np.save(os.path.join(out_dir, _EMBEDDING_NAME),
             result.fold_states[0].embedding.matrix.astype("<f4", copy=False))
     for fold, state in enumerate(result.fold_states):
@@ -243,9 +249,9 @@ def cmd_train(args) -> int:
     with open(os.path.join(out_dir, "preprocess.json"), "w", encoding="utf-8") as fh:
         json.dump(result.prep_config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    write_report(result.report, os.path.join(out_dir, "run_report.json"))
     emit_curves(result.report, os.path.join(out_dir, "curves.csv"),
                 os.path.join(out_dir, "curves.svg"))
+    write_report(result.report, report_path)
 
     report = result.report
     print(f"task {report.task} ({report.language})  folds={train_config.folds}  "
@@ -354,7 +360,13 @@ def _run_settings(report: dict):
     if version != FORMAT_VERSION:
         raise CorruptionError(f"format_version {version}, this version of abusekit "
                               f"reads {FORMAT_VERSION}; retrain older runs")
-    return (report["head_keys"], ModelConfig.from_dict(report["model_config"]),
+    head_keys, model = report["head_keys"], report["model_config"]
+    for name in ModelConfig.__dataclass_fields__:
+        # a report states every field: a default would silently guess
+        # the trained network's shape, activation or dropout
+        if name not in model:
+            raise KeyError(name)
+    return (head_keys, ModelConfig.from_dict(model),
             TrainConfig.from_dict(report["train_config"]), best_fold_index(report))
 
 

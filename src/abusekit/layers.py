@@ -234,6 +234,21 @@ class Dropout(Module):
         return grad_out * self._mask
 
 
+def _cached(layer: Module):
+    """The layer's forward cache; none (never run, or released) is an error."""
+    if layer._cache is None:
+        raise AbusekitError(
+            f"{type(layer).__name__}.backward needs a fresh forward pass")
+    return layer._cache
+
+
+def _take_cache(layer: Module):
+    """The layer's forward cache, which its backward consumes exactly once."""
+    cache = _cached(layer)
+    layer._cache = None
+    return cache
+
+
 class Conv1D(Module):
     """Valid cross-correlation over the time axis.
 
@@ -275,7 +290,7 @@ class Conv1D(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, z, out = self._cache
+        x, z, out = _cached(self)
         if grad_out.shape != z.shape:
             raise ShapeError(f"gradient shape {grad_out.shape} != output {z.shape}")
         dz = _activate_backward(self.activation, grad_out, z, out)
@@ -320,7 +335,7 @@ class Dense(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, z, out = self._cache
+        x, z, out = _cached(self)
         dz = _activate_backward(self.activation, grad_out, z, out)
         flat_in = x.reshape(-1, x.shape[-1])
         flat_dz = dz.reshape(-1, dz.shape[-1])
@@ -463,15 +478,6 @@ def _lstm_backward(cells, cache, grads):
         dxm = d_z @ cell.W.value
         dxs.append(dxm if in_mask is None else dxm * in_mask[:, None, :])
     return dxs
-
-
-def _take_cache(layer: Module):
-    """The layer's forward cache, which its backward consumes exactly once."""
-    cache, layer._cache = layer._cache, None
-    if cache is None:
-        raise AbusekitError(
-            f"{type(layer).__name__}.backward needs a fresh forward pass")
-    return cache
 
 
 class Lstm(Module):

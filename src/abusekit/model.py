@@ -152,6 +152,17 @@ class Network:
         shared = self.trunk_forward(batch, train_mode, rng)
         return [softmax(head.forward(shared)) for head in self.heads]
 
+    def release(self) -> None:
+        """Drop every layer's forward cache and dropout mask.
+
+        At B=256 and the default shape the caches are ~230 MB, most of it
+        the BiLSTM gate slab; a backward after this needs a fresh forward.
+        """
+        self.spatial_dropout._mask = None
+        self.final_dropout._mask = None
+        for layer in (self.conv, self.bilstm, self.dense, *self.heads):
+            layer._cache = None
+
 
 def build_model(config: ModelConfig, table: EmbeddingTable,
                 rng: np.random.Generator | None = None,

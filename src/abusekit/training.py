@@ -228,6 +228,7 @@ def evaluate(network: Network, sequences: np.ndarray,
             loss, _ = softmax_cross_entropy(logits, onehots[h][start:stop])
             loss_sum += loss * (min(stop, n) - start) / num_heads
             preds[h].append(labels_from_probs(softmax(logits)))
+    network.release()
     merged = [np.concatenate(p) for p in preds]
     accuracy = float(np.mean([
         (merged[h] == np.asarray(labels_per_head[h])).mean()
@@ -350,23 +351,22 @@ def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
         if other != reference:
             raise ConfigurationError("fold models disagree on configuration")
 
+    # One fold at a time, so only one network's forward caches are alive.
+    # Each post still gets p / k added in fold order, as a batch-outer loop
+    # would add them, so the sums are bit-identical to it.
     test_sequences = np.asarray(test_sequences)
-    num_heads = len(fold_states[0].heads)
-    outs = [[] for _ in range(num_heads)]
-    for start in range(0, len(test_sequences), batch_size):
-        batch = test_sequences[start:start + batch_size]
-        mean_probs = None
-        for state in fold_states:
-            probs = state.forward(batch)
-            if mean_probs is None:
-                mean_probs = [p / len(fold_states) for p in probs]
-            else:
-                for h, p in enumerate(probs):
-                    mean_probs[h] += p / len(fold_states)
-        for h in range(num_heads):
-            outs[h].append(labels_from_probs(mean_probs[h]))
-    return [np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-            for chunks in outs]
+    k = len(fold_states)
+    config = fold_states[0].config
+    sums = [np.zeros((len(test_sequences), config.classes_per_head),
+                     dtype=fold_states[0].dtype)
+            for _ in range(config.num_heads)]
+    for state in fold_states:
+        for start in range(0, len(test_sequences), batch_size):
+            probs = state.forward(test_sequences[start:start + batch_size])
+            for h, p in enumerate(probs):
+                sums[h][start:start + len(p)] += p / k
+        state.release()
+    return [labels_from_probs(s) for s in sums]
 
 
 def best_fold_index(report: dict) -> int:

@@ -71,3 +71,15 @@ def assert_same_bits(actual, expected):
     nan = np.isnan(expected)
     np.testing.assert_array_equal(np.isnan(actual), nan)
     assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def held_caches(network):
+    """Names of the network's layers still holding a forward cache or a
+    dropout mask; empty once Network.release() has run."""
+    layers = {"spatial_dropout": network.spatial_dropout, "conv": network.conv,
+              "bilstm": network.bilstm, "dense": network.dense,
+              "final_dropout": network.final_dropout}
+    layers.update((f"head{h}", head) for h, head in enumerate(network.heads))
+    return [name for name, layer in layers.items()
+            if getattr(layer, "_cache", None) is not None
+            or getattr(layer, "_mask", None) is not None]

@@ -20,7 +20,7 @@ from abusekit.cli import _read_id_csv, main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import write_vector_file
 from abusekit.layers import Conv1D
-from abusekit.model import ModelConfig, load_checkpoint
+from abusekit.model import ModelConfig, load_checkpoint, save_checkpoint
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_gold_csv, write_test_csv,
                                 write_uli_csv)
@@ -248,6 +248,33 @@ class TestTrain:
         assert rc == 2
         assert "ABUSE_DETECT_THREADS" in capsys.readouterr().err
 
+    def test_interrupted_retrain_leaves_no_report(self, pipeline, tmp_path, capsys,
+                                                  monkeypatch):
+        # the old report must not vouch for a mix of old and new weights
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run_dir"], run)
+
+        def fail_on_fold1(network, directory):
+            if os.path.basename(directory) == "fold1":
+                raise OSError("disk full")
+            save_checkpoint(network, directory)
+
+        monkeypatch.setattr("abusekit.cli.save_checkpoint", fail_on_fold1)
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1)
+        rc = main(["train", "--config", str(config), "--out-dir", str(run)])
+        assert rc == 2 and "disk full" in capsys.readouterr().err
+        assert not (run / "run_report.json").exists()
+        fold0 = (run / "fold0" / "weights.bin").read_bytes()
+        assert fold0 != (pipeline["run_dir"] / "fold0" / "weights.bin").read_bytes()
+        rc = main(["predict", "--run-dir", str(run),
+                   "--input", str(pipeline["test_csv"]),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "missing" in err and "run_report.json" in err
+
     def test_numeric_blowup_exits_3(self, pipeline, tmp_path, capsys):
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
@@ -412,6 +439,11 @@ class TestPredict:
         "no-ensemble": ("run_report.json", "missing key 'ensemble'"),
         "median-ensemble": ("run_report.json", "ensemble must be 'average' or 'best'"),
         "no-macro-f1": ("run_report.json", "missing key 'macro_f1'"),
+        # each passes the weights.bin size check, so only the key check
+        # stops a default from standing in for the trained value
+        "no-seq-len": ("run_report.json", "missing key 'seq_len'"),
+        "no-conv-activation": ("run_report.json", "missing key 'conv_activation'"),
+        "no-lstm-dropout": ("run_report.json", "missing key 'lstm_dropout'"),
         "list": ("run_report.json", "not a JSON object"),
         "garbled": ("run_report.json", "invalid JSON"),
         "no-emoji-ranges": ("preprocess.json", "missing key 'emoji_ranges'"),
@@ -436,6 +468,8 @@ class TestPredict:
             data["train_config"]["ensemble"] = "median"
         elif case == "no-macro-f1":
             del data["folds"][1]["head_reports"]["1"]["macro_f1"]
+        elif case in ("no-seq-len", "no-conv-activation", "no-lstm-dropout"):
+            del data["model_config"][case[3:].replace("-", "_")]
         elif case == "list":
             data = [data]
         elif case == "no-emoji-ranges":

@@ -292,6 +292,26 @@ class TestDense:
             gradcheck(dense, x, dense.forward)
 
 
+@pytest.mark.parametrize("make", [
+    lambda rng: Conv1D(3, 4, 2, rng, dtype=np.float64),
+    lambda rng: Dense(3, 4, rng, dtype=np.float64)], ids=["conv", "dense"])
+def test_backward_without_cache_is_typed(make):
+    # never run, or released by Network.release(): a typed error, not a
+    # TypeError from unpacking None
+    layer = make(np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((2, 5, 3))
+    with pytest.raises(AbusekitError, match="fresh forward"):
+        layer.backward(np.ones((2, 4, 4)))
+    out = layer.forward(x)
+    first = layer.backward(np.ones_like(out))
+    layer._cache = None
+    with pytest.raises(AbusekitError, match="fresh forward"):
+        layer.backward(np.ones_like(out))
+    layer.zero_grad()
+    layer.forward(x)
+    assert_same_bits(layer.backward(np.ones_like(out)), first)
+
+
 class TestGlobalAveragePool:
     def test_constant_sequence(self):
         pool = GlobalAveragePool1D()

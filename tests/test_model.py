@@ -1,11 +1,14 @@
 import os
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import max_rel_error, numerical_grad
+from conftest import held_caches, max_rel_error, numerical_grad
 
 from abusekit.embeddings import EmbeddingTable
-from abusekit.errors import (ConfigurationError, CorruptionError, ShapeError)
+from abusekit.errors import (AbusekitError, ConfigurationError, CorruptionError,
+                             ShapeError)
 from abusekit.layers import AdamConfig, softmax_cross_entropy
 from abusekit.model import (ModelConfig, build_model, labels_from_probs,
                             load_checkpoint, save_checkpoint, train_step)
@@ -188,13 +191,15 @@ class TestTrainStep:
 
 
 class TestEndToEndGradients:
-    def test_full_network_gradcheck(self):
+    def setup(self):
         config = tiny_config()
         table = make_table(20, 6, dtype=np.float64)
         net = build_model(config, table, dtype=np.float64)
         batch = random_batch(config, 20, batch=2, seed=9)
         target = np.eye(2)[[0, 1]].astype(np.float64)
+        return net, batch, target
 
+    def worst_error(self, net, batch, target):
         def loss_fn():
             shared = net.trunk_forward(batch)
             total = 0.0
@@ -216,7 +221,55 @@ class TestEndToEndGradients:
         for p in net.parameters():
             numeric = numerical_grad(loss_fn, p.value)
             worst = max(worst, max_rel_error(p.grad, numeric))
-        assert worst < 1e-3
+        return worst
+
+    def test_full_network_gradcheck(self):
+        assert self.worst_error(*self.setup()) < 1e-3
+
+    def test_gradcheck_after_release(self):
+        # release() drops what backward reads; a fresh forward restores it
+        net, batch, target = self.setup()
+        net.forward(batch)
+        net.release()
+        with pytest.raises(AbusekitError, match="fresh forward"):
+            net.trunk_backward(np.ones((2, net.config.dense_units)))
+        assert self.worst_error(net, batch, target) < 1e-3
+
+
+class TestRelease:
+    def test_every_cache_and_mask_dropped(self):
+        config = tiny_config(spatial_dropout_rate=0.2, final_dropout_rate=0.2,
+                             lstm_dropout=0.1, lstm_recurrent_dropout=0.1,
+                             num_heads=2)
+        net = build_model(config, make_table(20, 6))
+        net.forward(random_batch(config, 20, batch=4), train_mode=True,
+                    rng=np.random.default_rng(0))
+        assert held_caches(net) == ["spatial_dropout", "conv", "bilstm", "dense",
+                                    "final_dropout", "head0", "head1"]
+        net.release()
+        assert held_caches(net) == []
+
+    def test_ensemble_peak_is_one_network(self):
+        # numpy reports its buffers to tracemalloc; run fold by fold, five
+        # networks need about what one forward needs, not five times it
+        config = ModelConfig(seq_len=40, embed_dim=16, conv_filters=16,
+                             lstm_units=32, dense_units=16)
+        table = make_table(50, 16)
+        nets = [build_model(replace(config, seed=seed), table) for seed in range(5)]
+        batch = random_batch(config, 50, batch=64, seed=4)
+
+        def traced_peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = traced_peak(lambda: nets[0].forward(batch))
+        nets[0].release()
+        ensemble = traced_peak(lambda: ensemble_predict(nets, batch))
+        assert ensemble < 1.5 * single
 
 
 class TestPredict:

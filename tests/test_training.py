@@ -4,12 +4,13 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from conftest import held_caches
 
 from abusekit.corpus import KEY_TO_LABEL, TASK_QUESTIONS
 from abusekit.errors import ConfigurationError, DataIntegrityError
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
-from abusekit.model import ModelConfig, build_model
+from abusekit.model import ModelConfig, build_model, labels_from_probs
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
 from abusekit.training import (CvResult, EpochRecord, FoldReport, RunReport,
@@ -145,6 +146,18 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError, match="empty set"):
             evaluate(net, empty, [np.zeros(0, dtype=int)])
 
+    def test_releases_network(self):
+        config = small_model_config()
+        examples, vectors = marker_setup(n=10)
+        from abusekit.embeddings import build_matrix
+        from abusekit.text import build_vocab
+        vocab = build_vocab([ex.text.split() for ex in examples])
+        net = build_model(config, build_matrix(vocab, vectors, expected_dim=8))
+        sequences = np.random.default_rng(0).integers(
+            0, 5, size=(10, config.seq_len), dtype=np.int32)
+        evaluate(net, sequences, [np.zeros(10, dtype=int)], batch_size=4)
+        assert held_caches(net) == []
+
 
 class TestRunCv:
     def run_small(self, threads=1, seed=0):
@@ -167,6 +180,11 @@ class TestRunCv:
         assert report.vocab_size > 2
         assert report.embedding_coverage == 1.0
         assert len(result.fold_states) == 4
+
+    def test_fold_states_hold_no_caches(self):
+        # every evaluate pass releases, the last one included
+        for net in self.run_small().fold_states:
+            assert held_caches(net) == []
 
     def test_whole_run_determinism(self):
         a = self.run_small().report.to_dict()
@@ -307,6 +325,48 @@ class TestEnsemble:
         b = build_model(small_model_config(seed=2), table)
         labels = ensemble_predict([a, b], np.zeros((2, 12), dtype=np.int32))
         assert labels[0].shape == (2,)
+
+
+    def test_releases_every_fold(self):
+        table = self.setup_table()
+        states = [build_model(small_model_config(seed=s), table) for s in range(3)]
+        ensemble_predict(states, np.zeros((5, 12), dtype=np.int32), batch_size=2)
+        for state in states:
+            assert held_caches(state) == []
+
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    @pytest.mark.parametrize("batch_size", [256, 7, 1])
+    def test_matches_batch_outer_reference(self, num_heads, batch_size):
+        # fold-outer order adds the same p / k terms per post, in fold order
+        table = self.setup_table()
+        states = [build_model(small_model_config(seed=s, num_heads=num_heads), table)
+                  for s in range(5)]
+        sequences = np.random.default_rng(4).integers(
+            0, table.matrix.shape[0], size=(30, 12), dtype=np.int32)
+        for state in states:   # centre each head's logit gap: mixed labels
+            shared = state.trunk_forward(sequences)
+            for head in state.heads:
+                logits = head.forward(shared)
+                head.bias.value[1] -= np.median(logits[:, 1] - logits[:, 0])
+        outs = [[] for _ in range(num_heads)]
+        for start in range(0, len(sequences), batch_size):
+            batch = sequences[start:start + batch_size]
+            mean_probs = None
+            for state in states:
+                probs = state.forward(batch)
+                if mean_probs is None:
+                    mean_probs = [p / len(states) for p in probs]
+                else:
+                    for h, p in enumerate(probs):
+                        mean_probs[h] += p / len(states)
+            for h in range(num_heads):
+                outs[h].append(labels_from_probs(mean_probs[h]))
+        got = ensemble_predict(states, sequences, batch_size=batch_size)
+        assert len(got) == num_heads
+        for h in range(num_heads):
+            want = np.concatenate(outs[h])
+            assert 0 < want.sum() < len(want)
+            assert np.array_equal(got[h], want)
 
 
 def report_with_scores(per_fold_preds):
