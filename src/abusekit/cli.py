@@ -10,6 +10,8 @@ import argparse
 import csv
 import json
 import os
+import re
+import shutil
 import sys
 
 import numpy as np
@@ -237,10 +239,16 @@ def cmd_train(args) -> int:
     # run_report.json marks a finished run: remove an old one before any
     # new file lands, and write the new one last, so a retrain cut short
     # leaves a run dir that predict rejects instead of mixing two runs.
+    # The fold dirs of an old run with more folds go with it.
     os.makedirs(out_dir, exist_ok=True)
     report_path = os.path.join(out_dir, "run_report.json")
     if os.path.exists(report_path):
         os.remove(report_path)
+    for name in os.listdir(out_dir):
+        match = re.fullmatch(r"fold([0-9]+)", name)
+        path = os.path.join(out_dir, name)
+        if match and int(match.group(1)) >= train_config.folds and os.path.isdir(path):
+            shutil.rmtree(path)
     np.save(os.path.join(out_dir, _EMBEDDING_NAME),
             result.fold_states[0].embedding.matrix.astype("<f4", copy=False))
     for fold, state in enumerate(result.fold_states):

@@ -419,7 +419,8 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng):
     cs[0] = 0.0
     h_masked = np.empty((len(cells), batch, length, hidden), dtype=dtype)
     h = np.zeros((len(cells), batch, hidden), dtype=dtype)
-    U_T = np.stack([cell.U.value for cell in cells]).transpose(0, 2, 1)
+    U_T = np.ascontiguousarray(
+        np.stack([cell.U.value for cell in cells]).transpose(0, 2, 1))
     for s in range(length):
         hm = h if rec_mask is None else h * rec_mask
         h_masked[:, :, s] = hm

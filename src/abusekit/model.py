@@ -181,11 +181,14 @@ def build_model(config: ModelConfig, table: EmbeddingTable,
 def train_step(network: Network, batch: np.ndarray,
                onehot_labels: list[np.ndarray],
                optimizer: AdamConfig = AdamConfig(),
-               rng: np.random.Generator | None = None) -> float:
-    """One forward/backward/Adam update; returns the averaged head loss.
+               rng: np.random.Generator | None = None
+               ) -> tuple[float, list[np.ndarray]]:
+    """One forward/backward/Adam update.
 
-    A non-finite loss or gradient raises NumericError before any weight
-    is updated.
+    Returns the averaged head loss and each head's predicted labels for
+    the batch, taken from the train-mode logits before the update.  A
+    non-finite loss or gradient raises NumericError before any weight is
+    updated.
     """
     if len(onehot_labels) != len(network.heads):
         raise ConfigurationError(
@@ -195,8 +198,10 @@ def train_step(network: Network, batch: np.ndarray,
     num_heads = len(network.heads)
     total_loss = 0.0
     grad_shared = np.zeros_like(shared)
+    preds = []
     for head, target in zip(network.heads, onehot_labels):
         logits = head.forward(shared)
+        preds.append(labels_from_probs(softmax(logits)))
         loss, grad_logits = softmax_cross_entropy(logits, target)
         total_loss += loss / num_heads
         grad_shared += head.backward(grad_logits / num_heads)
@@ -209,7 +214,7 @@ def train_step(network: Network, batch: np.ndarray,
             raise NumericError(f"non-finite gradient for {param.name}")
     for param in params:
         adam_step(param, optimizer)
-    return total_loss
+    return total_loss, preds
 
 
 def labels_from_probs(probs: np.ndarray) -> np.ndarray:

@@ -193,20 +193,28 @@ def train_epoch(network: Network, sequences: np.ndarray,
                 ) -> tuple[float, float]:
     """One shuffled pass; returns (mean per-example loss, accuracy).
 
-    Accuracy is measured by an eval-mode pass after the updates, averaged
-    across heads.  The last incomplete batch is trained, not dropped.
+    Both are train-mode figures, dropout on, accumulated over the epoch's
+    steps as each batch is trained: the accuracy is the share of correct
+    predictions over all examples and heads.  No eval pass follows the
+    updates.  The last incomplete batch is trained, not dropped.
     """
     n = len(sequences)
+    if n == 0:
+        raise ConfigurationError("cannot train on an empty set")
     order = rng.permutation(n)
     onehots = [one_hot(labels) for labels in labels_per_head]
+    label_arrays = [np.asarray(labels) for labels in labels_per_head]
     loss_sum = 0.0
+    hits = 0
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         batch_targets = [oh[idx] for oh in onehots]
-        loss = train_step(network, sequences[idx], batch_targets, optimizer, rng=rng)
+        loss, preds = train_step(network, sequences[idx], batch_targets,
+                                 optimizer, rng=rng)
         loss_sum += loss * len(idx)
-    _, accuracy, _ = evaluate(network, sequences, labels_per_head, batch_size)
-    return loss_sum / n, accuracy
+        hits += sum(int((p == labels[idx]).sum())
+                    for p, labels in zip(preds, label_arrays))
+    return loss_sum / n, hits / (n * len(label_arrays))
 
 
 def evaluate(network: Network, sequences: np.ndarray,

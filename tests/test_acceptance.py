@@ -26,8 +26,8 @@ from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
 from abusekit.text import PreprocessConfig, build_vocab, encode_batch
 from abusekit.text import preprocess as preprocess_text
-from abusekit.training import (TrainConfig, emit_curves, one_hot, run_cv,
-                               train_epoch, write_report)
+from abusekit.training import (TrainConfig, emit_curves, evaluate, one_hot,
+                               run_cv, train_epoch, write_report)
 
 
 def stamp(name: str) -> None:
@@ -190,9 +190,11 @@ def test_overfit_full_shape_small_corpus():
     accuracy = 0.0
     epochs_used = 0
     for epoch in range(1, 201):
-        _, accuracy = train_epoch(network, sequences, [labels],
-                                  batch_size=32, optimizer=AdamConfig(),
-                                  rng=rng)
+        train_epoch(network, sequences, [labels], batch_size=32,
+                    optimizer=AdamConfig(), rng=rng)
+        # eval-mode accuracy on the training set after the epoch's updates:
+        # train_epoch's own figure is train-mode, with dropout on
+        _, accuracy, _ = evaluate(network, sequences, [labels])
         epochs_used = epoch
         if accuracy >= 0.98:
             break

@@ -275,6 +275,30 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "missing" in err and "run_report.json" in err
 
+    def test_retrain_with_fewer_folds_drops_old_folds(self, pipeline, tmp_path):
+        # fold2/ and fold3/ of the 4-fold run belong to no run once the
+        # 2-fold retrain lands, so they must not stay beside it
+        train_jsonl = pipeline["prep_dir"] / "train.jsonl"
+        four = write_config(tmp_path / "four.json", train_jsonl,
+                            pipeline["emb_path"], epochs=1, folds=4)
+        two = write_config(tmp_path / "two.json", train_jsonl,
+                           pipeline["emb_path"], epochs=1, folds=2)
+        for config, name in ((four, "run"), (two, "run"), (two, "fresh")):
+            rc = main(["train", "--config", str(config),
+                       "--out-dir", str(tmp_path / name)])
+            assert rc == 0
+        assert sorted(os.listdir(tmp_path / "run")) == [
+            "curves.csv", "curves.svg", "embedding.npy", "fold0", "fold1",
+            "preprocess.json", "run_report.json", "vocab.txt"]
+        submissions = []
+        for name in ("run", "fresh"):
+            out = tmp_path / f"{name}.csv"
+            rc = main(["predict", "--run-dir", str(tmp_path / name),
+                       "--input", str(pipeline["test_csv"]), "--out", str(out)])
+            assert rc == 0
+            submissions.append(out.read_bytes())
+        assert submissions[0] == submissions[1]
+
     def test_numeric_blowup_exits_3(self, pipeline, tmp_path, capsys):
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",

@@ -144,7 +144,7 @@ class TestTrainStep:
         batch = random_batch(config, 30, batch=8, seed=5)
         labels = [self.onehot(np.array([0, 1] * 4))]
         optimizer = AdamConfig(lr=1e-3)
-        losses = [train_step(net, batch, labels, optimizer) for _ in range(50)]
+        losses = [train_step(net, batch, labels, optimizer)[0] for _ in range(50)]
         assert losses[-1] < losses[0]
         drops = sum(b < a for a, b in zip(losses, losses[1:]))
         assert drops >= 45   # near-monotone descent on a fixed batch
@@ -160,8 +160,21 @@ class TestTrainStep:
 
         shared = net.trunk_forward(batch)
         expected, _ = softmax_cross_entropy(net.heads[0].forward(shared), target)
-        got = train_step(net, batch, [target, target])
+        got, _ = train_step(net, batch, [target, target])
         assert abs(got - expected) < 1e-9
+
+    def test_predictions_from_logits_before_update(self):
+        # with every dropout rate at 0 the train-mode logits are the
+        # eval-mode ones, so the step's labels match a forward before it
+        config = tiny_config(num_heads=2)
+        net = build_model(config, make_table(30, 6))
+        batch = random_batch(config, 30, batch=6, seed=2)
+        expected = [labels_from_probs(p) for p in net.forward(batch)]
+        target = self.onehot(np.array([0, 1, 1, 0, 1, 0]))
+        _, preds = train_step(net, batch, [target, target])
+        assert len(preds) == 2
+        for got, want in zip(preds, expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_missing_head_labels(self):
         config = tiny_config(num_heads=2)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from conftest import held_caches
 
+from abusekit import training
 from abusekit.corpus import KEY_TO_LABEL, TASK_QUESTIONS
 from abusekit.errors import ConfigurationError, DataIntegrityError
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
-from abusekit.model import ModelConfig, build_model, labels_from_probs
+from abusekit.model import (ModelConfig, build_model, labels_from_probs,
+                            train_step)
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
 from abusekit.training import (CvResult, EpochRecord, FoldReport, RunReport,
@@ -131,6 +133,78 @@ class TestTrainEpoch:
             outcomes.append(train_epoch(net, sequences, labels, 8,
                                         AdamConfig(), rng))
         assert outcomes[0] == outcomes[1]
+
+    # 21 examples at batch 8: two full batches and one of 5
+    N, BATCH, SEED = 21, 8, 9
+
+    def dropout_network(self, num_heads):
+        # every dropout on, so the epoch's RNG draws shape the result
+        config = small_model_config(num_heads=num_heads, lstm_dropout=0.2,
+                                    lstm_recurrent_dropout=0.2,
+                                    spatial_dropout_rate=0.2,
+                                    final_dropout_rate=0.2)
+        examples, vectors = marker_setup(n=10)
+        from abusekit.embeddings import build_matrix
+        from abusekit.text import build_vocab
+        vocab = build_vocab([ex.text.split() for ex in examples])
+        return build_model(config, build_matrix(vocab, vectors, expected_dim=8))
+
+    def epoch_data(self, num_heads):
+        rng = np.random.default_rng(5)
+        sequences = rng.integers(0, 5, size=(self.N, 12), dtype=np.int32)
+        labels = [rng.integers(0, 2, size=self.N) for _ in range(num_heads)]
+        return sequences, labels
+
+    def manual_epoch(self, net, sequences, labels):
+        """train_step over train_epoch's permutation and RNG; returns the
+        hit-count accuracy over all examples and heads."""
+        rng = np.random.default_rng(self.SEED)
+        order = rng.permutation(self.N)
+        hits = 0
+        for start in range(0, self.N, self.BATCH):
+            idx = order[start:start + self.BATCH]
+            _, preds = train_step(net, sequences[idx],
+                                  [one_hot(y[idx]) for y in labels],
+                                  AdamConfig(), rng=rng)
+            for got, y in zip(preds, labels):
+                hits += int(np.count_nonzero(got == y[idx]))
+        return hits / (self.N * len(labels))
+
+    def test_makes_no_evaluate_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("train_epoch called evaluate")
+
+        monkeypatch.setattr(training, "evaluate", forbidden)
+        sequences, labels = self.epoch_data(1)
+        train_epoch(self.dropout_network(1), sequences, labels, self.BATCH,
+                    AdamConfig(), np.random.default_rng(self.SEED))
+
+    def test_empty_set_rejected(self):
+        empty = np.zeros((0, 12), dtype=np.int32)
+        with pytest.raises(ConfigurationError, match="empty set"):
+            train_epoch(self.dropout_network(1), empty, [np.zeros(0, dtype=int)],
+                        self.BATCH, AdamConfig(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    def test_accuracy_counts_step_predictions(self, num_heads):
+        sequences, labels = self.epoch_data(num_heads)
+        _, accuracy = train_epoch(self.dropout_network(num_heads), sequences,
+                                  labels, self.BATCH, AdamConfig(),
+                                  np.random.default_rng(self.SEED))
+        expected = self.manual_epoch(self.dropout_network(num_heads),
+                                     sequences, labels)
+        assert accuracy == expected
+
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    def test_weights_match_manual_steps(self, num_heads):
+        sequences, labels = self.epoch_data(num_heads)
+        net = self.dropout_network(num_heads)
+        train_epoch(net, sequences, labels, self.BATCH, AdamConfig(),
+                    np.random.default_rng(self.SEED))
+        reference = self.dropout_network(num_heads)
+        self.manual_epoch(reference, sequences, labels)
+        for got, want in zip(net.parameters(), reference.parameters()):
+            assert got.value.tobytes() == want.value.tobytes(), got.name
 
 
 class TestEvaluate:
