@@ -1,9 +1,10 @@
 """Cross-validated training on a synthetic separable corpus.
 
 Generates 200 posts where a single marker token decides the label, then
-runs 5-fold CV with a scaled-down model.  The run finishes in seconds and
-the averaged macro-F1 lands near 0.99, which is the point: the training
-loop, fold splitting, and scoring all work before any real data shows up.
+runs 5-fold CV with a scaled-down model into a temporary run directory.
+The run finishes in seconds and the averaged macro-F1 lands near 0.99,
+which is the point: the training loop, fold splitting, and scoring all
+work before any real data shows up.
 """
 
 import tempfile
@@ -13,7 +14,7 @@ from pathlib import Path
 from abusekit.layers import AdamConfig
 from abusekit.model import ModelConfig
 from abusekit.synthetic import make_marker_corpus, make_vector_file, vocabulary_of
-from abusekit.training import TrainConfig, emit_curves, run_cv
+from abusekit.training import TrainConfig, run_cv
 
 
 def main():
@@ -32,28 +33,27 @@ def main():
         dense_units=8, lstm_dropout=0.0, lstm_recurrent_dropout=0.0,
         spatial_dropout_rate=0.0, final_dropout_rate=0.0)
 
-    started = time.perf_counter()
-    result = run_cv(examples, train_config, vectors, model_config)
-    elapsed = time.perf_counter() - started
-
-    print(f"\n5-fold CV in {elapsed:.1f}s")
-    print("fold  macro_p  macro_r  macro_f1  acc")
-    for fr in result.report.folds:
-        r = fr.head_reports["1"]
-        print(f"  {fr.fold}   {r.macro_precision:.4f}   {r.macro_recall:.4f}"
-              f"   {r.macro_f1:.4f}   {r.accuracy:.4f}")
-    avg = result.report.averaged["1"]
-    print(f" avg  {avg['macro_precision']:.4f}   {avg['macro_recall']:.4f}"
-          f"   {avg['macro_f1']:.4f}   {avg['accuracy']:.4f}")
-
     with tempfile.TemporaryDirectory() as tmp:
-        csv_path = Path(tmp) / "curves.csv"
-        svg_path = Path(tmp) / "curves.svg"
-        emit_curves(result.report, csv_path, svg_path)
-        rows = csv_path.read_text().splitlines()
+        started = time.perf_counter()
+        report = run_cv(examples, train_config, vectors, tmp, model_config)
+        elapsed = time.perf_counter() - started
+
+        print(f"\n5-fold CV in {elapsed:.1f}s")
+        print("fold  macro_p  macro_r  macro_f1  acc")
+        for fr in report.folds:
+            r = fr.head_reports["1"]
+            print(f"  {fr.fold}   {r.macro_precision:.4f}   {r.macro_recall:.4f}"
+                  f"   {r.macro_f1:.4f}   {r.accuracy:.4f}")
+        avg = report.averaged["1"]
+        print(f" avg  {avg['macro_precision']:.4f}   {avg['macro_recall']:.4f}"
+              f"   {avg['macro_f1']:.4f}   {avg['accuracy']:.4f}")
+
+        run_dir = Path(tmp)
+        rows = (run_dir / "curves.csv").read_text().splitlines()
         print(f"\ncurves: {len(rows) - 1} rows "
               f"({train_config.folds} folds x {train_config.epochs} epochs), "
-              f"plus an SVG chart ({svg_path.stat().st_size} bytes)")
+              f"plus an SVG chart ({(run_dir / 'curves.svg').stat().st_size} bytes)")
+        print(f"run directory: {', '.join(sorted(p.name for p in run_dir.iterdir()))}")
 
 
 if __name__ == "__main__":

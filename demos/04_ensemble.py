@@ -1,10 +1,13 @@
 """Fold ensembling: averaged probabilities versus the single best fold.
 
-Trains 5 folds on a synthetic corpus, then labels fresh unseen posts two
-ways: averaging softmax probabilities over all fold models, and using only
-the fold with the highest validation macro-F1.  Also shows the tie rule on
-a constructed 50/50 probability split.
+Trains 5 folds on a synthetic corpus into a temporary run directory,
+reads it back the way `abusekit predict` does, then labels fresh unseen
+posts two ways: averaging softmax probabilities over all fold models, and
+using only the fold with the highest validation macro-F1.  Also shows the
+tie rule on a constructed 50/50 probability split.
 """
+
+import tempfile
 
 import numpy as np
 
@@ -13,8 +16,7 @@ from abusekit.model import ModelConfig, labels_from_probs
 from abusekit.synthetic import make_marker_corpus, make_vector_file, vocabulary_of
 from abusekit.text import encode_batch
 from abusekit.text import preprocess as preprocess_text
-from abusekit.training import (TrainConfig, best_fold_index, ensemble_predict,
-                               run_cv)
+from abusekit.training import TrainConfig, ensemble_predict, read_run, run_cv
 
 
 def main():
@@ -30,16 +32,20 @@ def main():
         seq_len=12, embed_dim=16, conv_filters=8, lstm_units=8,
         dense_units=8, lstm_dropout=0.0, lstm_recurrent_dropout=0.0,
         spatial_dropout_rate=0.0, final_dropout_rate=0.0)
-    result = run_cv(train, train_config, vectors, model_config)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_cv(train, train_config, vectors, tmp, model_config)
+        run = read_run(tmp)
+        folds = [run.load_fold(fold) for fold in range(run.train_config.folds)]
 
-    token_lists = [preprocess_text(ex.text, ex.language, result.prep_config)
+    token_lists = [preprocess_text(ex.text, ex.language, run.prep_config)
                    for ex in held_out]
-    sequences = encode_batch(token_lists, result.vocab, max_len=12)
+    sequences = encode_batch(token_lists, run.vocab,
+                             max_len=run.model_config.seq_len)
     gold = np.array([ex.labels["1"] for ex in held_out])
 
-    averaged = ensemble_predict(result.fold_states, sequences)[0]
-    best = best_fold_index(result.report.to_dict())
-    solo = ensemble_predict([result.fold_states[best]], sequences)[0]
+    averaged = ensemble_predict(folds, sequences)[0]
+    best = run.best_fold
+    solo = ensemble_predict([folds[best]], sequences)[0]
 
     print(f"40 unseen posts, gold positives: {gold.sum()}")
     print(f"ensemble of 5 folds accuracy:   {(averaged == gold).mean():.3f}")

@@ -24,8 +24,9 @@ from .model import (ModelConfig, Network, build_model, load_checkpoint,
                     save_checkpoint, train_step)
 from .text import (PreprocessConfig, Vocabulary, build_vocab, clean,
                    encode_batch, preprocess, remove_stopwords, tokenize)
-from .training import (CvResult, RunReport, TrainConfig, emit_curves,
-                       ensemble_predict, read_curves, run_cv, write_report)
+from .training import (RunReport, SavedRun, TrainConfig, emit_curves,
+                       ensemble_predict, read_curves, read_run, run_cv,
+                       write_report)
 
 __version__ = "0.1.0"
 
@@ -36,7 +37,6 @@ __all__ = [
     "ClassificationReport",
     "ConfigurationError",
     "CorruptionError",
-    "CvResult",
     "DataIntegrityError",
     "EmbeddingTable",
     "LabeledExample",
@@ -47,6 +47,7 @@ __all__ = [
     "ParseError",
     "PreprocessConfig",
     "RunReport",
+    "SavedRun",
     "SchemaError",
     "ShapeError",
     "TrainConfig",
@@ -77,6 +78,7 @@ __all__ = [
     "read_cache",
     "read_curves",
     "read_dataset",
+    "read_run",
     "remove_stopwords",
     "run_cv",
     "save_checkpoint",

@@ -10,8 +10,6 @@ import argparse
 import csv
 import json
 import os
-import re
-import shutil
 import sys
 
 import numpy as np
@@ -20,21 +18,17 @@ from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
                      load_external, merge_external, parse_integer,
                      parse_uli_csv, read_dataset, split_train_test,
                      write_dataset)
-from .embeddings import (build_matrix, parse_vector_file, read_cache,
-                         write_cache)
-from .errors import (AbusekitError, ConfigurationError, CorruptionError,
-                     NumericError, ParseError, SchemaError)
+from .embeddings import build_matrix, parse_vector_file, read_cache
+from .errors import (AbusekitError, ConfigurationError, NumericError,
+                     ParseError, SchemaError)
 from .layers import AdamConfig
 from .metrics import classification_report
-from .model import ModelConfig, load_checkpoint, save_checkpoint
+from .model import ModelConfig
 from .text import PreprocessConfig, Vocabulary, encode_batch
 from .text import preprocess as preprocess_text
-from .training import (FORMAT_VERSION, TrainConfig, best_fold_index,
-                       emit_curves, ensemble_predict, run_cv, write_report)
+from .training import TrainConfig, ensemble_predict, read_run, run_cv
 
 __all__ = ["entrypoint", "main"]
-
-_EMBEDDING_NAME = "embedding.npy"
 
 
 def _resolve_threads(flag_value: int | None, config_value: int | None) -> int:
@@ -74,7 +68,7 @@ def load_run_config(path) -> dict:
                 "run config")
 
     data = raw.get("data", {})
-    _check_keys(data, {"train", "embeddings", "embeddings_cache"}, "data section")
+    _check_keys(data, {"train", "embeddings"}, "data section")
     for required in ("train", "embeddings"):
         if required not in data:
             raise ConfigurationError(f"data section needs a {required!r} path")
@@ -135,16 +129,11 @@ def _build_prep_config(section: dict) -> PreprocessConfig:
     return PreprocessConfig.default(**flags)
 
 
-def _load_vectors(path, cache_path=None):
-    """Parse an embedding file; transparently use/build a binary cache."""
-    if cache_path and os.path.exists(cache_path):
-        return read_cache(cache_path)
+def _load_vectors(path):
+    """Parse a text vector file, or read a write_cache file (its magic tells)."""
     with open(path, "rb") as fh:
         is_cache = fh.read(4) == b"EMB1"
-    vectors = read_cache(path) if is_cache else parse_vector_file(path)
-    if cache_path:
-        write_cache(vectors, cache_path)
-    return vectors
+    return read_cache(path) if is_cache else parse_vector_file(path)
 
 
 def _parse_external_arg(value: str) -> tuple[str, str]:
@@ -231,40 +220,13 @@ def cmd_train(args) -> int:
     examples = read_dataset(config["data"]["train"])
     if not examples:
         raise ConfigurationError("training dataset is empty")
-    vectors = _load_vectors(config["data"]["embeddings"],
-                            config["data"].get("embeddings_cache"))
+    vectors = _load_vectors(config["data"]["embeddings"])
 
-    result = run_cv(examples, train_config, vectors, model_config, prep_config)
-
-    # run_report.json marks a finished run: remove an old one before any
-    # new file lands, and write the new one last, so a retrain cut short
-    # leaves a run dir that predict rejects instead of mixing two runs.
-    # The fold dirs of an old run with more folds go with it.
-    os.makedirs(out_dir, exist_ok=True)
-    report_path = os.path.join(out_dir, "run_report.json")
-    if os.path.exists(report_path):
-        os.remove(report_path)
-    for name in os.listdir(out_dir):
-        match = re.fullmatch(r"fold([0-9]+)", name)
-        path = os.path.join(out_dir, name)
-        if match and int(match.group(1)) >= train_config.folds and os.path.isdir(path):
-            shutil.rmtree(path)
-    np.save(os.path.join(out_dir, _EMBEDDING_NAME),
-            result.fold_states[0].embedding.matrix.astype("<f4", copy=False))
-    for fold, state in enumerate(result.fold_states):
-        save_checkpoint(state, os.path.join(out_dir, f"fold{fold}"))
-    result.vocab.save(os.path.join(out_dir, "vocab.txt"))
-    with open(os.path.join(out_dir, "preprocess.json"), "w", encoding="utf-8") as fh:
-        json.dump(result.prep_config.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    emit_curves(result.report, os.path.join(out_dir, "curves.csv"),
-                os.path.join(out_dir, "curves.svg"))
-    write_report(result.report, report_path)
-
-    report = result.report
+    report = run_cv(examples, train_config, vectors, out_dir, model_config,
+                    prep_config)
     print(f"task {report.task} ({report.language})  folds={train_config.folds}  "
           f"epochs={train_config.epochs}  batch={train_config.batch_size}")
-    print(f"vocab size: {report.vocab_size}   embedding coverage: "
+    print(f"vocab size: {len(read_run(out_dir).vocab)}   embedding coverage: "
           f"{report.embedding_coverage:.3f}")
     header = f"{'fold':>4}  {'head':>4}  {'precision':>9}  {'recall':>9}  {'macro_f1':>9}"
     print(header)
@@ -324,82 +286,20 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
     return out
 
 
-def _load_embedding(path, shape: tuple[int, int]) -> np.ndarray:
-    """The run's frozen embedding matrix: float32, one row per vocabulary index."""
-    try:
-        with open(path, "rb") as fh:
-            matrix = np.lib.format.read_array(fh, allow_pickle=False)
-    except FileNotFoundError:
-        raise CorruptionError(f"missing {path}") from None
-    except (OSError, ValueError, EOFError) as exc:
-        raise CorruptionError(f"{path}: unreadable ({exc})") from None
-    if matrix.dtype != np.float32 or matrix.shape != shape:
-        raise CorruptionError(
-            f"{path}: {matrix.dtype} array of shape {matrix.shape}, expected float32 "
-            f"of shape {shape}: a row per vocab.txt index, a column per "
-            "model_config.embed_dim of run_report.json")
-    return matrix
-
-
-def _read_run_json(path, parse):
-    """parse(the JSON object of a run-directory file).  A file that is
-    missing, garbled or not an object, that lacks a key parse reads, or
-    whose values fail validation is a CorruptionError naming it (exit 2)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise CorruptionError("not a JSON object")
-        return parse(data)
-    except FileNotFoundError:
-        raise CorruptionError(f"missing {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CorruptionError(f"{path}: invalid JSON ({exc})") from None
-    except KeyError as exc:
-        raise CorruptionError(f"{path}: missing key {exc}") from None
-    except (AbusekitError, TypeError, ValueError) as exc:
-        raise CorruptionError(f"{path}: {exc}") from None
-
-
-def _run_settings(report: dict):
-    """What predict takes from run_report.json: (head keys, model config,
-    train config, best fold)."""
-    version = report.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CorruptionError(f"format_version {version}, this version of abusekit "
-                              f"reads {FORMAT_VERSION}; retrain older runs")
-    head_keys, model = report["head_keys"], report["model_config"]
-    for name in ModelConfig.__dataclass_fields__:
-        # a report states every field: a default would silently guess
-        # the trained network's shape, activation or dropout
-        if name not in model:
-            raise KeyError(name)
-    return (head_keys, ModelConfig.from_dict(model),
-            TrainConfig.from_dict(report["train_config"]), best_fold_index(report))
-
-
 def cmd_predict(args) -> int:
-    run_dir = args.run_dir
-    head_keys, model_config, train_config, best_fold = _read_run_json(
-        os.path.join(run_dir, "run_report.json"), _run_settings)
-    vocab = Vocabulary.load(os.path.join(run_dir, "vocab.txt"))
-    prep_config = _read_run_json(os.path.join(run_dir, "preprocess.json"),
-                                 PreprocessConfig.from_dict)
-    matrix = _load_embedding(os.path.join(run_dir, _EMBEDDING_NAME),
-                             (len(vocab), model_config.embed_dim))
-
-    mode = args.ensemble or train_config.ensemble
-    chosen = [best_fold] if mode == "best" else range(train_config.folds)
-    states = [load_checkpoint(os.path.join(run_dir, f"fold{fold}"), model_config, matrix)
-              for fold in chosen]
+    run = read_run(args.run_dir)
+    mode = args.ensemble or run.train_config.ensemble
+    chosen = [run.best_fold] if mode == "best" else range(run.train_config.folds)
+    states = [run.load_fold(fold) for fold in chosen]
 
     rows = _read_id_csv(args.input, "text")
     ids = [post_id for post_id, _ in rows]
-    token_lists = [preprocess_text(text, train_config.language, prep_config)
+    token_lists = [preprocess_text(text, run.train_config.language, run.prep_config)
                    for _, text in rows]
-    sequences = encode_batch(token_lists, vocab, max_len=model_config.seq_len)
+    sequences = encode_batch(token_lists, run.vocab, max_len=run.model_config.seq_len)
     labels = ensemble_predict(states, sequences)
 
+    head_keys = run.head_keys
     if len(head_keys) == 1:
         header = "id,label"
         rows = (f"{post_id},{labels[0][i]}" for i, post_id in enumerate(ids))

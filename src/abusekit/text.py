@@ -304,17 +304,14 @@ class Vocabulary:
         return cls(token_to_index=mapping)
 
 
-def build_vocab(corpus: list[list[str]], min_frequency: int = 1) -> Vocabulary:
-    """Build a vocabulary from tokenized training documents only."""
+def build_vocab(corpus: list[list[str]]) -> Vocabulary:
+    """Build a vocabulary of every token of the tokenized training documents."""
     if not corpus:
         raise ConfigurationError("cannot build a vocabulary from an empty corpus")
     counts = Counter()
     for tokens in corpus:
         counts.update(tokens)
-    kept = sorted(
-        (t for t, c in counts.items() if c >= min_frequency),
-        key=lambda t: (-counts[t], t),
-    )
+    kept = sorted(counts, key=lambda t: (-counts[t], t))
     return Vocabulary(token_to_index={t: i + 2 for i, t in enumerate(kept)})
 
 

@@ -1,15 +1,20 @@
-"""Cross-validated training runs: fold loop, curves, fold ensembling.
+"""Cross-validated training runs: fold loop, run directory, curves, fold
+ensembling.
 
 A run builds one vocabulary from the whole training partition, trains a
 fresh seeded model per fold, records per-epoch loss/accuracy, scores each
-held-out fold, and averages macro scores across folds.  Test predictions
-average softmax probabilities over the fold models.
+held-out fold, and averages macro scores across folds.  run_cv writes the
+run directory and read_run reads it back.  Test predictions average
+softmax probabilities over the fold models.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import re
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from xml.sax.saxutils import escape
@@ -19,20 +24,21 @@ import numpy as np
 from .corpus import (KEY_TO_LABEL, LANGUAGES, TASK_QUESTIONS, LabeledExample,
                      kfold_indices)
 from .embeddings import WordVectorFile, build_matrix
-from .errors import ConfigurationError, DataIntegrityError
+from .errors import (AbusekitError, ConfigurationError, CorruptionError,
+                     DataIntegrityError)
 from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (ModelConfig, Network, build_model, labels_from_probs,
-                    train_step)
+                    load_checkpoint, save_checkpoint, train_step)
 from .text import PreprocessConfig, Vocabulary, build_vocab, encode_batch
 from .text import preprocess as preprocess_text
 
 __all__ = [
-    "CvResult",
     "EpochRecord",
     "FORMAT_VERSION",
     "FoldReport",
     "RunReport",
+    "SavedRun",
     "TrainConfig",
     "best_fold_index",
     "emit_curves",
@@ -40,6 +46,7 @@ __all__ = [
     "evaluate",
     "one_hot",
     "read_curves",
+    "read_run",
     "run_cv",
     "train_epoch",
     "write_report",
@@ -48,7 +55,7 @@ __all__ = [
 _TASK_DEFAULTS = {1: (32, 5), 2: (64, 7), 3: (32, 5)}
 # Version of the run directory layout: run_report.json and the fold
 # weights.bin files it describes.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass
@@ -136,34 +143,13 @@ class RunReport:
     averaged: dict[str, dict[str, float]]
     train_config: dict
     model_config: dict
-    preprocess_summary: dict
-    vocab_size: int
     embedding_coverage: float
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "task": self.task,
-            "language": self.language,
-            "head_keys": self.head_keys,
-            "folds": [f.to_dict() for f in self.folds],
-            "averaged": self.averaged,
-            "train_config": self.train_config,
-            "model_config": self.model_config,
-            "preprocess_summary": self.preprocess_summary,
-            "vocab_size": self.vocab_size,
-            "embedding_coverage": self.embedding_coverage,
-        }
-
-
-@dataclass
-class CvResult:
-    """Everything a finished run produces, models included."""
-
-    report: RunReport
-    fold_states: list[Network]
-    vocab: Vocabulary
-    prep_config: PreprocessConfig
+        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        data.update(format_version=FORMAT_VERSION,
+                    folds=[f.to_dict() for f in self.folds])
+        return data
 
 
 def one_hot(labels: np.ndarray, classes: int = 2) -> np.ndarray:
@@ -171,20 +157,6 @@ def one_hot(labels: np.ndarray, classes: int = 2) -> np.ndarray:
     out = np.zeros((len(labels), classes), dtype=np.float32)
     out[np.arange(len(labels)), labels] = 1.0
     return out
-
-
-def _prep_summary(prep: PreprocessConfig) -> dict:
-    # Declared pipeline choices, stated for comparability between runs.
-    return {
-        "tokenizer": "unicode whitespace split, punctuation-only tokens dropped",
-        "stopword_counts": {lang: len(words) for lang, words in sorted(prep.stopwords.items())},
-        "emoji_range_count": len(prep.emoji_ranges),
-        "strip_urls": prep.strip_urls,
-        "strip_mentions": prep.strip_mentions,
-        "strip_html": prep.strip_html,
-        "strip_hashmark": prep.strip_hashmark,
-        "lowercase_latin": prep.lowercase_latin,
-    }
 
 
 def train_epoch(network: Network, sequences: np.ndarray,
@@ -246,7 +218,8 @@ def evaluate(network: Network, sequences: np.ndarray,
 
 def _train_fold(fold: int, seed: int, model_config: ModelConfig,
                 table, sequences, label_arrays, head_keys,
-                folds, config: TrainConfig) -> tuple[FoldReport, Network]:
+                folds, config: TrainConfig, out_dir) -> FoldReport:
+    """Train one fold and write its weights.bin; only its report outlives it."""
     val_idx = folds.val_indices(fold)
     train_idx = folds.train_indices(fold)
     assert not set(val_idx.tolist()) & set(train_idx.tolist())
@@ -264,21 +237,25 @@ def _train_fold(fold: int, seed: int, model_config: ModelConfig,
             config.batch_size, config.optimizer, rng)
         val_loss, val_acc, val_preds = evaluate(network, sequences[val_idx], val_labels)
         records.append(EpochRecord(epoch, train_loss, train_acc, val_loss, val_acc))
+    save_checkpoint(network, os.path.join(out_dir, f"fold{fold}"))
     head_reports = {
         key: classification_report(val_labels[h], val_preds[h],
                                    num_classes=model_config.classes_per_head)
         for h, key in enumerate(head_keys)
     }
-    return FoldReport(fold=fold, epochs=records, head_reports=head_reports), network
+    return FoldReport(fold=fold, epochs=records, head_reports=head_reports)
 
 
 def run_cv(examples: list[LabeledExample], config: TrainConfig,
-           vectors: WordVectorFile, model_config: ModelConfig | None = None,
-           prep_config: PreprocessConfig | None = None) -> CvResult:
-    """Full k-fold run over labeled examples.
+           vectors: WordVectorFile, out_dir,
+           model_config: ModelConfig | None = None,
+           prep_config: PreprocessConfig | None = None) -> RunReport:
+    """Full k-fold run over labeled examples into the run directory out_dir.
 
     The vocabulary comes from all given examples (the training partition),
-    so every fold shares one embedding matrix.
+    so every fold shares one embedding matrix.  embedding.npy, vocab.txt and
+    preprocess.json are written first, each fold{k}/weights.bin as its fold
+    ends, and curves.* and run_report.json, the returned report, last.
     """
     config.validate()
     if model_config is None:
@@ -304,47 +281,50 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     sequences = encode_batch(token_lists, vocab, max_len=model_config.seq_len)
     label_arrays = {k: np.array([ex.labels[k] for ex in examples]) for k in head_keys}
 
+    # run_report.json marks a finished run: it goes before any new file
+    # lands, so a retrain cut short never vouches for a mix of two runs.
+    os.makedirs(out_dir, exist_ok=True)
+    report_path = os.path.join(out_dir, "run_report.json")
+    if os.path.exists(report_path):
+        os.remove(report_path)
+    for name in os.listdir(out_dir):
+        match = re.fullmatch(r"fold([0-9]+)", name)
+        path = os.path.join(out_dir, name)
+        if match and int(match.group(1)) >= config.folds and os.path.isdir(path):
+            shutil.rmtree(path)
+    np.save(os.path.join(out_dir, "embedding.npy"),
+            table.matrix.astype("<f4", copy=False))
+    vocab.save(os.path.join(out_dir, "vocab.txt"))
+    _write_json(prep_config.to_dict(), os.path.join(out_dir, "preprocess.json"))
+
     folds = kfold_indices(n, k=config.folds, seed=config.seed)
     fold_seeds = np.random.SeedSequence(config.seed).generate_state(config.folds)
 
     def job(fold):
         return _train_fold(fold, int(fold_seeds[fold]), model_config, table,
-                           sequences, label_arrays, head_keys, folds, config)
+                           sequences, label_arrays, head_keys, folds, config,
+                           out_dir)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(job, range(config.folds)))
+            fold_reports = list(pool.map(job, range(config.folds)))
     else:
-        outcomes = [job(fold) for fold in range(config.folds)]
+        fold_reports = [job(fold) for fold in range(config.folds)]
 
-    fold_reports = [fr for fr, _ in outcomes]
-    states = [net for _, net in outcomes]
-
-    averaged = {}
-    for key in head_keys:
-        per_fold = [fr.head_reports[key] for fr in fold_reports]
-        averaged[key] = {
-            "macro_precision": float(np.mean([r.macro_precision for r in per_fold])),
-            "macro_recall": float(np.mean([r.macro_recall for r in per_fold])),
-            "macro_f1": float(np.mean([r.macro_f1 for r in per_fold])),
-            "macro_f1_class_mean": float(np.mean([r.macro_f1_class_mean for r in per_fold])),
-            "accuracy": float(np.mean([r.accuracy for r in per_fold])),
-        }
-
-    report = RunReport(
-        task=config.task,
-        language=config.language,
-        head_keys=head_keys,
-        folds=fold_reports,
-        averaged=averaged,
-        train_config=config.to_dict(),
-        model_config=model_config.to_dict(),
-        preprocess_summary=_prep_summary(prep_config),
-        vocab_size=len(vocab),
-        embedding_coverage=table.coverage,
-    )
-    return CvResult(report=report, fold_states=states, vocab=vocab,
-                    prep_config=prep_config)
+    averaged = {key: {name: float(np.mean([getattr(fr.head_reports[key], name)
+                                           for fr in fold_reports]))
+                      for name in ("macro_precision", "macro_recall", "macro_f1",
+                                   "macro_f1_class_mean", "accuracy")}
+                for key in head_keys}
+    report = RunReport(task=config.task, language=config.language,
+                       head_keys=head_keys, folds=fold_reports, averaged=averaged,
+                       train_config=config.to_dict(),
+                       model_config=model_config.to_dict(),
+                       embedding_coverage=table.coverage)
+    emit_curves(report, os.path.join(out_dir, "curves.csv"),
+                os.path.join(out_dir, "curves.svg"))
+    write_report(report, report_path)
+    return report
 
 
 def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
@@ -390,10 +370,100 @@ def best_fold_index(report: dict) -> int:
     return int(np.argmax(scores))
 
 
-def write_report(report: RunReport, path) -> None:
+def _write_json(data, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_report(report: RunReport, path) -> None:
+    _write_json(report.to_dict(), path)
+
+
+@dataclass
+class SavedRun:
+    """A finished run directory as read_run reads it; folds load on demand."""
+
+    directory: str
+    head_keys: list[str]
+    model_config: ModelConfig
+    train_config: TrainConfig
+    best_fold: int
+    vocab: Vocabulary
+    prep_config: PreprocessConfig
+    matrix: np.ndarray
+
+    def load_fold(self, fold: int) -> Network:
+        return load_checkpoint(os.path.join(self.directory, f"fold{fold}"),
+                               self.model_config, self.matrix)
+
+
+def _read_run_json(path, parse):
+    """parse(the JSON object of a run-directory file).  A file that is
+    missing, garbled or not an object, that lacks a key parse reads, or
+    whose values fail validation is a CorruptionError naming it (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise CorruptionError("not a JSON object")
+        return parse(data)
+    except FileNotFoundError:
+        raise CorruptionError(f"missing {path}") from None
+    except json.JSONDecodeError as exc:
+        raise CorruptionError(f"{path}: invalid JSON ({exc})") from None
+    except KeyError as exc:
+        raise CorruptionError(f"{path}: missing key {exc}") from None
+    except (AbusekitError, TypeError, ValueError) as exc:
+        raise CorruptionError(f"{path}: {exc}") from None
+
+
+def _run_settings(report: dict):
+    """(head keys, model config, train config, best fold) of run_report.json."""
+    version = report.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CorruptionError(f"format_version {version}, this version of abusekit "
+                              f"reads {FORMAT_VERSION}; retrain older runs")
+    head_keys, model = report["head_keys"], report["model_config"]
+    for name in ModelConfig.__dataclass_fields__:
+        # a report states every field: a default would silently guess
+        # the trained network's shape, activation or dropout
+        if name not in model:
+            raise KeyError(name)
+    return (head_keys, ModelConfig.from_dict(model),
+            TrainConfig.from_dict(report["train_config"]), best_fold_index(report))
+
+
+def _load_embedding(path, shape: tuple[int, int]) -> np.ndarray:
+    """The run's frozen embedding matrix: float32, one row per vocabulary index."""
+    try:
+        with open(path, "rb") as fh:
+            matrix = np.lib.format.read_array(fh, allow_pickle=False)
+    except FileNotFoundError:
+        raise CorruptionError(f"missing {path}") from None
+    except (OSError, ValueError, EOFError) as exc:
+        raise CorruptionError(f"{path}: unreadable ({exc})") from None
+    if matrix.dtype != np.float32 or matrix.shape != shape:
+        raise CorruptionError(
+            f"{path}: {matrix.dtype} array of shape {matrix.shape}, expected float32 "
+            f"of shape {shape}: a row per vocab.txt index, a column per "
+            "model_config.embed_dim of run_report.json")
+    return matrix
+
+
+def read_run(run_dir) -> SavedRun:
+    """Read and check the run directory that run_cv finished.  A damaged
+    or incomplete file is a CorruptionError naming it; each weights.bin is
+    checked as SavedRun.load_fold reads it."""
+    head_keys, model_config, train_config, best_fold = _read_run_json(
+        os.path.join(run_dir, "run_report.json"), _run_settings)
+    vocab = Vocabulary.load(os.path.join(run_dir, "vocab.txt"))
+    prep_config = _read_run_json(os.path.join(run_dir, "preprocess.json"),
+                                 PreprocessConfig.from_dict)
+    matrix = _load_embedding(os.path.join(run_dir, "embedding.npy"),
+                             (len(vocab), model_config.embed_dim))
+    return SavedRun(run_dir, head_keys, model_config, train_config, best_fold,
+                    vocab, prep_config, matrix)
 
 
 _CURVE_FIELDS = ("fold", "epoch", "train_loss", "train_acc", "val_loss", "val_acc")

@@ -221,12 +221,12 @@ def cv_ingredients():
 
 def test_synthetic_cv_run(tmp_path):
     examples, vectors, train_config, model_config = cv_ingredients()
-    result = run_cv(examples, train_config, vectors, model_config)
-    score = result.report.averaged["1"]["macro_f1"]
+    report = run_cv(examples, train_config, vectors, tmp_path / "run", model_config)
+    score = report.averaged["1"]["macro_f1"]
     assert score >= 0.95, f"averaged macro-F1 {score:.4f}"
 
     curves = tmp_path / "curves.csv"
-    emit_curves(result.report, curves)
+    emit_curves(report, curves)
     lines = curves.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 1 + train_config.folds * train_config.epochs
     stamp(f"synthetic CV (macro-F1 {score:.4f}, "
@@ -237,9 +237,10 @@ def test_synthetic_cv_deterministic(tmp_path):
     reports = []
     for name in ("a", "b"):
         examples, vectors, train_config, model_config = cv_ingredients()
-        result = run_cv(examples, train_config, vectors, model_config)
+        report = run_cv(examples, train_config, vectors, tmp_path / name,
+                        model_config)
         path = tmp_path / f"{name}.json"
-        write_report(result.report, path)
+        write_report(report, path)
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
     stamp("synthetic CV determinism (two runs byte-identical)")

@@ -16,15 +16,17 @@ import numpy as np
 import pytest
 
 import abusekit
+from abusekit import training
 from abusekit.cli import _read_id_csv, main
 from abusekit.corpus import read_dataset
-from abusekit.embeddings import write_vector_file
+from abusekit.embeddings import parse_vector_file, write_cache, write_vector_file
+from abusekit.errors import NumericError
 from abusekit.layers import Conv1D
 from abusekit.model import ModelConfig, load_checkpoint, save_checkpoint
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_gold_csv, write_test_csv,
                                 write_uli_csv)
-from abusekit.training import best_fold_index
+from abusekit.training import FORMAT_VERSION, best_fold_index
 
 MODEL_SECTION = {
     "seq_len": 12, "embed_dim": 16, "conv_filters": 8, "conv_kernel": 2,
@@ -162,7 +164,9 @@ class TestTrain:
     def test_report_contents(self, pipeline):
         report = json.loads(
             (pipeline["run_dir"] / "run_report.json").read_text(encoding="utf-8"))
-        assert report["format_version"] == 4
+        assert report["format_version"] == FORMAT_VERSION == 5
+        # each fact once: vocab.txt and preprocess.json are not restated
+        assert "vocab_size" not in report and "preprocess_summary" not in report
         assert report["task"] == 1
         assert report["train_config"]["batch_size"] == 8
         assert report["train_config"]["epochs"] == 8
@@ -259,7 +263,7 @@ class TestTrain:
                 raise OSError("disk full")
             save_checkpoint(network, directory)
 
-        monkeypatch.setattr("abusekit.cli.save_checkpoint", fail_on_fold1)
+        monkeypatch.setattr("abusekit.training.save_checkpoint", fail_on_fold1)
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1)
@@ -274,6 +278,63 @@ class TestTrain:
         assert rc == 2
         err = capsys.readouterr().err
         assert "missing" in err and "run_report.json" in err
+
+    def test_failed_fold_leaves_finished_folds_and_no_report(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        # folds are written as they end: fold 0 survives fold 1's failure
+        # byte for byte, and the old run's report is gone
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1)
+        clean = tmp_path / "clean"
+        assert main(["train", "--config", str(config), "--out-dir", str(clean)]) == 0
+        run = tmp_path / "run"
+        shutil.copytree(pipeline["run_dir"], run)
+        train_fold = training._train_fold
+
+        def fail_fold1(fold, *args):
+            if fold == 1:
+                raise NumericError("fold 1 diverged")
+            return train_fold(fold, *args)
+
+        monkeypatch.setattr(training, "_train_fold", fail_fold1)
+        rc = main(["train", "--config", str(config), "--out-dir", str(run)])
+        assert rc == 3 and "fold 1 diverged" in capsys.readouterr().err
+        assert not (run / "run_report.json").exists()
+        for name in ("fold0/weights.bin", "embedding.npy", "vocab.txt",
+                     "preprocess.json"):
+            assert (run / name).read_bytes() == (clean / name).read_bytes()
+        rc = main(["predict", "--run-dir", str(run),
+                   "--input", str(pipeline["test_csv"]),
+                   "--out", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert "run_report.json" in capsys.readouterr().err
+
+    def test_embeddings_cache_key_rejected(self, pipeline, tmp_path, capsys):
+        config_path = tmp_path / "bad.json"
+        data = json.loads(pipeline["config"].read_text(encoding="utf-8"))
+        data["data"]["embeddings_cache"] = str(tmp_path / "vectors.cache")
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["train", "--config", str(config_path),
+                   "--out-dir", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown keys" in err and "embeddings_cache" in err
+
+    def test_cache_file_trains_like_its_text_file(self, pipeline, tmp_path):
+        # embeddings may name a write_cache file: its magic is sniffed
+        cache = tmp_path / "vectors.cache"
+        write_cache(parse_vector_file(pipeline["emb_path"]), cache)
+        train_jsonl = pipeline["prep_dir"] / "train.jsonl"
+        for name, vectors in (("text", pipeline["emb_path"]), ("cache", cache)):
+            config = write_config(tmp_path / f"{name}.json", train_jsonl,
+                                  vectors, epochs=1, folds=2)
+            rc = main(["train", "--config", str(config),
+                       "--out-dir", str(tmp_path / name)])
+            assert rc == 0
+        for name in ("embedding.npy", "fold0/weights.bin", "fold1/weights.bin"):
+            assert (tmp_path / "cache" / name).read_bytes() == \
+                (tmp_path / "text" / name).read_bytes()
 
     def test_retrain_with_fewer_folds_drops_old_folds(self, pipeline, tmp_path):
         # fold2/ and fold3/ of the 4-fold run belong to no run once the
@@ -399,7 +460,7 @@ class TestPredict:
         shutil.copytree(pipeline["run_dir"], clone)
         report_path = clone / "run_report.json"
         report = json.loads(report_path.read_text(encoding="utf-8"))
-        report["format_version"] = 3
+        report["format_version"] = 4
         report_path.write_text(json.dumps(report), encoding="utf-8")
         rc = main(["predict", "--run-dir", str(clone),
                    "--input", str(pipeline["test_csv"]),
@@ -407,7 +468,7 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert "run_report.json" in err
-        assert "format_version 3" in err and "reads 4" in err
+        assert "format_version 4" in err and "reads 5" in err
 
     @pytest.mark.parametrize("case", ["missing", "truncated", "float64", "1-D",
                                       "row-count", "width"])
@@ -483,7 +544,7 @@ class TestPredict:
         path = clone / named
         data = json.loads(path.read_text(encoding="utf-8"))
         if case == "bare-object":
-            data = {"format_version": 4}
+            data = {"format_version": FORMAT_VERSION}
         elif case == "no-model-config":
             del data["model_config"]
         elif case == "no-ensemble":
@@ -672,3 +733,33 @@ def test_runs_as_module(module, tmp_path):
     assert shown.returncode == 0 and "inspect-embeddings" in shown.stdout
     missing = run("inspect-embeddings", "--file", "missing")
     assert missing.returncode == 2 and "missing" in missing.stderr
+
+
+def test_fold_threads_invisible_at_two_blas_threads(pipeline, tmp_path):
+    # Seeded runs are bit-identical at a fixed BLAS thread count; a BLAS
+    # count of 2 may round differently from 1, but fold threads must still
+    # change nothing.  Default model shape, so BLAS has work to split.
+    src = str(Path(abusekit.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env.pop("ABUSE_DETECT_THREADS", None)
+    vectors = tmp_path / "vectors300.txt"
+    write_vector_file(make_vector_file(vocabulary_of(pipeline["examples"]),
+                                       dim=300, seed=1), vectors)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "data": {"train": str(pipeline["prep_dir"] / "train.jsonl"),
+                 "embeddings": str(vectors)},
+        "model": {},
+        "train": {"task": 1, "language": "en", "folds": 2, "epochs": 1,
+                  "batch_size": 16, "seed": 5},
+    }), encoding="utf-8")
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "abusekit", "train", "--config", str(config),
+             "--out-dir", str(tmp_path / threads), "--threads", threads],
+            env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    for name in ("fold0/weights.bin", "fold1/weights.bin", "curves.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()

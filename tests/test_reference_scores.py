@@ -25,27 +25,27 @@ TARGETS = {1: 0.79, 2: 0.84}
 TOLERANCE = 0.09
 
 
-def run_benchmark(task: int, train_jsonl: str, vectors_path: str) -> float:
+def run_benchmark(task: int, train_jsonl: str, vectors_path: str,
+                  out_dir) -> float:
     examples = read_dataset(train_jsonl)
     vectors = parse_vector_file(vectors_path)
     config = TrainConfig.for_task(task, "en")
-    result = run_cv(examples, config, vectors)
-    return result.report.averaged["1"]["macro_f1"]
+    return run_cv(examples, config, vectors, out_dir).averaged["1"]["macro_f1"]
 
 
 @pytest.mark.skipif(
     not (os.environ.get("ULI_TASK1_TRAIN_JSONL") and os.environ.get("WORD_VECTORS")),
     reason="needs ULI_TASK1_TRAIN_JSONL and WORD_VECTORS")
-def test_task1_english_reference_score():
+def test_task1_english_reference_score(tmp_path):
     score = run_benchmark(1, os.environ["ULI_TASK1_TRAIN_JSONL"],
-                          os.environ["WORD_VECTORS"])
+                          os.environ["WORD_VECTORS"], tmp_path)
     assert abs(score - TARGETS[1]) <= TOLERANCE, f"macro-F1 {score:.4f}"
 
 
 @pytest.mark.skipif(
     not (os.environ.get("ULI_TASK2_TRAIN_JSONL") and os.environ.get("WORD_VECTORS")),
     reason="needs ULI_TASK2_TRAIN_JSONL and WORD_VECTORS")
-def test_task2_english_reference_score():
+def test_task2_english_reference_score(tmp_path):
     score = run_benchmark(2, os.environ["ULI_TASK2_TRAIN_JSONL"],
-                          os.environ["WORD_VECTORS"])
+                          os.environ["WORD_VECTORS"], tmp_path)
     assert abs(score - TARGETS[2]) <= TOLERANCE, f"macro-F1 {score:.4f}"

@@ -156,10 +156,6 @@ class TestVocabulary:
         vocab = build_vocab([["pear", "apple", "pear", "kiwi", "apple"]])
         assert vocab.tokens() == ["apple", "pear", "kiwi"]
 
-    def test_min_frequency(self):
-        vocab = build_vocab([["a", "a", "b"]], min_frequency=2)
-        assert "a" in vocab and "b" not in vocab
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(ConfigurationError):
             build_vocab([])

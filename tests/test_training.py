@@ -1,5 +1,8 @@
+import gc
 import json
 import math
+import os
+import weakref
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -12,13 +15,14 @@ from abusekit.errors import ConfigurationError, DataIntegrityError
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
 from abusekit.model import (ModelConfig, build_model, labels_from_probs,
-                            train_step)
+                            save_checkpoint, train_step)
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
-from abusekit.training import (CvResult, EpochRecord, FoldReport, RunReport,
+from abusekit.training import (EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
                                ensemble_predict, evaluate, one_hot,
-                               read_curves, run_cv, train_epoch, write_report)
+                               read_curves, read_run, run_cv, train_epoch,
+                               write_report)
 
 
 def small_model_config(**overrides):
@@ -233,84 +237,117 @@ class TestEvaluate:
         assert held_caches(net) == []
 
 
+def run_dir_bytes(run_dir):
+    """Every file of a run directory except run_report.json, by relative path."""
+    return {str(path.relative_to(run_dir)): path.read_bytes()
+            for path in sorted(run_dir.rglob("*"))
+            if path.is_file() and path.name != "run_report.json"}
+
+
 class TestRunCv:
-    def run_small(self, threads=1, seed=0):
+    def run_small(self, out_dir, threads=1, seed=0):
         examples, vectors = marker_setup(n=40, seed=seed)
         config = TrainConfig.for_task(1, "en", folds=4, epochs=2,
                                       batch_size=8, seed=3, threads=threads)
-        return run_cv(examples, config, vectors,
+        return run_cv(examples, config, vectors, out_dir,
                       model_config=small_model_config())
 
-    def test_report_structure(self):
-        result = self.run_small()
-        report = result.report
-        assert isinstance(result, CvResult)
+    def test_report_structure(self, tmp_path):
+        report = self.run_small(tmp_path)
         assert len(report.folds) == 4
         assert all(len(fr.epochs) == 2 for fr in report.folds)
         assert report.head_keys == ["1"]
         assert set(report.averaged["1"]) == {
             "macro_precision", "macro_recall", "macro_f1",
             "macro_f1_class_mean", "accuracy"}
-        assert report.vocab_size > 2
         assert report.embedding_coverage == 1.0
-        assert len(result.fold_states) == 4
+        # the run directory it wrote, read back
+        assert sorted(os.listdir(tmp_path)) == [
+            "curves.csv", "curves.svg", "embedding.npy", "fold0", "fold1",
+            "fold2", "fold3", "preprocess.json", "run_report.json", "vocab.txt"]
+        written = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+        assert written == json.loads(json.dumps(report.to_dict()))
+        assert "vocab_size" not in written and "preprocess_summary" not in written
+        run = read_run(tmp_path)
+        assert len(run.vocab) > 2
+        assert run.matrix.shape == (len(run.vocab), 8)
+        for fold in range(4):
+            assert len(run.load_fold(fold).heads) == 1
 
-    def test_fold_states_hold_no_caches(self):
-        # every evaluate pass releases, the last one included
-        for net in self.run_small().fold_states:
-            assert held_caches(net) == []
+    def test_fold_network_dropped_before_next_fold_saves(self, tmp_path,
+                                                         monkeypatch):
+        # a fold keeps only its report: at threads=1 no earlier fold's
+        # network is alive when the next one reaches its checkpoint, and the
+        # network saved holds no forward cache
+        saved = []
 
-    def test_whole_run_determinism(self):
-        a = self.run_small().report.to_dict()
-        b = self.run_small().report.to_dict()
+        def checked_save(network, directory):
+            gc.collect()
+            assert [ref() for ref in saved] == [None] * len(saved)
+            assert held_caches(network) == []
+            saved.append(weakref.ref(network))
+            save_checkpoint(network, directory)
+
+        monkeypatch.setattr(training, "save_checkpoint", checked_save)
+        self.run_small(tmp_path)
+        assert len(saved) == 4
+
+    def test_whole_run_determinism(self, tmp_path):
+        a = self.run_small(tmp_path / "a").to_dict()
+        b = self.run_small(tmp_path / "b").to_dict()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_thread_count_invisible_in_results(self):
-        serial = self.run_small(threads=1).report.to_dict()
-        threaded = self.run_small(threads=2).report.to_dict()
+    def test_thread_count_invisible_in_results(self, tmp_path):
+        serial = self.run_small(tmp_path / "serial", threads=1).to_dict()
+        threaded = self.run_small(tmp_path / "threaded", threads=2).to_dict()
         # the recorded config faithfully differs; the numbers must not
         serial["train_config"].pop("threads")
         threaded["train_config"].pop("threads")
         assert json.dumps(serial, sort_keys=True) == json.dumps(threaded,
                                                                 sort_keys=True)
+        # every weights.bin, the matrix, vocab, preprocess and curves too
+        files = run_dir_bytes(tmp_path / "serial")
+        assert sum(name.endswith("weights.bin") for name in files) == 4
+        assert files == run_dir_bytes(tmp_path / "threaded")
 
-    def test_two_head_task(self):
+    def test_two_head_task(self, tmp_path):
         examples, vectors = marker_setup(
             n=24, markers={"1": "zarnok", "3": "vexum"})
         config = TrainConfig.for_task(3, "en", folds=3, epochs=1,
                                       batch_size=8, seed=1)
-        result = run_cv(examples, config, vectors,
+        report = run_cv(examples, config, vectors, tmp_path,
                         model_config=small_model_config())
-        assert result.report.head_keys == ["1", "3"]
-        assert set(result.report.averaged) == {"1", "3"}
-        assert all(len(net.heads) == 2 for net in result.fold_states)
-        for fr in result.report.folds:
+        assert report.head_keys == ["1", "3"]
+        assert set(report.averaged) == {"1", "3"}
+        run = read_run(tmp_path)
+        assert all(len(run.load_fold(fold).heads) == 2 for fold in range(3))
+        for fr in report.folds:
             assert set(fr.head_reports) == {"1", "3"}
 
-    def test_missing_head_label_rejected(self):
+    def test_missing_head_label_rejected(self, tmp_path):
         examples, vectors = marker_setup(n=12)   # labels carry key "1" only
         config = TrainConfig.for_task(3, "en", folds=3, epochs=1, batch_size=4)
         with pytest.raises(DataIntegrityError):
-            run_cv(examples, config, vectors,
+            run_cv(examples, config, vectors, tmp_path,
                    model_config=small_model_config())
 
-    def test_too_few_examples(self):
+    def test_too_few_examples(self, tmp_path):
         examples, vectors = marker_setup(n=4)
         config = TrainConfig.for_task(1, "en", folds=5, epochs=1)
         with pytest.raises(ConfigurationError):
-            run_cv(examples, config, vectors,
+            run_cv(examples, config, vectors, tmp_path,
                    model_config=small_model_config())
 
-    def test_validation_accuracy_trend_on_separable_corpus(self):
+    def test_validation_accuracy_trend_on_separable_corpus(self, tmp_path):
         examples = make_marker_corpus(90, seed=5, pool_size=30)
         vectors = make_vector_file(vocabulary_of(examples), dim=16, seed=1)
         config = TrainConfig.for_task(1, "en", folds=3, epochs=12,
                                       batch_size=8, seed=2,
                                       optimizer=AdamConfig(lr=5e-3))
-        result = run_cv(examples, config, vectors,
+        report = run_cv(examples, config, vectors, tmp_path,
                         model_config=small_model_config(
                             embed_dim=16, conv_filters=8, lstm_units=8))
-        for fr in result.report.folds:
+        for fr in report.folds:
             assert fr.epochs[-1].val_accuracy >= fr.epochs[0].val_accuracy
 
 
@@ -455,7 +492,6 @@ def report_with_scores(per_fold_preds):
             head_reports={"1": head_report}))
     return RunReport(task=1, language="en", head_keys=["1"], folds=folds,
                      averaged={}, train_config={}, model_config={},
-                     preprocess_summary={}, vocab_size=10,
                      embedding_coverage=1.0)
 
 
@@ -482,7 +518,6 @@ class TestReportHelpers:
             folds.append(FoldReport(fold=f, epochs=epochs, head_reports={}))
         report = RunReport(task=1, language="en", head_keys=["1"], folds=folds,
                            averaged={}, train_config={}, model_config={},
-                           preprocess_summary={}, vocab_size=1,
                            embedding_coverage=1.0)
         csv_path = tmp_path / "curves.csv"
         svg_path = tmp_path / "curves.svg"
