@@ -11,6 +11,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -21,18 +22,18 @@ from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
 from .embeddings import build_matrix, parse_vector_file, read_cache
 from .errors import (AbusekitError, ConfigurationError, NumericError,
                      ParseError, SchemaError)
-from .layers import AdamConfig
 from .metrics import classification_report
 from .model import ModelConfig
-from .text import PreprocessConfig, Vocabulary, encode_batch
+from .text import PreprocessConfig, PreprocessFiles, Vocabulary, encode_batch
 from .text import preprocess as preprocess_text
-from .training import TrainConfig, ensemble_predict, read_run, run_cv
+from .training import (TrainConfig, ensemble_predict, read_config, read_run,
+                       run_cv)
 
 __all__ = ["entrypoint", "main"]
 
 
-def _resolve_threads(flag_value: int | None, config_value: int | None) -> int:
-    """Priority: --threads flag, ABUSE_DETECT_THREADS env, config file, 1."""
+def _resolve_threads(flag_value: int | None, config_value: int) -> int:
+    """Priority: --threads flag, ABUSE_DETECT_THREADS env, config file (1 by default)."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get("ABUSE_DETECT_THREADS")
@@ -42,19 +43,28 @@ def _resolve_threads(flag_value: int | None, config_value: int | None) -> int:
         except ValueError:
             raise ConfigurationError(
                 f"ABUSE_DETECT_THREADS={env!r} is not an integer") from None
-    if config_value is not None:
-        return config_value
-    return 1
+    return config_value
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+@dataclass
+class DataPaths:
+    train: str
+    embeddings: str   # a text vector file or a write_cache file
 
 
-def load_run_config(path) -> dict:
-    """Read and strictly validate a run config JSON file."""
+@dataclass
+class RunConfig:
+    """A run config file; its fields and theirs are the file's schema."""
+
+    data: DataPaths
+    train: TrainConfig
+    model: ModelConfig = field(default_factory=ModelConfig)
+    preprocess: PreprocessFiles = field(default_factory=PreprocessFiles)
+    output_dir: str | None = None
+
+
+def load_run_config(path) -> RunConfig:
+    """Read a run config file and check every value (read_config)."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -62,71 +72,10 @@ def load_run_config(path) -> dict:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from None
-    if not isinstance(raw, dict):
-        raise ConfigurationError("run config must be a JSON object")
-    _check_keys(raw, {"data", "preprocess", "model", "train", "output_dir"},
-                "run config")
-
-    data = raw.get("data", {})
-    _check_keys(data, {"train", "embeddings"}, "data section")
-    for required in ("train", "embeddings"):
-        if required not in data:
-            raise ConfigurationError(f"data section needs a {required!r} path")
-
-    train_section = dict(raw.get("train", {}))
-    _check_keys(train_section,
-                {"task", "language", "folds", "batch_size", "epochs", "seed",
-                 "threads", "optimizer", "ensemble"},
-                "train section")
-    for required in ("task", "language"):
-        if required not in train_section:
-            raise ConfigurationError(f"train section needs {required!r}")
-    optimizer_section = train_section.pop("optimizer", {})
-    _check_keys(optimizer_section, {"lr", "beta1", "beta2", "eps"},
-                "train.optimizer")
-
-    model_section = raw.get("model", {})
-    if "num_heads" in model_section:
+    config = read_config(RunConfig, raw, "config", complete=False)
+    if "num_heads" in raw.get("model", {}):
         raise ConfigurationError("num_heads is derived from the task; remove it")
-
-    prep_section = raw.get("preprocess", {})
-    _check_keys(prep_section,
-                {"stopword_files", "emoji_range_file", "strip_urls",
-                 "strip_mentions", "strip_html", "strip_hashmark",
-                 "lowercase_latin"},
-                "preprocess section")
-
-    return {
-        "data": data,
-        "train": train_section,
-        "optimizer": optimizer_section,
-        "model": model_section,
-        "preprocess": prep_section,
-        "output_dir": raw.get("output_dir"),
-    }
-
-
-def _build_train_config(section: dict, optimizer: dict,
-                        seed_override: int | None, threads: int) -> TrainConfig:
-    overrides = {k: v for k, v in section.items()
-                 if k in ("folds", "batch_size", "epochs", "seed", "ensemble")}
-    if seed_override is not None:
-        overrides["seed"] = seed_override
-    return TrainConfig.for_task(section["task"], section["language"],
-                                optimizer=AdamConfig(**optimizer), threads=threads,
-                                **overrides)
-
-
-def _build_prep_config(section: dict) -> PreprocessConfig:
-    flags = {k: section[k] for k in
-             ("strip_urls", "strip_mentions", "strip_html", "strip_hashmark",
-              "lowercase_latin") if k in section}
-    if "stopword_files" in section:
-        return PreprocessConfig.from_files(
-            section["stopword_files"], section.get("emoji_range_file"), **flags)
-    if "emoji_range_file" in section:
-        return PreprocessConfig.from_files({}, section["emoji_range_file"], **flags)
-    return PreprocessConfig.default(**flags)
+    return config
 
 
 def _load_vectors(path):
@@ -207,22 +156,21 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config)
-    out_dir = args.out_dir or config["output_dir"]
+    out_dir = args.out_dir or config.output_dir
     if not out_dir:
         raise ConfigurationError("give --out-dir or output_dir in the config")
 
-    threads = _resolve_threads(args.threads, config["train"].get("threads"))
-    train_config = _build_train_config(config["train"], config["optimizer"],
-                                       args.seed, threads)
-    prep_config = _build_prep_config(config["preprocess"])
-    model_config = ModelConfig.from_dict(config["model"])
+    train_config = replace(
+        config.train, threads=_resolve_threads(args.threads, config.train.threads),
+        seed=config.train.seed if args.seed is None else args.seed)
+    prep_config = PreprocessConfig.from_files(**asdict(config.preprocess))
 
-    examples = read_dataset(config["data"]["train"])
+    examples = read_dataset(config.data.train)
     if not examples:
         raise ConfigurationError("training dataset is empty")
-    vectors = _load_vectors(config["data"]["embeddings"])
+    vectors = _load_vectors(config.data.embeddings)
 
-    report = run_cv(examples, train_config, vectors, out_dir, model_config,
+    report = run_cv(examples, train_config, vectors, out_dir, config.model,
                     prep_config)
     print(f"task {report.task} ({report.language})  folds={train_config.folds}  "
           f"epochs={train_config.epochs}  batch={train_config.batch_size}")

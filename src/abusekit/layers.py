@@ -110,6 +110,14 @@ class AdamConfig:
     beta2: float = 0.999
     eps: float = 1e-7
 
+    def validate(self) -> None:
+        if not (self.lr > 0 and self.eps > 0):
+            raise ConfigurationError(
+                f"lr and eps must be positive, got lr={self.lr}, eps={self.eps}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name}={getattr(self, name)} outside [0, 1)")
+
 
 def adam_step(param: Parameter, config: AdamConfig = AdamConfig()) -> None:
     """One bias-corrected Adam update; consumes and zeroes the gradient."""

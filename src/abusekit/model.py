@@ -70,16 +70,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown model config keys: {sorted(unknown)}")
-        config = cls(**data)
-        config.validate()
-        return config
-
 
 class Network:
     """Built model: layer stack, head layers, and the frozen embedding."""

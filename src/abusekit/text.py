@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
@@ -20,9 +20,11 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = [
+    "CleaningFlags",
     "OOV_INDEX",
     "PAD_INDEX",
     "PreprocessConfig",
+    "PreprocessFiles",
     "Vocabulary",
     "build_vocab",
     "clean",
@@ -96,56 +98,50 @@ def load_emoji_ranges(path) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass
-class PreprocessConfig:
-    """Cleaning flags plus the loaded stopword sets and emoji ranges."""
-
-    stopwords: dict[str, frozenset[str]] = field(default_factory=dict)
-    emoji_ranges: tuple[tuple[int, int], ...] = ()
+class CleaningFlags:
     strip_urls: bool = True
     strip_mentions: bool = True
     strip_html: bool = True
     strip_hashmark: bool = True   # False removes the whole hashtag token instead
     lowercase_latin: bool = True
 
+
+@dataclass
+class PreprocessFiles(CleaningFlags):
+    """A run config's preprocess section: cleaning flags plus the files
+    that replace packaged stopword lists (per language) or the emoji table."""
+
+    stopword_files: dict[str, str] = field(default_factory=dict)
+    emoji_range_file: str | None = None
+
+
+@dataclass
+class PreprocessConfig(CleaningFlags):
+    """Cleaning flags plus the loaded stopword sets and emoji ranges."""
+
+    stopwords: dict[str, frozenset[str]] = field(default_factory=dict)
+    emoji_ranges: tuple[tuple[int, int], ...] = ()
+
     @classmethod
-    def default(cls, **flags) -> "PreprocessConfig":
-        """Config backed by the packaged stopword lists and emoji table."""
+    def from_files(cls, stopword_files: dict[str, str] | None = None,
+                   emoji_range_file=None, **flags) -> "PreprocessConfig":
+        """The packaged stopword lists and emoji table, each replaced only by
+        the file named for it; the arguments are the fields of PreprocessFiles."""
         stopwords = {lang: _packaged(_parse_stopwords, f"stopwords_{lang}.txt")
                      for lang in ("en", "hi", "ta")}
-        ranges = _packaged(_parse_ranges, "emoji_ranges.txt")
+        stopwords.update((lang, load_stopwords(path))
+                         for lang, path in (stopword_files or {}).items())
+        ranges = (_packaged(_parse_ranges, "emoji_ranges.txt") if emoji_range_file is None
+                  else load_emoji_ranges(emoji_range_file))
         return cls(stopwords=stopwords, emoji_ranges=ranges, **flags)
 
-    @classmethod
-    def from_files(cls, stopword_paths: dict[str, str], emoji_path=None, **flags):
-        stopwords = {lang: load_stopwords(p) for lang, p in stopword_paths.items()}
-        if emoji_path is not None:
-            ranges = load_emoji_ranges(emoji_path)
-        else:
-            ranges = _packaged(_parse_ranges, "emoji_ranges.txt")
-        return cls(stopwords=stopwords, emoji_ranges=ranges, **flags)
+    default = from_files   # the packaged lists and table, with the given flags
 
     def to_dict(self) -> dict:
-        return {
-            "stopwords": {lang: sorted(words) for lang, words in self.stopwords.items()},
-            "emoji_ranges": [list(r) for r in self.emoji_ranges],
-            "strip_urls": self.strip_urls,
-            "strip_mentions": self.strip_mentions,
-            "strip_html": self.strip_html,
-            "strip_hashmark": self.strip_hashmark,
-            "lowercase_latin": self.lowercase_latin,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PreprocessConfig":
-        return cls(
-            stopwords={k: frozenset(v) for k, v in data["stopwords"].items()},
-            emoji_ranges=tuple((lo, hi) for lo, hi in data["emoji_ranges"]),
-            strip_urls=data["strip_urls"],
-            strip_mentions=data["strip_mentions"],
-            strip_html=data["strip_html"],
-            strip_hashmark=data["strip_hashmark"],
-            lowercase_latin=data["lowercase_latin"],
-        )
+        """The JSON form that training.read_config reads back."""
+        return {**asdict(self),
+                "stopwords": {lang: sorted(words) for lang, words in self.stopwords.items()},
+                "emoji_ranges": [list(r) for r in self.emoji_ranges]}
 
 
 def _is_word_char(ch: str) -> bool:

@@ -15,8 +15,10 @@ import json
 import os
 import re
 import shutil
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
+                         replace)
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -45,6 +47,7 @@ __all__ = [
     "ensemble_predict",
     "evaluate",
     "one_hot",
+    "read_config",
     "read_curves",
     "read_run",
     "run_cv",
@@ -60,24 +63,26 @@ FORMAT_VERSION = 5
 
 @dataclass
 class TrainConfig:
-    task: int = 1
-    language: str = "en"
+    # a run config must state both; the defaults serve code that builds one
+    task: int = field(default=1, metadata={"required": True})
+    language: str = field(default="en", metadata={"required": True})
     folds: int = 5
-    batch_size: int = 32
-    epochs: int = 5
+    batch_size: int | None = None   # None: the task's default
+    epochs: int | None = None       # None: the task's default
     optimizer: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
     threads: int = 1
     ensemble: str = "average"
 
+    def __post_init__(self):
+        """Defaults per task: batch 32 / 5 epochs, except task 2 at 64 / 7."""
+        batch, epochs = _TASK_DEFAULTS.get(self.task, _TASK_DEFAULTS[1])
+        self.batch_size = batch if self.batch_size is None else self.batch_size
+        self.epochs = epochs if self.epochs is None else self.epochs
+
     @classmethod
     def for_task(cls, task: int, language: str, **overrides) -> "TrainConfig":
-        """Defaults per task: batch 32 / 5 epochs, except task 2 at 64 / 7."""
-        if task not in _TASK_DEFAULTS:
-            raise ConfigurationError(f"task must be 1, 2, or 3, got {task}")
-        batch, epochs = _TASK_DEFAULTS[task]
-        settings = {"batch_size": batch, "epochs": epochs, **overrides}
-        config = cls(task=task, language=language, **settings)
+        config = cls(task=task, language=language, **overrides)
         config.validate()
         return config
 
@@ -92,22 +97,15 @@ class TrainConfig:
             raise ConfigurationError("batch_size and epochs must be positive")
         if self.threads < 1:
             raise ConfigurationError("threads must be positive")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must not be negative, got {self.seed}")
         if self.ensemble not in ("average", "best"):
             raise ConfigurationError(
                 f"ensemble must be 'average' or 'best', got {self.ensemble!r}")
+        self.optimizer.validate()
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        """Inverse of to_dict: every field must be present (a missing one
-        raises KeyError naming it), and the values are validated."""
-        fields = {name: data[name] for name in cls.__dataclass_fields__}
-        fields["optimizer"] = AdamConfig(**fields["optimizer"])
-        config = cls(**fields)
-        config.validate()
-        return config
 
 
 @dataclass
@@ -261,7 +259,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     if model_config is None:
         model_config = ModelConfig()
     if prep_config is None:
-        prep_config = PreprocessConfig.default()
+        prep_config = PreprocessConfig.from_files()
     head_keys = [KEY_TO_LABEL[q] for q in TASK_QUESTIONS[config.task]]
     model_config = replace(model_config, num_heads=len(head_keys))
     model_config.validate()
@@ -419,19 +417,71 @@ def _read_run_json(path, parse):
 
 
 def _run_settings(report: dict):
-    """(head keys, model config, train config, best fold) of run_report.json."""
+    """(head keys, model config, train config, best fold) of run_report.json.
+    Every config field must be stated: a default would silently guess the
+    trained network's shape, activation or dropout."""
     version = report.get("format_version")
     if version != FORMAT_VERSION:
         raise CorruptionError(f"format_version {version}, this version of abusekit "
                               f"reads {FORMAT_VERSION}; retrain older runs")
-    head_keys, model = report["head_keys"], report["model_config"]
-    for name in ModelConfig.__dataclass_fields__:
-        # a report states every field: a default would silently guess
-        # the trained network's shape, activation or dropout
-        if name not in model:
-            raise KeyError(name)
-    return (head_keys, ModelConfig.from_dict(model),
-            TrainConfig.from_dict(report["train_config"]), best_fold_index(report))
+    return (report["head_keys"],
+            read_config(ModelConfig, report["model_config"], "model_config", True),
+            read_config(TrainConfig, report["train_config"], "train_config", True),
+            best_fold_index(report))
+
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", bool: "true or false",
+               dict: "a JSON object", tuple: "a JSON array", frozenset: "a JSON array"}
+
+
+def read_config(cls, data, where: str, complete: bool):
+    """The dataclass cls built from the JSON object data; its fields are the
+    only schema.  An unknown or missing key, or a value of the wrong JSON
+    type (an int may stand for a float, a bool never for a number), is a
+    ConfigurationError naming where and the key.  Missing means any field
+    if complete, as in a run directory, else one with no default or marked
+    required.  Dataclass fields are read alike; each validate() runs."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{where}: not a JSON object")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+    for f in fields(cls):
+        has_default = f.default is not MISSING or f.default_factory is not MISSING
+        if f.name not in data and (complete or f.metadata.get("required")
+                                   or not has_default):
+            raise ConfigurationError(f"{where}: missing key {f.name!r}")
+    types = typing.get_type_hints(cls)
+    config = cls(**{name: _read_value(types[name], value, f"{where}.{name}", complete)
+                    for name, value in data.items()})
+    if hasattr(config, "validate"):
+        config.validate()
+    return config
+
+
+def _read_value(tp, value, where: str, complete: bool):
+    """value, of the JSON type of the annotation tp, converted to tp."""
+    if is_dataclass(tp):
+        return read_config(tp, value, where, complete)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if type(None) in args:   # X | None
+        return None if value is None else _read_value(args[0], value, where, complete)
+    if origin is dict and isinstance(value, dict):
+        return {key: _read_value(args[1], item, f"{where}.{key}", complete)
+                for key, item in value.items()}
+    if origin in (tuple, frozenset) and isinstance(value, list):
+        # tuple[X, ...] and frozenset[X] hold any number of X
+        item_types = args if len(args) > 1 and args[1] is not Ellipsis \
+            else args[:1] * len(value)
+        if len(item_types) == len(value):
+            return origin(_read_value(t, item, f"{where}[{i}]", complete)
+                          for i, (t, item) in enumerate(zip(item_types, value)))
+    if tp is float and type(value) in (int, float):
+        return float(value)
+    if origin is None and type(value) is tp:
+        return value
+    raise ConfigurationError(
+        f"{where}: expected {_JSON_TYPES[origin or tp]}, got {value!r}")
 
 
 def _load_embedding(path, shape: tuple[int, int]) -> np.ndarray:
@@ -458,8 +508,9 @@ def read_run(run_dir) -> SavedRun:
     head_keys, model_config, train_config, best_fold = _read_run_json(
         os.path.join(run_dir, "run_report.json"), _run_settings)
     vocab = Vocabulary.load(os.path.join(run_dir, "vocab.txt"))
-    prep_config = _read_run_json(os.path.join(run_dir, "preprocess.json"),
-                                 PreprocessConfig.from_dict)
+    prep_config = _read_run_json(
+        os.path.join(run_dir, "preprocess.json"),
+        lambda data: read_config(PreprocessConfig, data, "preprocess", True))
     matrix = _load_embedding(os.path.join(run_dir, "embedding.npy"),
                              (len(vocab), model_config.embed_dim))
     return SavedRun(run_dir, head_keys, model_config, train_config, best_fold,

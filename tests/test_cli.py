@@ -26,7 +26,8 @@ from abusekit.model import ModelConfig, load_checkpoint, save_checkpoint
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_gold_csv, write_test_csv,
                                 write_uli_csv)
-from abusekit.training import FORMAT_VERSION, best_fold_index
+from abusekit.text import PreprocessConfig
+from abusekit.training import FORMAT_VERSION, best_fold_index, read_config
 
 MODEL_SECTION = {
     "seq_len": 12, "embed_dim": 16, "conv_filters": 8, "conv_kernel": 2,
@@ -36,7 +37,8 @@ MODEL_SECTION = {
 }
 
 
-def write_config(path, train_jsonl, embeddings, out_dir=None, **train_overrides):
+def write_config(path, train_jsonl, embeddings, out_dir=None, preprocess=None,
+                 **train_overrides):
     train = {"task": 1, "language": "en", "folds": 3, "epochs": 8,
              "batch_size": 8, "seed": 5, "optimizer": {"lr": 5e-3}}
     train.update(train_overrides)
@@ -47,6 +49,8 @@ def write_config(path, train_jsonl, embeddings, out_dir=None, **train_overrides)
     }
     if out_dir is not None:
         config["output_dir"] = str(out_dir)
+    if preprocess is not None:
+        config["preprocess"] = preprocess
     path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return path
 
@@ -153,7 +157,8 @@ class TestTrain:
         matrix = np.load(run / "embedding.npy", allow_pickle=False)
         assert matrix.dtype == np.dtype("<f4") and matrix.shape[1] == 16
         report = json.loads((run / "run_report.json").read_text(encoding="utf-8"))
-        config = ModelConfig.from_dict(report["model_config"])
+        config = read_config(ModelConfig, report["model_config"], "model_config",
+                             True)
         for fold in range(3):
             fold_dir = run / f"fold{fold}"
             assert os.listdir(fold_dir) == ["weights.bin"]
@@ -223,6 +228,77 @@ class TestTrain:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "num_heads" in capsys.readouterr().err
+
+    BAD_VALUES = {   # case: (dotted key, value, what the message must hold)
+        "folds-string": ("train.folds", "2", "config.train.folds"),
+        "batch-size-float": ("train.batch_size", 2.5, "config.train.batch_size"),
+        "epochs-bool": ("train.epochs", True, "config.train.epochs"),
+        "seed-string": ("train.seed", "a", "config.train.seed"),
+        "seed-negative": ("train.seed", -1, "seed must not be negative"),
+        "seq-len-string": ("model.seq_len", "12", "config.model.seq_len"),
+        "model-list": ("model", [], "config.model"),
+        "lr-string": ("train.optimizer.lr", "x", "config.train.optimizer.lr"),
+        "lr-negative": ("train.optimizer.lr", -1.0, "lr=-1.0"),
+        "beta1-one": ("train.optimizer.beta1", 1.0, "beta1=1.0 outside [0, 1)"),
+        "stopword-files-string": ("preprocess.stopword_files", "x",
+                                  "config.preprocess.stopword_files"),
+        "strip-urls-string": ("preprocess.strip_urls", "no",
+                              "config.preprocess.strip_urls"),
+        "output-dir-int": ("output_dir", 5, "config.output_dir"),
+        "train-path-int": ("data.train", 0, "config.data.train"),
+    }
+
+    @pytest.mark.parametrize("case", list(BAD_VALUES))
+    def test_bad_value_rejected(self, pipeline, tmp_path, capsys, case):
+        # every value is checked for its type and range before any work
+        key, value, message = self.BAD_VALUES[case]
+        data = json.loads(write_config(
+            tmp_path / "c.json", pipeline["prep_dir"] / "train.jsonl",
+            pipeline["emb_path"], out_dir=tmp_path / "run", epochs=1,
+            folds=2).read_text(encoding="utf-8"))
+        *sections, name = key.split(".")
+        target = data
+        for section in sections:
+            target = target.setdefault(section, {})
+        target[name] = value
+        config_path = tmp_path / "bad.json"
+        config_path.write_text(json.dumps(data), encoding="utf-8")
+        rc = main(["train", "--config", str(config_path)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_emoji_file_alone_keeps_packaged_stopwords(self, pipeline, tmp_path):
+        # each named file replaces only its packaged counterpart
+        ranges = tmp_path / "emoji.txt"
+        ranges.write_text("1F600-1F64F\n", encoding="utf-8")
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1, folds=2,
+                              preprocess={"emoji_range_file": str(ranges)})
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(run)]) == 0
+        saved = json.loads((run / "preprocess.json").read_text(encoding="utf-8"))
+        packaged = PreprocessConfig.from_files().to_dict()
+        assert saved["stopwords"] == packaged["stopwords"]
+        assert set(saved["stopwords"]) == {"en", "hi", "ta"}
+        assert saved["emoji_ranges"] == [[0x1F600, 0x1F64F]]
+
+    def test_stopword_file_replaces_only_its_language(self, pipeline, tmp_path):
+        words = tmp_path / "en.txt"
+        words.write_text("the\nzzz\n", encoding="utf-8")
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1, folds=2,
+                              preprocess={"stopword_files": {"en": str(words)}})
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(config), "--out-dir", str(run)]) == 0
+        saved = json.loads((run / "preprocess.json").read_text(encoding="utf-8"))
+        packaged = PreprocessConfig.from_files().to_dict()
+        assert saved["stopwords"]["en"] == ["the", "zzz"]
+        for lang in ("hi", "ta"):
+            assert saved["stopwords"][lang] == packaged["stopwords"][lang]
+        assert saved["emoji_ranges"] == packaged["emoji_ranges"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "absent.json"),
@@ -532,6 +608,9 @@ class TestPredict:
         "list": ("run_report.json", "not a JSON object"),
         "garbled": ("run_report.json", "invalid JSON"),
         "no-emoji-ranges": ("preprocess.json", "missing key 'emoji_ranges'"),
+        "strip-urls-string": ("preprocess.json", "preprocess.strip_urls"),
+        "preprocess-unknown-key": ("preprocess.json", "unknown keys"),
+        "train-config-unknown-key": ("run_report.json", "unknown keys"),
     }
 
     @pytest.mark.parametrize("case", list(DAMAGED_RUN_FILES))
@@ -559,6 +638,12 @@ class TestPredict:
             data = [data]
         elif case == "no-emoji-ranges":
             del data["emoji_ranges"]
+        elif case == "strip-urls-string":
+            data["strip_urls"] = "no"
+        elif case == "preprocess-unknown-key":
+            data["bogus"] = 1
+        elif case == "train-config-unknown-key":
+            data["train_config"]["bogus"] = 1
         path.write_text("{bad" if case == "garbled" else json.dumps(data),
                         encoding="utf-8")
         rc = main(["predict", "--run-dir", str(clone),

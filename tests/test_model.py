@@ -12,7 +12,7 @@ from abusekit.errors import (AbusekitError, ConfigurationError, CorruptionError,
 from abusekit.layers import AdamConfig, softmax_cross_entropy
 from abusekit.model import (ModelConfig, build_model, labels_from_probs,
                             load_checkpoint, save_checkpoint, train_step)
-from abusekit.training import ensemble_predict
+from abusekit.training import ensemble_predict, read_config
 
 
 def make_table(vocab_rows, dim, seed=0, dtype=np.float32):
@@ -57,13 +57,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             ModelConfig(seq_len=1, conv_kernel=2).validate()
 
-    def test_from_dict_rejects_unknown_keys(self):
+    def test_reader_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError, match="unknown"):
-            ModelConfig.from_dict({"seq_len": 10, "bogus": 1})
+            read_config(ModelConfig, {"seq_len": 10, "bogus": 1}, "model", False)
 
     def test_round_trip(self):
         config = tiny_config(num_heads=2)
-        assert ModelConfig.from_dict(config.to_dict()) == config
+        assert read_config(ModelConfig, config.to_dict(), "model", True) == config
 
 
 class TestShapes:

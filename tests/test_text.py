@@ -8,6 +8,7 @@ from abusekit.text import (OOV_INDEX, PAD_INDEX, PreprocessConfig, Vocabulary,
                            build_vocab, clean, encode_batch,
                            load_emoji_ranges, load_stopwords, preprocess,
                            remove_stopwords, tokenize)
+from abusekit.training import read_config
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +225,7 @@ class TestPipelineDeterminism:
 
     def test_config_round_trip(self, config):
         data = config.to_dict()
-        back = PreprocessConfig.from_dict(data)
+        back = read_config(PreprocessConfig, data, "preprocess", True)
         assert back.stopwords == config.stopwords
         assert back.emoji_ranges == config.emoji_ranges
         assert back.strip_hashmark == config.strip_hashmark

@@ -21,8 +21,8 @@ from abusekit.synthetic import (make_marker_corpus, make_vector_file,
 from abusekit.training import (EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
                                ensemble_predict, evaluate, one_hot,
-                               read_curves, read_run, run_cv, train_epoch,
-                               write_report)
+                               read_config, read_curves, read_run, run_cv,
+                               train_epoch, write_report)
 
 
 def small_model_config(**overrides):
@@ -81,13 +81,26 @@ class TestTrainConfig:
 
     def test_dict_round_trip(self):
         config = TrainConfig.for_task(3, "ta", folds=4, ensemble="best")
-        assert TrainConfig.from_dict(config.to_dict()) == config
+        assert read_config(TrainConfig, config.to_dict(), "train", True) == config
         data = config.to_dict()
         del data["ensemble"]   # no silent default for a field of the run
-        with pytest.raises(KeyError, match="ensemble"):
-            TrainConfig.from_dict(data)
+        with pytest.raises(ConfigurationError, match="missing key 'ensemble'"):
+            read_config(TrainConfig, data, "train", True)
         with pytest.raises(ConfigurationError, match="ensemble"):
-            TrainConfig.from_dict({**config.to_dict(), "ensemble": "median"})
+            read_config(TrainConfig, {**config.to_dict(), "ensemble": "median"},
+                        "train", True)
+
+    def test_reader_numbers(self):
+        # an int stands for a float and is stored as one; a bool is no number
+        section = {"task": 2, "language": "hi", "optimizer": {"lr": 1}}
+        config = read_config(TrainConfig, section, "train", False)
+        assert config.optimizer.lr == 1.0 and type(config.optimizer.lr) is float
+        assert (config.batch_size, config.epochs) == (64, 7)   # task defaults
+        with pytest.raises(ConfigurationError, match=r"train\.optimizer\.lr"):
+            read_config(TrainConfig, {**section, "optimizer": {"lr": True}},
+                        "train", False)
+        with pytest.raises(ConfigurationError, match="missing key 'language'"):
+            read_config(TrainConfig, {"task": 1}, "train", False)
 
 
 class TestOneHot:
