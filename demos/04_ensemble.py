@@ -25,8 +25,8 @@ def main():
     all_tokens = vocabulary_of(train + held_out)
     vectors = make_vector_file(all_tokens, dim=16, seed=1)
 
-    train_config = TrainConfig.for_task(
-        1, "en", folds=5, epochs=12, batch_size=8, seed=4,
+    train_config = TrainConfig(
+        task=1, language="en", folds=5, epochs=12, batch_size=8, seed=4,
         optimizer=AdamConfig(lr=5e-3))
     model_config = ModelConfig(
         seq_len=12, embed_dim=16, conv_filters=8, lstm_units=8,

@@ -72,10 +72,7 @@ def load_run_config(path) -> RunConfig:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from None
-    config = read_config(RunConfig, raw, "config", complete=False)
-    if "num_heads" in raw.get("model", {}):
-        raise ConfigurationError("num_heads is derived from the task; remove it")
-    return config
+    return read_config(RunConfig, raw, "config", complete=False)
 
 
 def _load_vectors(path):
@@ -172,19 +169,18 @@ def cmd_train(args) -> int:
 
     report = run_cv(examples, train_config, vectors, out_dir, config.model,
                     prep_config)
-    print(f"task {report.task} ({report.language})  folds={train_config.folds}  "
-          f"epochs={train_config.epochs}  batch={train_config.batch_size}")
+    print(f"task {train_config.task} ({train_config.language})  "
+          f"folds={train_config.folds}  epochs={train_config.epochs}  "
+          f"batch={train_config.batch_size}")
     print(f"vocab size: {len(read_run(out_dir).vocab)}   embedding coverage: "
           f"{report.embedding_coverage:.3f}")
     header = f"{'fold':>4}  {'head':>4}  {'precision':>9}  {'recall':>9}  {'macro_f1':>9}"
     print(header)
     for fold_report in report.folds:
-        for key in report.head_keys:
-            cr = fold_report.head_reports[key]
+        for key, cr in fold_report.head_reports.items():
             print(f"{fold_report.fold:>4}  {key:>4}  {cr.macro_precision:>9.4f}  "
                   f"{cr.macro_recall:>9.4f}  {cr.macro_f1:>9.4f}")
-    for key in report.head_keys:
-        avg = report.averaged[key]
+    for key, avg in report.averaged.items():
         print(f" avg  {key:>4}  {avg['macro_precision']:>9.4f}  "
               f"{avg['macro_recall']:>9.4f}  {avg['macro_f1']:>9.4f}")
     print(f"outputs written to {out_dir}")

@@ -107,18 +107,14 @@ def classification_report(golds, preds, num_classes: int = 2) -> ClassificationR
     matrix = confusion(golds, preds, num_classes)
     precision, recall, support = [], [], []
     per_class_f1 = []
-    zero_div = 0
     for c in range(num_classes):
-        tp = float(matrix[c, c])
-        fp = float(matrix[:, c].sum()) - tp
-        fn = float(matrix[c, :].sum()) - tp
-        if tp + fp == 0 or tp + fn == 0:
-            zero_div += 1
         p, r = per_class_pr(matrix, c)
         precision.append(p)
         recall.append(r)
         support.append(int(matrix[c, :].sum()))
         per_class_f1.append(2 * p * r / (p + r) if p + r > 0 else 0.0)
+    # a class with no gold or no predicted example divides by zero
+    zero_div = int(((matrix.sum(axis=0) == 0) | (matrix.sum(axis=1) == 0)).sum())
     total = int(matrix.sum())
     accuracy = float(np.trace(matrix)) / total if total else 0.0
     map_, mar = macro_average(matrix)

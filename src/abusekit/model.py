@@ -22,6 +22,7 @@ from .layers import (AdamConfig, BiLstm, Conv1D, Dense, Dropout,
                      adam_step, softmax, softmax_cross_entropy)
 
 __all__ = [
+    "HEAD_CLASSES",
     "ModelConfig",
     "Network",
     "build_model",
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 _WEIGHTS_NAME = "weights.bin"
+# each head scores one binary label: class 0 or 1
+HEAD_CLASSES = 2
 
 
 @dataclass
@@ -46,15 +49,12 @@ class ModelConfig:
     dense_units: int = 128
     spatial_dropout_rate: float = 0.2
     final_dropout_rate: float = 0.1
-    num_heads: int = 1
-    classes_per_head: int = 2
     conv_activation: str = "relu"
     dense_activation: str = "relu"
-    seed: int = 0
 
     def validate(self) -> None:
         for name in ("seq_len", "embed_dim", "conv_filters", "conv_kernel",
-                     "lstm_units", "dense_units", "classes_per_head"):
+                     "lstm_units", "dense_units"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         for name in ("lstm_dropout", "lstm_recurrent_dropout",
@@ -62,8 +62,6 @@ class ModelConfig:
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigurationError(f"{name}={rate} outside [0, 1)")
-        if self.num_heads not in (1, 2):
-            raise ConfigurationError(f"num_heads must be 1 or 2, got {self.num_heads}")
         if self.seq_len < self.conv_kernel:
             raise ConfigurationError("seq_len shorter than conv kernel")
 
@@ -72,10 +70,10 @@ class ModelConfig:
 
 
 class Network:
-    """Built model: layer stack, head layers, and the frozen embedding."""
+    """Built model: layer stack, num_heads heads, and the frozen embedding."""
 
     def __init__(self, config: ModelConfig, embedding: EmbeddingLookup,
-                 rng: np.random.Generator, dtype=np.float32):
+                 num_heads: int, rng: np.random.Generator, dtype=np.float32):
         config.validate()
         self.config = config
         self.dtype = dtype
@@ -93,9 +91,9 @@ class Network:
         self.pool = GlobalAveragePool1D()
         self.final_dropout = Dropout(config.final_dropout_rate)
         self.heads = [
-            Dense(config.dense_units, config.classes_per_head, rng,
-                  activation="linear", dtype=dtype)
-            for _ in range(config.num_heads)
+            Dense(config.dense_units, HEAD_CLASSES, rng, activation="linear",
+                  dtype=dtype)
+            for _ in range(num_heads)
         ]
         for h, head in enumerate(self.heads):
             head.weight.name = f"head{h}.weight"
@@ -154,18 +152,15 @@ class Network:
             layer._cache = None
 
 
-def build_model(config: ModelConfig, table: EmbeddingTable,
-                rng: np.random.Generator | None = None,
-                dtype=np.float32) -> Network:
-    """Initialize a network; deterministic given config.seed."""
+def build_model(config: ModelConfig, table: EmbeddingTable, num_heads: int,
+                rng: np.random.Generator, dtype=np.float32) -> Network:
+    """Initialize a network from rng's draws."""
     config.validate()
     if table.matrix.shape[1] != config.embed_dim:
         raise ConfigurationError(
             f"embedding table dim {table.matrix.shape[1]} != config {config.embed_dim}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     embedding = EmbeddingLookup(table.matrix, dtype=dtype)
-    return Network(config, embedding, rng, dtype=dtype)
+    return Network(config, embedding, num_heads, rng, dtype=dtype)
 
 
 def train_step(network: Network, batch: np.ndarray,
@@ -230,10 +225,11 @@ def save_checkpoint(network: Network, directory) -> None:
             fh.write(np.ascontiguousarray(param.value, dtype="<f4").tobytes())
 
 
-def load_checkpoint(directory, config: ModelConfig, matrix: np.ndarray) -> Network:
-    """Build a network of the given config around the run's frozen
-    embedding matrix (|V| x embed_dim) and fill its parameters, in order,
-    from the directory's weights.bin."""
+def load_checkpoint(directory, config: ModelConfig, num_heads: int,
+                    matrix: np.ndarray) -> Network:
+    """Build a network of the given config and heads around the run's frozen
+    embedding matrix (|V| x embed_dim); fill its parameters, in order, from
+    the directory's weights.bin."""
     if matrix.ndim != 2 or matrix.shape[1] != config.embed_dim:
         raise CorruptionError(
             f"embed_dim {config.embed_dim} does not fit an embedding matrix "
@@ -244,8 +240,9 @@ def load_checkpoint(directory, config: ModelConfig, matrix: np.ndarray) -> Netwo
             raw = fh.read()
     except FileNotFoundError:
         raise CorruptionError(f"missing {path}") from None
-    network = Network(config, EmbeddingLookup(matrix),
-                      rng=np.random.default_rng(config.seed))
+    # every initial value is overwritten, so any fixed generator serves
+    network = Network(config, EmbeddingLookup(matrix), num_heads,
+                      np.random.default_rng(0))
     params = network.parameters()
     expected = 4 * sum(param.value.size for param in params)
     if len(raw) != expected:

@@ -17,8 +17,7 @@ import re
 import shutil
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import (MISSING, asdict, dataclass, field, fields, is_dataclass,
-                         replace)
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -30,8 +29,9 @@ from .errors import (AbusekitError, ConfigurationError, CorruptionError,
                      DataIntegrityError)
 from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
-from .model import (ModelConfig, Network, build_model, labels_from_probs,
-                    load_checkpoint, save_checkpoint, train_step)
+from .model import (HEAD_CLASSES, ModelConfig, Network, build_model,
+                    labels_from_probs, load_checkpoint, save_checkpoint,
+                    train_step)
 from .text import PreprocessConfig, Vocabulary, build_vocab, encode_batch
 from .text import preprocess as preprocess_text
 
@@ -51,6 +51,7 @@ __all__ = [
     "read_curves",
     "read_run",
     "run_cv",
+    "task_head_keys",
     "train_epoch",
     "write_report",
 ]
@@ -58,7 +59,12 @@ __all__ = [
 _TASK_DEFAULTS = {1: (32, 5), 2: (64, 7), 3: (32, 5)}
 # Version of the run directory layout: run_report.json and the fold
 # weights.bin files it describes.
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
+
+
+def task_head_keys(task: int) -> list[str]:
+    """The label keys a task's heads predict, in head order."""
+    return [KEY_TO_LABEL[q] for q in TASK_QUESTIONS[task]]
 
 
 @dataclass
@@ -79,12 +85,6 @@ class TrainConfig:
         batch, epochs = _TASK_DEFAULTS.get(self.task, _TASK_DEFAULTS[1])
         self.batch_size = batch if self.batch_size is None else self.batch_size
         self.epochs = epochs if self.epochs is None else self.epochs
-
-    @classmethod
-    def for_task(cls, task: int, language: str, **overrides) -> "TrainConfig":
-        config = cls(task=task, language=language, **overrides)
-        config.validate()
-        return config
 
     def validate(self) -> None:
         if self.task not in (1, 2, 3):
@@ -134,9 +134,6 @@ class FoldReport:
 
 @dataclass
 class RunReport:
-    task: int
-    language: str
-    head_keys: list[str]
     folds: list[FoldReport]
     averaged: dict[str, dict[str, float]]
     train_config: dict
@@ -150,9 +147,9 @@ class RunReport:
         return data
 
 
-def one_hot(labels: np.ndarray, classes: int = 2) -> np.ndarray:
+def one_hot(labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    out = np.zeros((len(labels), classes), dtype=np.float32)
+    out = np.zeros((len(labels), HEAD_CLASSES), dtype=np.float32)
     out[np.arange(len(labels)), labels] = 1.0
     return out
 
@@ -223,7 +220,7 @@ def _train_fold(fold: int, seed: int, model_config: ModelConfig,
     assert not set(val_idx.tolist()) & set(train_idx.tolist())
 
     rng = np.random.default_rng(seed)
-    network = build_model(replace(model_config, seed=seed), table, rng=rng)
+    network = build_model(model_config, table, len(head_keys), rng)
     train_labels = [label_arrays[k][train_idx] for k in head_keys]
     val_labels = [label_arrays[k][val_idx] for k in head_keys]
 
@@ -238,7 +235,7 @@ def _train_fold(fold: int, seed: int, model_config: ModelConfig,
     save_checkpoint(network, os.path.join(out_dir, f"fold{fold}"))
     head_reports = {
         key: classification_report(val_labels[h], val_preds[h],
-                                   num_classes=model_config.classes_per_head)
+                                   num_classes=HEAD_CLASSES)
         for h, key in enumerate(head_keys)
     }
     return FoldReport(fold=fold, epochs=records, head_reports=head_reports)
@@ -260,8 +257,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
         model_config = ModelConfig()
     if prep_config is None:
         prep_config = PreprocessConfig.from_files()
-    head_keys = [KEY_TO_LABEL[q] for q in TASK_QUESTIONS[config.task]]
-    model_config = replace(model_config, num_heads=len(head_keys))
+    head_keys = task_head_keys(config.task)
     model_config.validate()
 
     n = len(examples)
@@ -314,8 +310,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
                       for name in ("macro_precision", "macro_recall", "macro_f1",
                                    "macro_f1_class_mean", "accuracy")}
                 for key in head_keys}
-    report = RunReport(task=config.task, language=config.language,
-                       head_keys=head_keys, folds=fold_reports, averaged=averaged,
+    report = RunReport(folds=fold_reports, averaged=averaged,
                        train_config=config.to_dict(),
                        model_config=model_config.to_dict(),
                        embedding_coverage=table.coverage)
@@ -331,10 +326,9 @@ def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
     (exact two-way ties go to class 1)."""
     if not fold_states:
         raise ConfigurationError("no fold models given")
-    reference = {k: v for k, v in fold_states[0].config.to_dict().items() if k != "seed"}
+    config, num_heads = fold_states[0].config, len(fold_states[0].heads)
     for state in fold_states[1:]:
-        other = {k: v for k, v in state.config.to_dict().items() if k != "seed"}
-        if other != reference:
+        if state.config != config or len(state.heads) != num_heads:
             raise ConfigurationError("fold models disagree on configuration")
 
     # One fold at a time, so only one network's forward caches are alive.
@@ -342,10 +336,8 @@ def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
     # would add them, so the sums are bit-identical to it.
     test_sequences = np.asarray(test_sequences)
     k = len(fold_states)
-    config = fold_states[0].config
-    sums = [np.zeros((len(test_sequences), config.classes_per_head),
-                     dtype=fold_states[0].dtype)
-            for _ in range(config.num_heads)]
+    sums = [np.zeros((len(test_sequences), HEAD_CLASSES), dtype=fold_states[0].dtype)
+            for _ in range(num_heads)]
     for state in fold_states:
         for start in range(0, len(test_sequences), batch_size):
             probs = state.forward(test_sequences[start:start + batch_size])
@@ -361,10 +353,9 @@ def best_fold_index(report: dict) -> int:
     report is a run report in its JSON form: RunReport.to_dict(), or
     run_report.json as read back from a run directory.
     """
-    scores = [
-        float(np.mean([fr["head_reports"][k]["macro_f1"] for k in report["head_keys"]]))
-        for fr in report["folds"]
-    ]
+    keys = task_head_keys(report["train_config"]["task"])
+    scores = [float(np.mean([fr["head_reports"][k]["macro_f1"] for k in keys]))
+              for fr in report["folds"]]
     return int(np.argmax(scores))
 
 
@@ -383,7 +374,6 @@ class SavedRun:
     """A finished run directory as read_run reads it; folds load on demand."""
 
     directory: str
-    head_keys: list[str]
     model_config: ModelConfig
     train_config: TrainConfig
     best_fold: int
@@ -391,9 +381,13 @@ class SavedRun:
     prep_config: PreprocessConfig
     matrix: np.ndarray
 
+    @property
+    def head_keys(self) -> list[str]:
+        return task_head_keys(self.train_config.task)
+
     def load_fold(self, fold: int) -> Network:
         return load_checkpoint(os.path.join(self.directory, f"fold{fold}"),
-                               self.model_config, self.matrix)
+                               self.model_config, len(self.head_keys), self.matrix)
 
 
 def _read_run_json(path, parse):
@@ -417,15 +411,14 @@ def _read_run_json(path, parse):
 
 
 def _run_settings(report: dict):
-    """(head keys, model config, train config, best fold) of run_report.json.
+    """(model config, train config, best fold) of run_report.json.
     Every config field must be stated: a default would silently guess the
     trained network's shape, activation or dropout."""
     version = report.get("format_version")
     if version != FORMAT_VERSION:
         raise CorruptionError(f"format_version {version}, this version of abusekit "
                               f"reads {FORMAT_VERSION}; retrain older runs")
-    return (report["head_keys"],
-            read_config(ModelConfig, report["model_config"], "model_config", True),
+    return (read_config(ModelConfig, report["model_config"], "model_config", True),
             read_config(TrainConfig, report["train_config"], "train_config", True),
             best_fold_index(report))
 
@@ -505,7 +498,7 @@ def read_run(run_dir) -> SavedRun:
     """Read and check the run directory that run_cv finished.  A damaged
     or incomplete file is a CorruptionError naming it; each weights.bin is
     checked as SavedRun.load_fold reads it."""
-    head_keys, model_config, train_config, best_fold = _read_run_json(
+    model_config, train_config, best_fold = _read_run_json(
         os.path.join(run_dir, "run_report.json"), _run_settings)
     vocab = Vocabulary.load(os.path.join(run_dir, "vocab.txt"))
     prep_config = _read_run_json(
@@ -513,7 +506,7 @@ def read_run(run_dir) -> SavedRun:
         lambda data: read_config(PreprocessConfig, data, "preprocess", True))
     matrix = _load_embedding(os.path.join(run_dir, "embedding.npy"),
                              (len(vocab), model_config.embed_dim))
-    return SavedRun(run_dir, head_keys, model_config, train_config, best_fold,
+    return SavedRun(run_dir, model_config, train_config, best_fold,
                     vocab, prep_config, matrix)
 
 

@@ -162,17 +162,21 @@ class TestTrain:
         for fold in range(3):
             fold_dir = run / f"fold{fold}"
             assert os.listdir(fold_dir) == ["weights.bin"]
-            params = load_checkpoint(fold_dir, config, matrix).parameters()
+            params = load_checkpoint(fold_dir, config, 1, matrix).parameters()
             assert os.path.getsize(fold_dir / "weights.bin") == \
                 4 * sum(p.value.size for p in params)
 
     def test_report_contents(self, pipeline):
         report = json.loads(
             (pipeline["run_dir"] / "run_report.json").read_text(encoding="utf-8"))
-        assert report["format_version"] == FORMAT_VERSION == 5
-        # each fact once: vocab.txt and preprocess.json are not restated
+        assert report["format_version"] == FORMAT_VERSION == 6
+        # each fact once: vocab.txt, preprocess.json and train_config are
+        # not restated, and model_config holds exactly the model's fields
         assert "vocab_size" not in report and "preprocess_summary" not in report
-        assert report["task"] == 1
+        assert not {"task", "language", "head_keys"} & set(report)
+        assert sorted(report["model_config"]) == sorted(ModelConfig().to_dict())
+        assert len(report["model_config"]) == 12
+        assert report["train_config"]["task"] == 1
         assert report["train_config"]["batch_size"] == 8
         assert report["train_config"]["epochs"] == 8
         assert len(report["folds"]) == 3
@@ -228,6 +232,7 @@ class TestTrain:
                    "--out-dir", str(tmp_path / "x")])
         assert rc == 2
         assert "num_heads" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     BAD_VALUES = {   # case: (dotted key, value, what the message must hold)
         "folds-string": ("train.folds", "2", "config.train.folds"),
@@ -237,6 +242,10 @@ class TestTrain:
         "seed-negative": ("train.seed", -1, "seed must not be negative"),
         "seq-len-string": ("model.seq_len", "12", "config.model.seq_len"),
         "model-list": ("model", [], "config.model"),
+        # the run's seed is train.seed; every head is binary
+        "model-seed": ("model.seed", 0, "unknown keys in config.model: ['seed']"),
+        "model-classes-per-head": ("model.classes_per_head", 2,
+                                   "unknown keys in config.model: ['classes_per_head']"),
         "lr-string": ("train.optimizer.lr", "x", "config.train.optimizer.lr"),
         "lr-negative": ("train.optimizer.lr", -1.0, "lr=-1.0"),
         "beta1-one": ("train.optimizer.beta1", 1.0, "beta1=1.0 outside [0, 1)"),
@@ -536,7 +545,7 @@ class TestPredict:
         shutil.copytree(pipeline["run_dir"], clone)
         report_path = clone / "run_report.json"
         report = json.loads(report_path.read_text(encoding="utf-8"))
-        report["format_version"] = 4
+        report["format_version"] = 5
         report_path.write_text(json.dumps(report), encoding="utf-8")
         rc = main(["predict", "--run-dir", str(clone),
                    "--input", str(pipeline["test_csv"]),
@@ -544,7 +553,7 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert "run_report.json" in err
-        assert "format_version 4" in err and "reads 5" in err
+        assert "format_version 5" in err and "reads 6" in err
 
     @pytest.mark.parametrize("case", ["missing", "truncated", "float64", "1-D",
                                       "row-count", "width"])
@@ -595,7 +604,7 @@ class TestPredict:
         assert outputs[0] == outputs[1]
 
     DAMAGED_RUN_FILES = {   # case: (file, expected message)
-        "bare-object": ("run_report.json", "missing key 'head_keys'"),
+        "bare-object": ("run_report.json", "missing key 'model_config'"),
         "no-model-config": ("run_report.json", "missing key 'model_config'"),
         "no-ensemble": ("run_report.json", "missing key 'ensemble'"),
         "median-ensemble": ("run_report.json", "ensemble must be 'average' or 'best'"),

@@ -10,17 +10,20 @@ from abusekit.metrics import (classification_report, confusion, macro_average,
 
 
 def brute_force_scores(golds, preds, num_classes):
-    """Per-example counting, no matrix: the independent oracle."""
+    """Per-example counting, no matrix: the independent oracle.  Returns
+    (macro precision, macro recall, classes with a zero denominator)."""
     precisions, recalls = [], []
+    zero_division = 0
     for c in range(num_classes):
         tp = sum(1 for g, p in zip(golds, preds) if g == c and p == c)
         fp = sum(1 for g, p in zip(golds, preds) if g != c and p == c)
         fn = sum(1 for g, p in zip(golds, preds) if g == c and p != c)
         precisions.append(tp / (tp + fp) if tp + fp else 0.0)
         recalls.append(tp / (tp + fn) if tp + fn else 0.0)
+        zero_division += not (tp + fp and tp + fn)
     map_ = sum(precisions) / num_classes
     mar = sum(recalls) / num_classes
-    return map_, mar
+    return map_, mar, zero_division
 
 
 class TestConfusion:
@@ -103,9 +106,12 @@ class TestOracleAgreement:
                                    min_size=len(golds), max_size=len(golds)))
         matrix = confusion(golds, preds, num_classes)
         map_, mar = macro_average(matrix)
-        want_map, want_mar = brute_force_scores(golds, preds, num_classes)
+        want_map, want_mar, want_zero = brute_force_scores(golds, preds, num_classes)
         assert abs(map_ - want_map) < 1e-12
         assert abs(mar - want_mar) < 1e-12
+        report = classification_report(golds, preds, num_classes)
+        assert (report.macro_precision, report.macro_recall) == (map_, mar)
+        assert report.zero_division_count == want_zero
 
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=60), st.data())
     @settings(max_examples=150)

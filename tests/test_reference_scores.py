@@ -29,7 +29,7 @@ def run_benchmark(task: int, train_jsonl: str, vectors_path: str,
                   out_dir) -> float:
     examples = read_dataset(train_jsonl)
     vectors = parse_vector_file(vectors_path)
-    config = TrainConfig.for_task(task, "en")
+    config = TrainConfig(task=task, language="en")
     return run_cv(examples, config, vectors, out_dir).averaged["1"]["macro_f1"]
 
 

@@ -10,7 +10,6 @@ import pytest
 from conftest import held_caches
 
 from abusekit import training
-from abusekit.corpus import KEY_TO_LABEL, TASK_QUESTIONS
 from abusekit.errors import ConfigurationError, DataIntegrityError
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
@@ -22,7 +21,7 @@ from abusekit.training import (EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
                                ensemble_predict, evaluate, one_hot,
                                read_config, read_curves, read_run, run_cv,
-                               train_epoch, write_report)
+                               task_head_keys, train_epoch, write_report)
 
 
 def small_model_config(**overrides):
@@ -34,6 +33,11 @@ def small_model_config(**overrides):
     return ModelConfig(**base)
 
 
+def build(config, table, num_heads=1, seed=0):
+    """build_model with a fresh generator seeded at seed."""
+    return build_model(config, table, num_heads, np.random.default_rng(seed))
+
+
 def marker_setup(n=40, markers=None, seed=0):
     examples = make_marker_corpus(n, markers=markers, seed=seed)
     vectors = make_vector_file(vocabulary_of(examples), dim=8, seed=1)
@@ -42,21 +46,21 @@ def marker_setup(n=40, markers=None, seed=0):
 
 class TestTrainConfig:
     def test_task_defaults(self):
-        assert (TrainConfig.for_task(1, "en").batch_size,
-                TrainConfig.for_task(1, "en").epochs) == (32, 5)
-        assert (TrainConfig.for_task(2, "hi").batch_size,
-                TrainConfig.for_task(2, "hi").epochs) == (64, 7)
-        assert (TrainConfig.for_task(3, "ta").batch_size,
-                TrainConfig.for_task(3, "ta").epochs) == (32, 5)
+        assert (TrainConfig(task=1, language="en").batch_size,
+                TrainConfig(task=1, language="en").epochs) == (32, 5)
+        assert (TrainConfig(task=2, language="hi").batch_size,
+                TrainConfig(task=2, language="hi").epochs) == (64, 7)
+        assert (TrainConfig(task=3, language="ta").batch_size,
+                TrainConfig(task=3, language="ta").epochs) == (32, 5)
 
     def test_overrides_apply(self):
-        config = TrainConfig.for_task(2, "en", epochs=3, folds=2, seed=9)
+        config = TrainConfig(task=2, language="en", epochs=3, folds=2, seed=9)
         assert config.epochs == 3 and config.batch_size == 64
         assert config.folds == 2 and config.seed == 9
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            TrainConfig.for_task(4, "en")
+            TrainConfig(task=4, language="en").validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(task=1, language="fr").validate()
         with pytest.raises(ConfigurationError):
@@ -67,20 +71,18 @@ class TestTrainConfig:
             TrainConfig(ensemble="median").validate()
 
     def test_head_keys(self):
-        def head_keys(task):
-            return [KEY_TO_LABEL[q] for q in TASK_QUESTIONS[task]]
-        assert head_keys(1) == ["1"]
-        assert head_keys(2) == ["1"]
-        assert head_keys(3) == ["1", "3"]
+        assert task_head_keys(1) == ["1"]
+        assert task_head_keys(2) == ["1"]
+        assert task_head_keys(3) == ["1", "3"]
 
     def test_to_dict_shape(self):
-        data = TrainConfig.for_task(1, "en").to_dict()
+        data = TrainConfig(task=1, language="en").to_dict()
         assert data["optimizer"] == {"lr": 1e-3, "beta1": 0.9,
                                      "beta2": 0.999, "eps": 1e-7}
         assert data["task"] == 1 and data["language"] == "en"
 
     def test_dict_round_trip(self):
-        config = TrainConfig.for_task(3, "ta", folds=4, ensemble="best")
+        config = TrainConfig(task=3, language="ta", folds=4, ensemble="best")
         assert read_config(TrainConfig, config.to_dict(), "train", True) == config
         data = config.to_dict()
         del data["ensemble"]   # no silent default for a field of the run
@@ -126,7 +128,7 @@ class TestTrainEpoch:
         prep = None
         vocab = build_vocab([ex.text.split() for ex in examples])
         table = build_matrix(vocab, vectors, expected_dim=8)
-        net = build_model(config, table)
+        net = build(config, table)
         loss, acc = train_epoch(net, sequences, labels, batch_size=32,
                                 optimizer=AdamConfig(), rng=np.random.default_rng(1))
         assert net.parameters()[0].step_count == 4
@@ -141,7 +143,7 @@ class TestTrainEpoch:
         table = build_matrix(vocab, vectors, expected_dim=8)
         outcomes = []
         for _ in range(2):
-            net = build_model(config, table)
+            net = build(config, table)
             rng = np.random.default_rng(42)
             data_rng = np.random.default_rng(7)
             sequences = data_rng.integers(0, 5, size=(20, config.seq_len),
@@ -156,7 +158,7 @@ class TestTrainEpoch:
 
     def dropout_network(self, num_heads):
         # every dropout on, so the epoch's RNG draws shape the result
-        config = small_model_config(num_heads=num_heads, lstm_dropout=0.2,
+        config = small_model_config(lstm_dropout=0.2,
                                     lstm_recurrent_dropout=0.2,
                                     spatial_dropout_rate=0.2,
                                     final_dropout_rate=0.2)
@@ -164,7 +166,7 @@ class TestTrainEpoch:
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        return build_model(config, build_matrix(vocab, vectors, expected_dim=8))
+        return build(config, build_matrix(vocab, vectors, expected_dim=8), num_heads)
 
     def epoch_data(self, num_heads):
         rng = np.random.default_rng(5)
@@ -232,7 +234,7 @@ class TestEvaluate:
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        net = build_model(config, build_matrix(vocab, vectors, expected_dim=8))
+        net = build(config, build_matrix(vocab, vectors, expected_dim=8))
         empty = np.zeros((0, config.seq_len), dtype=np.int32)
         with pytest.raises(ConfigurationError, match="empty set"):
             evaluate(net, empty, [np.zeros(0, dtype=int)])
@@ -243,7 +245,7 @@ class TestEvaluate:
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        net = build_model(config, build_matrix(vocab, vectors, expected_dim=8))
+        net = build(config, build_matrix(vocab, vectors, expected_dim=8))
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(10, config.seq_len), dtype=np.int32)
         evaluate(net, sequences, [np.zeros(10, dtype=int)], batch_size=4)
@@ -260,8 +262,8 @@ def run_dir_bytes(run_dir):
 class TestRunCv:
     def run_small(self, out_dir, threads=1, seed=0):
         examples, vectors = marker_setup(n=40, seed=seed)
-        config = TrainConfig.for_task(1, "en", folds=4, epochs=2,
-                                      batch_size=8, seed=3, threads=threads)
+        config = TrainConfig(task=1, language="en", folds=4, epochs=2,
+                             batch_size=8, seed=3, threads=threads)
         return run_cv(examples, config, vectors, out_dir,
                       model_config=small_model_config())
 
@@ -269,7 +271,7 @@ class TestRunCv:
         report = self.run_small(tmp_path)
         assert len(report.folds) == 4
         assert all(len(fr.epochs) == 2 for fr in report.folds)
-        assert report.head_keys == ["1"]
+        assert list(report.averaged) == ["1"]
         assert set(report.averaged["1"]) == {
             "macro_precision", "macro_recall", "macro_f1",
             "macro_f1_class_mean", "accuracy"}
@@ -282,6 +284,7 @@ class TestRunCv:
         assert written == json.loads(json.dumps(report.to_dict()))
         assert "vocab_size" not in written and "preprocess_summary" not in written
         run = read_run(tmp_path)
+        assert run.head_keys == ["1"]
         assert len(run.vocab) > 2
         assert run.matrix.shape == (len(run.vocab), 8)
         for fold in range(4):
@@ -326,27 +329,27 @@ class TestRunCv:
     def test_two_head_task(self, tmp_path):
         examples, vectors = marker_setup(
             n=24, markers={"1": "zarnok", "3": "vexum"})
-        config = TrainConfig.for_task(3, "en", folds=3, epochs=1,
-                                      batch_size=8, seed=1)
+        config = TrainConfig(task=3, language="en", folds=3, epochs=1,
+                             batch_size=8, seed=1)
         report = run_cv(examples, config, vectors, tmp_path,
                         model_config=small_model_config())
-        assert report.head_keys == ["1", "3"]
-        assert set(report.averaged) == {"1", "3"}
+        assert list(report.averaged) == ["1", "3"]
         run = read_run(tmp_path)
+        assert run.head_keys == ["1", "3"]
         assert all(len(run.load_fold(fold).heads) == 2 for fold in range(3))
         for fr in report.folds:
             assert set(fr.head_reports) == {"1", "3"}
 
     def test_missing_head_label_rejected(self, tmp_path):
         examples, vectors = marker_setup(n=12)   # labels carry key "1" only
-        config = TrainConfig.for_task(3, "en", folds=3, epochs=1, batch_size=4)
+        config = TrainConfig(task=3, language="en", folds=3, epochs=1, batch_size=4)
         with pytest.raises(DataIntegrityError):
             run_cv(examples, config, vectors, tmp_path,
                    model_config=small_model_config())
 
     def test_too_few_examples(self, tmp_path):
         examples, vectors = marker_setup(n=4)
-        config = TrainConfig.for_task(1, "en", folds=5, epochs=1)
+        config = TrainConfig(task=1, language="en", folds=5, epochs=1)
         with pytest.raises(ConfigurationError):
             run_cv(examples, config, vectors, tmp_path,
                    model_config=small_model_config())
@@ -354,9 +357,8 @@ class TestRunCv:
     def test_validation_accuracy_trend_on_separable_corpus(self, tmp_path):
         examples = make_marker_corpus(90, seed=5, pool_size=30)
         vectors = make_vector_file(vocabulary_of(examples), dim=16, seed=1)
-        config = TrainConfig.for_task(1, "en", folds=3, epochs=12,
-                                      batch_size=8, seed=2,
-                                      optimizer=AdamConfig(lr=5e-3))
+        config = TrainConfig(task=1, language="en", folds=3, epochs=12,
+                             batch_size=8, seed=2, optimizer=AdamConfig(lr=5e-3))
         report = run_cv(examples, config, vectors, tmp_path,
                         model_config=small_model_config(
                             embed_dim=16, conv_filters=8, lstm_units=8))
@@ -366,7 +368,7 @@ class TestRunCv:
 
 def rigged_network(config, table, p1: float):
     """Network whose single head always outputs (1-p1, p1)."""
-    net = build_model(config, table)
+    net = build(config, table)
     head = net.heads[0]
     head.weight.value[...] = 0.0
     head.bias.value[...] = np.array([math.log(1.0 - p1), math.log(p1)],
@@ -412,9 +414,9 @@ class TestEnsemble:
         np.testing.assert_array_equal(ensemble_predict(states, sequences)[0], 1)
 
     def test_identical_models_match_single(self):
-        config = small_model_config(seed=13)
+        config = small_model_config()
         table = self.setup_table()
-        states = [build_model(config, table) for _ in range(5)]
+        states = [build(config, table, seed=13) for _ in range(5)]
         sequences = np.random.default_rng(2).integers(
             0, 5, size=(9, config.seq_len), dtype=np.int32)
         ensembled = ensemble_predict(states, sequences)[0]
@@ -433,27 +435,30 @@ class TestEnsemble:
         np.testing.assert_array_equal(forward, backward)
 
     def test_mismatched_configs_rejected(self):
+        # a different layer size, or the same config with another head count
         table = self.setup_table()
-        a = build_model(small_model_config(), table)
-        b = build_model(small_model_config(dense_units=6), table)
-        with pytest.raises(ConfigurationError):
-            ensemble_predict([a, b], np.zeros((1, 12), dtype=np.int32))
+        a = build(small_model_config(), table)
+        for b in (build(small_model_config(dense_units=6), table),
+                  build(small_model_config(), table, num_heads=2)):
+            with pytest.raises(ConfigurationError, match="disagree"):
+                ensemble_predict([a, b], np.zeros((1, 12), dtype=np.int32))
 
     def test_empty_states_rejected(self):
         with pytest.raises(ConfigurationError):
             ensemble_predict([], np.zeros((1, 12), dtype=np.int32))
 
     def test_seed_differences_allowed(self):
+        # folds differ by their generators' seeds alone
         table = self.setup_table()
-        a = build_model(small_model_config(seed=1), table)
-        b = build_model(small_model_config(seed=2), table)
+        a = build(small_model_config(), table, seed=1)
+        b = build(small_model_config(), table, seed=2)
         labels = ensemble_predict([a, b], np.zeros((2, 12), dtype=np.int32))
         assert labels[0].shape == (2,)
 
 
     def test_releases_every_fold(self):
         table = self.setup_table()
-        states = [build_model(small_model_config(seed=s), table) for s in range(3)]
+        states = [build(small_model_config(), table, seed=s) for s in range(3)]
         ensemble_predict(states, np.zeros((5, 12), dtype=np.int32), batch_size=2)
         for state in states:
             assert held_caches(state) == []
@@ -463,7 +468,7 @@ class TestEnsemble:
     def test_matches_batch_outer_reference(self, num_heads, batch_size):
         # fold-outer order adds the same p / k terms per post, in fold order
         table = self.setup_table()
-        states = [build_model(small_model_config(seed=s, num_heads=num_heads), table)
+        states = [build(small_model_config(), table, num_heads, seed=s)
                   for s in range(5)]
         sequences = np.random.default_rng(4).integers(
             0, table.matrix.shape[0], size=(30, 12), dtype=np.int32)
@@ -503,9 +508,9 @@ def report_with_scores(per_fold_preds):
             fold=i,
             epochs=[EpochRecord(1, 0.5, 0.5, 0.5, head_report.accuracy)],
             head_reports={"1": head_report}))
-    return RunReport(task=1, language="en", head_keys=["1"], folds=folds,
-                     averaged={}, train_config={}, model_config={},
-                     embedding_coverage=1.0)
+    return RunReport(folds=folds, averaged={},
+                     train_config=TrainConfig(task=1, language="en").to_dict(),
+                     model_config={}, embedding_coverage=1.0)
 
 
 class TestReportHelpers:
@@ -518,7 +523,7 @@ class TestReportHelpers:
         path = tmp_path / "report.json"
         write_report(report, path)
         data = json.loads(path.read_text(encoding="utf-8"))
-        assert data["task"] == 1
+        assert data["train_config"]["task"] == 1
         assert data["folds"][0]["head_reports"]["1"]["accuracy"] == 1.0
 
     def test_curves_row_count_and_round_trip(self, tmp_path):
@@ -529,8 +534,7 @@ class TestReportHelpers:
                                   rng.random(), rng.random())
                       for e in range(5)]
             folds.append(FoldReport(fold=f, epochs=epochs, head_reports={}))
-        report = RunReport(task=1, language="en", head_keys=["1"], folds=folds,
-                           averaged={}, train_config={}, model_config={},
+        report = RunReport(folds=folds, averaged={}, train_config={}, model_config={},
                            embedding_coverage=1.0)
         csv_path = tmp_path / "curves.csv"
         svg_path = tmp_path / "curves.svg"
