@@ -25,8 +25,8 @@ from .model import (ModelConfig, Network, build_model, load_checkpoint,
 from .text import (PreprocessConfig, Vocabulary, build_vocab, clean,
                    encode_batch, preprocess, remove_stopwords, tokenize)
 from .training import (RunReport, SavedRun, TrainConfig, emit_curves,
-                       ensemble_predict, read_config, read_curves, read_run,
-                       run_cv, write_report)
+                       ensemble_predict, read_config, read_run, run_cv,
+                       write_report)
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "preprocess",
     "read_cache",
     "read_config",
-    "read_curves",
     "read_dataset",
     "read_run",
     "remove_stopwords",

@@ -7,7 +7,6 @@ Every command is batch-mode and non-interactive.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -17,14 +16,15 @@ import numpy as np
 
 from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
                      load_external, merge_external, parse_integer,
-                     parse_uli_csv, read_dataset, split_train_test,
+                     parse_uli_csv, read_csv, read_dataset, split_train_test,
                      write_dataset)
 from .embeddings import build_matrix, parse_vector_file, read_cache
 from .errors import (AbusekitError, ConfigurationError, NumericError,
                      ParseError, SchemaError)
 from .metrics import classification_report
 from .model import ModelConfig
-from .text import PreprocessConfig, PreprocessFiles, Vocabulary, encode_batch
+from .text import (PreprocessConfig, PreprocessFiles, Vocabulary, encode_batch,
+                   open_text)
 from .text import preprocess as preprocess_text
 from .training import (TrainConfig, ensemble_predict, read_config, read_run,
                        run_cv)
@@ -66,8 +66,7 @@ class RunConfig:
 def load_run_config(path) -> RunConfig:
     """Read a run config file and check every value (read_config)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = json.load(open_text(path))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -190,27 +189,12 @@ def cmd_train(args) -> int:
 def _read_id_csv(path, column: str) -> list[tuple[int, str]]:
     """(post id, raw cell of column) for each row of a CSV with an id column."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError("file is empty", path=path)
-        fields = {name.strip().lower(): name for name in reader.fieldnames}
-        for required in ("id", column):
-            if required not in fields:
-                raise SchemaError(f"missing required column {required!r}", path=path)
-        for index, record in enumerate(reader):
-            for name in ("id", column):
-                if record[fields[name]] is None:
-                    raise ParseError(f"row {index}: no {name!r} cell", path=path)
-            if None in record:
-                raise ParseError(f"row {index}: more cells than the header "
-                                 "(quote a cell that holds a comma)", path=path)
-            raw = record[fields["id"]]
-            try:
-                rows.append((parse_integer(raw), record[fields[column]]))
-            except ValueError:
-                raise ParseError(f"row {index}: non-integer id {raw!r}",
-                                 path=path) from None
+    for index, (line, record) in enumerate(read_csv(path, ("id", column))[1]):
+        try:
+            rows.append((parse_integer(record["id"]), record[column]))
+        except ValueError:
+            raise ParseError(f"row {index}: non-integer id {record['id']!r}",
+                             path=path, line=line) from None
     return rows
 
 

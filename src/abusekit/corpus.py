@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+from .text import open_text
 
 __all__ = [
     "ANNOTATOR_COLUMNS",
@@ -43,6 +44,7 @@ __all__ = [
     "merge_external",
     "parse_integer",
     "parse_uli_csv",
+    "read_csv",
     "read_dataset",
     "split_train_test",
     "write_dataset",
@@ -177,6 +179,38 @@ def _normalize_key(raw: str, line: int | None = None, path=None) -> str:
     return key
 
 
+def read_csv(path, required) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """A CSV file's column names (stripped, lowercased) and, for each
+    non-blank row, (line, {column: cell}); a later column of a repeated
+    name wins.  Every CSV input is read through here: a file with no
+    header, a header without a required column, a row without a required
+    cell or with more cells than the header is an error naming the path."""
+    reader = csv.reader(open_text(path, newline=""))
+    try:
+        header = next(reader, None)
+        rows = [(reader.line_num, cells) for cells in reader if cells]
+    except csv.Error as exc:
+        raise ParseError(str(exc), path=path, line=reader.line_num) from None
+    if header is None:
+        raise SchemaError("file is empty", path=path)
+    columns = [name.strip().lower() for name in header]
+    for name in required:
+        if name not in columns:
+            raise SchemaError(f"missing required column {name!r}", path=path)
+    records = []
+    for index, (line, cells) in enumerate(rows):
+        if len(cells) > len(columns):
+            raise ParseError(f"row {index}: more cells than the header "
+                             "(quote a cell that holds a comma)", path=path, line=line)
+        record = dict(zip(columns, cells))
+        if len(cells) < len(columns):
+            for name in required:
+                if name not in record:
+                    raise ParseError(f"row {index}: no {name!r} cell", path=path, line=line)
+        records.append((line, record))
+    return columns, records
+
+
 def parse_uli_csv(path) -> list[RawAnnotationRow]:
     """Parse the shared-task CSV into one row object per record.
 
@@ -184,48 +218,31 @@ def parse_uli_csv(path) -> list[RawAnnotationRow]:
     annotator column group matching each row's language; text is preserved
     byte-exact (the csv module handles quoted commas/newlines).
     """
+    columns, records = read_csv(path, ("id", "text", "language", "key"))
+    annotator_cols = {lang: [c for c in cols if c in columns]
+                      for lang, cols in ANNOTATOR_COLUMNS.items()}
     rows: list[RawAnnotationRow] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError("file is empty", path=path)
-        header = {name.strip() for name in reader.fieldnames}
-        for required in ("id", "text", "language", "key"):
-            if required not in header:
-                raise SchemaError(f"missing required column {required!r}", path=path)
-        annotator_cols = {
-            lang: [c for c in cols if c in header]
-            for lang, cols in ANNOTATOR_COLUMNS.items()
-        }
-        for record in reader:
-            line = reader.line_num
-            language = _normalize_language(record["language"], line, path)
-            key = _normalize_key(record["key"], line, path)
-            cols = annotator_cols[language]
-            if not cols:
-                raise SchemaError(
-                    f"missing annotator columns for language {language!r} "
-                    f"(expected e.g. {ANNOTATOR_COLUMNS[language][0]!r})",
-                    path=path,
-                )
-            raw_id = (record["id"] or "").strip()
-            try:
-                row_id = parse_integer(raw_id)
-            except ValueError:
-                raise ParseError(f"non-integer id {raw_id!r}", path=path, line=line) from None
-            try:
-                votes = [(c, Vote.from_cell(record.get(c))) for c in cols]
-            except ParseError as exc:
-                raise ParseError(f"row id {row_id}: {exc}", path=path, line=line) from None
-            rows.append(
-                RawAnnotationRow(
-                    id=row_id,
-                    text=record["text"],
-                    language=language,
-                    key=key,
-                    votes=votes,
-                )
+    for line, record in records:
+        language = _normalize_language(record["language"], line, path)
+        key = _normalize_key(record["key"], line, path)
+        cols = annotator_cols[language]
+        if not cols:
+            raise SchemaError(
+                f"missing annotator columns for language {language!r} "
+                f"(expected e.g. {ANNOTATOR_COLUMNS[language][0]!r})",
+                path=path,
             )
+        raw_id = record["id"].strip()
+        try:
+            row_id = parse_integer(raw_id)
+        except ValueError:
+            raise ParseError(f"non-integer id {raw_id!r}", path=path, line=line) from None
+        try:
+            votes = [(c, Vote.from_cell(record.get(c))) for c in cols]
+        except ParseError as exc:
+            raise ParseError(f"row id {row_id}: {exc}", path=path, line=line) from None
+        rows.append(RawAnnotationRow(id=row_id, text=record["text"], language=language,
+                                     key=key, votes=votes))
     return rows
 
 
@@ -292,38 +309,16 @@ def load_external(path, source: str, language: str) -> list[LabeledExample]:
         raise ConfigurationError(f"unknown external source {source!r}")
     language = _normalize_language(language)
     examples = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError("file is empty", path=path)
-        fields = {name.strip().lower(): name for name in reader.fieldnames}
-        for required in ("text", "label"):
-            if required not in fields:
-                raise SchemaError(f"missing required column {required!r}", path=path)
-        for index, record in enumerate(reader):
-            raw = (record[fields["label"]] or "").strip()
-            if source == "macd":
-                try:
-                    label = MACD_LABEL_MAP[parse_integer(raw)]
-                except (ValueError, KeyError):
-                    raise ParseError(
-                        f"row {index}: unrecognized label {raw!r}", path=path
-                    ) from None
-            else:
-                try:
-                    label = MULTILATE_LABEL_MAP[raw.lower()]
-                except KeyError:
-                    raise ParseError(
-                        f"row {index}: unrecognized label {raw!r}", path=path
-                    ) from None
-            examples.append(
-                LabeledExample(
-                    text=record[fields["text"]],
-                    language=language,
-                    labels={"1": label},
-                    source=source,
-                )
-            )
+    for index, (line, record) in enumerate(read_csv(path, ("text", "label"))[1]):
+        raw = record["label"].strip()
+        try:
+            label = (MACD_LABEL_MAP[parse_integer(raw)] if source == "macd"
+                     else MULTILATE_LABEL_MAP[raw.lower()])
+        except (ValueError, KeyError):
+            raise ParseError(f"row {index}: unrecognized label {raw!r}",
+                             path=path, line=line) from None
+        examples.append(LabeledExample(text=record["text"], language=language,
+                                       labels={"1": label}, source=source))
     return examples
 
 
@@ -418,26 +413,28 @@ def write_dataset(examples: list[LabeledExample], path) -> None:
 def read_dataset(path) -> list[LabeledExample]:
     """Read a canonical dataset file written by :func:`write_dataset`."""
     examples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                labels = {str(k): int(v) for k, v in record["labels"].items()}
-                example = LabeledExample(
-                    text=record["text"],
-                    language=_normalize_language(record["language"]),
-                    labels=labels,
-                    source=record.get("source", "uli"),
+    for line_no, line in enumerate(open_text(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            text, language, labels = record["text"], record["language"], record["labels"]
+            if not (type(text) is str and type(language) is str and type(labels) is dict):
+                raise TypeError("text and language must be JSON strings, labels an object")
+            text.encode("utf-8")   # a lone surrogate ("\udcff") is not text
+            example = LabeledExample(
+                text=text,
+                language=_normalize_language(language),
+                labels=labels,
+                source=record.get("source", "uli"),
+            )
+        except (KeyError, TypeError, ValueError, ParseError) as exc:
+            raise ParseError(f"bad record: {exc}", path=path, line=line_no) from None
+        for value in example.labels.values():
+            if type(value) is not int or value not in (0, 1):   # not 0.9, true or "1"
+                raise ParseError(
+                    f"label values must be 0/1, got {value!r}", path=path, line=line_no
                 )
-            except (KeyError, TypeError, ValueError, ParseError) as exc:
-                raise ParseError(f"bad record: {exc}", path=path, line=line_no) from None
-            for value in labels.values():
-                if value not in (0, 1):
-                    raise ParseError(
-                        f"label values must be 0/1, got {value}", path=path, line=line_no
-                    )
-            examples.append(example)
+        examples.append(example)
     return examples

@@ -9,6 +9,7 @@ zero and which is never updated during training.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -59,12 +60,14 @@ def parse_vector_file(path) -> WordVectorFile:
     """Stream-parse a text vector file, inferring the dimension.
 
     The dimension is fixed by the first data line and enforced on every
-    later line.  Duplicate words keep the last occurrence.
+    later line.  Duplicate words keep the last occurrence.  A word keeps
+    its undecodable bytes (as surrogateescape does), so it stays distinct
+    and never matches a vocabulary token.
     """
     entries: dict[str, np.ndarray] = {}
     dimension = None
     had_header = False
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split(" ")
             if fields and fields[-1] == "":
@@ -107,7 +110,7 @@ def write_vector_file(vectors: WordVectorFile, path, header: bool = False) -> No
     Nine significant digits reproduce any float32 exactly on re-parse, so
     text round-trips are lossless, not merely close.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         if header:
             fh.write(f"{len(vectors.entries)} {vectors.dimension}\n")
         for word, vec in vectors.entries.items():
@@ -121,7 +124,7 @@ def write_cache(vectors: WordVectorFile, path) -> None:
         fh.write(struct.pack("<I", vectors.dimension))
         fh.write(struct.pack("<Q", len(vectors.entries)))
         for word, vec in vectors.entries.items():
-            encoded = word.encode("utf-8")
+            encoded = word.encode("utf-8", "surrogateescape")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(np.asarray(vec, dtype="<f4").tobytes())
@@ -140,6 +143,11 @@ def read_cache(path) -> WordVectorFile:
         count = struct.unpack("<Q", header[4:])[0]
         entries: dict[str, np.ndarray] = {}
         vec_bytes = 4 * dimension
+        # each entry takes 2 + vec_bytes bytes or more, so a damaged header
+        # is caught here instead of asking read() for gigabytes
+        if count * (2 + vec_bytes) > os.fstat(fh.fileno()).st_size - 16:
+            raise CorruptionError(f"{path}: {count} entries of dimension {dimension} "
+                                  "do not fit in the file")
         for i in range(count):
             raw_len = fh.read(2)
             if len(raw_len) != 2:
@@ -148,7 +156,7 @@ def read_cache(path) -> WordVectorFile:
             word_raw = fh.read(word_len)
             if len(word_raw) != word_len:
                 raise CorruptionError(f"{path}: truncated word for entry {i}")
-            word = word_raw.decode("utf-8")
+            word = word_raw.decode("utf-8", "surrogateescape")
             raw_vec = fh.read(vec_bytes)
             if len(raw_vec) != vec_bytes:
                 raise CorruptionError(f"{path}: truncated vector for entry {i}")

@@ -9,6 +9,7 @@ pads or truncates to a fixed length.
 
 from __future__ import annotations
 
+import io
 import re
 import unicodedata
 from collections import Counter
@@ -17,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, CorruptionError, ParseError
 
 __all__ = [
     "CleaningFlags",
@@ -31,6 +32,7 @@ __all__ = [
     "encode_batch",
     "load_emoji_ranges",
     "load_stopwords",
+    "open_text",
     "preprocess",
     "remove_stopwords",
     "tokenize",
@@ -47,6 +49,19 @@ _HASHTAG_DROP_RE = re.compile(r"#\w+")
 
 # Zero-width codepoints are deleted outright; visible emoji become a space.
 _ZERO_WIDTH = {0x200D} | set(range(0xFE00, 0xFE10))
+
+
+def open_text(path, newline=None) -> io.StringIO:
+    """The file's text, decoded as strict UTF-8, with open()'s newline
+    handling (newline="" for csv).  Every text input is read through here:
+    an undecodable byte is a ParseError naming the path and its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                         path=path, line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _content_lines(text: str):
@@ -77,11 +92,6 @@ def _parse_ranges(text: str, source) -> tuple[tuple[int, int], ...]:
     return tuple(ranges)
 
 
-def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _packaged(parse, name: str):
     text = resources.files("abusekit.data").joinpath(name).read_text(encoding="utf-8")
     return parse(text, name)
@@ -89,12 +99,12 @@ def _packaged(parse, name: str):
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' comment lines ignored."""
-    return _parse_stopwords(_read_text(path), path)
+    return _parse_stopwords(open_text(path).read(), path)
 
 
 def load_emoji_ranges(path) -> tuple[tuple[int, int], ...]:
     """Read inclusive hex codepoint ranges, one 'LO-HI' per line."""
-    return _parse_ranges(_read_text(path), path)
+    return _parse_ranges(open_text(path).read(), path)
 
 
 @dataclass
@@ -292,11 +302,12 @@ class Vocabulary:
     @classmethod
     def load(cls, path) -> "Vocabulary":
         mapping = {}
-        with open(path, encoding="utf-8") as fh:
-            for i, line in enumerate(fh):
-                token = line.rstrip("\n")
-                if token:
-                    mapping[token] = i + 2
+        for i, line in enumerate(open_text(path)):
+            token = line.rstrip("\n")
+            if not token or token in mapping:   # either would shift later indices
+                raise CorruptionError(f"{path}:{i + 1}: token {token!r} is empty or "
+                                      "repeated; each line holds one distinct token")
+            mapping[token] = i + 2
         return cls(token_to_index=mapping)
 
 

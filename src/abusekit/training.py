@@ -10,11 +10,11 @@ softmax probabilities over the fold models.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import re
 import shutil
+import tokenize
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
@@ -26,13 +26,14 @@ from .corpus import (KEY_TO_LABEL, LANGUAGES, TASK_QUESTIONS, LabeledExample,
                      kfold_indices)
 from .embeddings import WordVectorFile, build_matrix
 from .errors import (AbusekitError, ConfigurationError, CorruptionError,
-                     DataIntegrityError)
+                     DataIntegrityError, ParseError)
 from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (HEAD_CLASSES, ModelConfig, Network, build_model,
                     labels_from_probs, load_checkpoint, save_checkpoint,
                     train_step)
-from .text import PreprocessConfig, Vocabulary, build_vocab, encode_batch
+from .text import (PreprocessConfig, Vocabulary, build_vocab, encode_batch,
+                   open_text)
 from .text import preprocess as preprocess_text
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "evaluate",
     "one_hot",
     "read_config",
-    "read_curves",
     "read_run",
     "run_cv",
     "task_head_keys",
@@ -395,13 +395,14 @@ def _read_run_json(path, parse):
     missing, garbled or not an object, that lacks a key parse reads, or
     whose values fail validation is a CorruptionError naming it (exit 2)."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.load(open_text(path))
         if not isinstance(data, dict):
             raise CorruptionError("not a JSON object")
         return parse(data)
     except FileNotFoundError:
         raise CorruptionError(f"missing {path}") from None
+    except ParseError as exc:   # open_text's message names the path
+        raise CorruptionError(str(exc)) from None
     except json.JSONDecodeError as exc:
         raise CorruptionError(f"{path}: invalid JSON ({exc})") from None
     except KeyError as exc:
@@ -484,7 +485,8 @@ def _load_embedding(path, shape: tuple[int, int]) -> np.ndarray:
             matrix = np.lib.format.read_array(fh, allow_pickle=False)
     except FileNotFoundError:
         raise CorruptionError(f"missing {path}") from None
-    except (OSError, ValueError, EOFError) as exc:
+    except (OSError, ValueError, EOFError, tokenize.TokenError) as exc:
+        # TokenError: numpy re-tokenizes a header that does not parse
         raise CorruptionError(f"{path}: unreadable ({exc})") from None
     if matrix.dtype != np.float32 or matrix.shape != shape:
         raise CorruptionError(
@@ -529,22 +531,6 @@ def emit_curves(report: RunReport, csv_path, svg_path=None) -> None:
     if svg_path is not None:
         with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(_render_curves_svg(report))
-
-
-def read_curves(csv_path) -> list[dict]:
-    """Re-parse an emit_curves CSV into row dicts with numeric values."""
-    rows = []
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append({
-                "fold": int(row["fold"]),
-                "epoch": int(row["epoch"]),
-                "train_loss": float(row["train_loss"]),
-                "train_acc": float(row["train_acc"]),
-                "val_loss": float(row["val_loss"]),
-                "val_acc": float(row["val_acc"]),
-            })
-    return rows
 
 
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",

@@ -556,7 +556,7 @@ class TestPredict:
         assert "format_version 5" in err and "reads 6" in err
 
     @pytest.mark.parametrize("case", ["missing", "truncated", "float64", "1-D",
-                                      "row-count", "width"])
+                                      "row-count", "width", "unbalanced-header"])
     def test_damaged_embedding(self, pipeline, tmp_path, capsys, case):
         clone = tmp_path / "run_clone"
         shutil.copytree(pipeline["run_dir"], clone)
@@ -570,6 +570,8 @@ class TestPredict:
             np.save(path, matrix.astype(np.float64))
         elif case == "1-D":
             np.save(path, matrix.ravel())
+        elif case == "unbalanced-header":   # numpy re-tokenizes it: TokenError
+            path.write_bytes(path.read_bytes().replace(b"), }", b"(, }", 1))
         elif case == "row-count":
             vocab = clone / "vocab.txt"
             vocab.write_text("".join(vocab.read_text(encoding="utf-8")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from abusekit.corpus import (LabeledExample, Vote, aggregate_label,
                              assemble_examples, kfold_indices, load_external,
                              merge_external, parse_integer, parse_uli_csv,
-                             read_dataset, split_train_test, write_dataset)
+                             read_csv, read_dataset, split_train_test,
+                             write_dataset)
 from abusekit.errors import (ConfigurationError, DataIntegrityError,
                              ParseError, SchemaError)
 
@@ -79,6 +80,30 @@ def uli_rows(tmp_path, body, header=None):
     path = tmp_path / "uli.csv"
     path.write_text(header + "\n" + body, encoding="utf-8")
     return path
+
+
+class TestReadCsv:
+    def test_columns_and_rows(self, tmp_path):
+        # names are stripped and lowercased; blank rows are skipped but
+        # counted in the line numbers; a quoted cell may span lines
+        path = tmp_path / "a.csv"
+        path.write_text(' ID , Text\n1,"two\nlines"\n\n2,x\n', encoding="utf-8")
+        columns, rows = read_csv(path, ("id", "text"))
+        assert columns == ["id", "text"]
+        assert rows == [(3, {"id": "1", "text": "two\nlines"}),
+                        (5, {"id": "2", "text": "x"})]
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("", SchemaError, "file is empty"),
+        ("id,txt\n", SchemaError, "missing required column 'text'"),
+        ("id,text\n1,a\n2\n", ParseError, "a.csv:3: row 1: no 'text' cell"),
+        ("id,text\n1,a,b\n", ParseError, "a.csv:2: row 0: more cells than the header"),
+    ])
+    def test_rejects(self, tmp_path, text, error, message):
+        path = tmp_path / "a.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=message):
+            read_csv(path, ("id", "text"))
 
 
 class TestUliParsing:
@@ -293,6 +318,15 @@ class TestDatasetFiles:
         path.write_text('{"text": "x", "language": "en", "labels": {"1": 2}}\n',
                         encoding="utf-8")
         with pytest.raises(ParseError, match=r"jsonl:1:"):
+            read_dataset(path)
+
+    @pytest.mark.parametrize("value", ["0.9", "true", '"1"', "Infinity"])
+    def test_label_is_a_json_integer(self, tmp_path, value):
+        # a label is the JSON integer 0 or 1: nothing is rounded or coerced
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"text": "x", "language": "en", "labels": {"1": %s}}\n' % value,
+                        encoding="utf-8")
+        with pytest.raises(ParseError, match=r"jsonl:1: label values must be 0/1"):
             read_dataset(path)
 
     def test_malformed_line_reports_number(self, tmp_path):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,22 @@ class TestParsing:
         write_lines(path, ["cat 1 2 3", "dog 1 oops 3"])
         with pytest.raises(ParseError, match=r"v\.txt:2:"):
             parse_vector_file(path)
+
+    def test_undecodable_words_keep_their_bytes(self, tmp_path):
+        # words cut mid-character stay distinct, match no vocabulary token,
+        # and survive both writers byte for byte
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"a\xff 1 2\na\xfe 3 4\nb 5 6\n")
+        vectors = parse_vector_file(path)
+        assert len(vectors) == 3
+        table = build_matrix(build_vocab([["a\ufffd", "a", "b"]]), vectors)
+        assert table.coverage == pytest.approx(1 / 3)
+        text = tmp_path / "back.txt"
+        write_vector_file(vectors, text)
+        assert text.read_bytes() == path.read_bytes()
+        cache = tmp_path / "v.bin"
+        write_cache(vectors, cache)
+        assert list(read_cache(cache).entries) == list(vectors.entries)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -154,6 +172,16 @@ class TestBinaryCache:
         path = tmp_path / "v.bin"
         path.write_bytes(b"EMB1\x04")
         with pytest.raises(CorruptionError):
+            read_cache(path)
+
+    def test_header_larger_than_file(self, tmp_path):
+        # a damaged dimension is caught before any read of that size
+        path = tmp_path / "v.bin"
+        write_cache(self.sample(), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 10**6)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptionError, match="do not fit in the file"):
             read_cache(path)
 
     def test_trailing_garbage(self, tmp_path):

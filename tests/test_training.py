@@ -1,3 +1,4 @@
+import csv
 import gc
 import json
 import math
@@ -20,7 +21,7 @@ from abusekit.synthetic import (make_marker_corpus, make_vector_file,
 from abusekit.training import (EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
                                ensemble_predict, evaluate, one_hot,
-                               read_config, read_curves, read_run, run_cv,
+                               read_config, read_run, run_cv,
                                task_head_keys, train_epoch, write_report)
 
 
@@ -544,14 +545,14 @@ class TestReportHelpers:
         assert lines[0] == "fold,epoch,train_loss,train_acc,val_loss,val_acc"
         assert len(lines) == 1 + 25
 
-        rows = read_curves(csv_path)
+        with open(csv_path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
         assert len(rows) == 25
         flat = [(f.fold, r.epoch, r.train_loss, r.train_accuracy,
                  r.val_loss, r.val_accuracy)
                 for f in folds for r in f.epochs]
-        parsed = [(row["fold"], row["epoch"], row["train_loss"],
-                   row["train_acc"], row["val_loss"], row["val_acc"])
-                  for row in rows]
+        parsed = [(int(fold), int(epoch), *map(float, values))
+                  for fold, epoch, *values in rows]
         assert parsed == flat   # repr floats survive exactly
 
         tree = ET.fromstring(svg_path.read_text(encoding="utf-8"))
