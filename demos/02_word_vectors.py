@@ -41,11 +41,11 @@ def main():
 
         # vocabulary indices 0/1 are reserved for padding and OOV
         vocab = build_vocab([["apple", "banana", "zucchini"]])
-        table = build_matrix(vocab, vectors)
-        print(f"\nembedding matrix: {table.matrix.shape}, "
-              f"coverage {table.coverage:.2f} "
+        matrix, coverage = build_matrix(vocab, vectors)
+        print(f"\nembedding matrix: {matrix.shape}, "
+              f"coverage {coverage:.2f} "
               f"(zucchini missing, PAD and OOV rows stay zero)")
-        print(f"row norms: {np.linalg.norm(table.matrix, axis=1).round(3)}")
+        print(f"row norms: {np.linalg.norm(matrix, axis=1).round(3)}")
 
         cache = tmp / "vectors.cache"
         started = time.perf_counter()

@@ -11,7 +11,7 @@ from .corpus import (LabeledExample, aggregate_label, assemble_examples,
                      kfold_indices, load_external, merge_external,
                      parse_uli_csv, read_dataset, split_train_test,
                      write_dataset)
-from .embeddings import (EmbeddingTable, WordVectorFile, build_matrix,
+from .embeddings import (WordVectorFile, build_matrix, load_vectors,
                          parse_vector_file, read_cache, write_cache,
                          write_vector_file)
 from .errors import (AbusekitError, BoundsError, ConfigurationError,
@@ -20,8 +20,8 @@ from .errors import (AbusekitError, BoundsError, ConfigurationError,
 from .layers import AdamConfig, Parameter, adam_step, softmax_cross_entropy
 from .metrics import (ClassificationReport, classification_report, confusion,
                       macro_average, macro_f1, per_class_pr)
-from .model import (ModelConfig, Network, build_model, load_checkpoint,
-                    save_checkpoint, train_step)
+from .model import (ModelConfig, Network, load_checkpoint, save_checkpoint,
+                    train_step)
 from .text import (PreprocessConfig, Vocabulary, build_vocab, clean,
                    encode_batch, preprocess, remove_stopwords, tokenize)
 from .training import (RunReport, SavedRun, TrainConfig, emit_curves,
@@ -38,7 +38,6 @@ __all__ = [
     "ConfigurationError",
     "CorruptionError",
     "DataIntegrityError",
-    "EmbeddingTable",
     "LabeledExample",
     "ModelConfig",
     "Network",
@@ -57,7 +56,6 @@ __all__ = [
     "aggregate_label",
     "assemble_examples",
     "build_matrix",
-    "build_model",
     "build_vocab",
     "classification_report",
     "clean",
@@ -68,6 +66,7 @@ __all__ = [
     "kfold_indices",
     "load_checkpoint",
     "load_external",
+    "load_vectors",
     "macro_average",
     "macro_f1",
     "merge_external",

@@ -18,7 +18,7 @@ from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
                      load_external, merge_external, parse_integer,
                      parse_uli_csv, read_csv, read_dataset, split_train_test,
                      write_dataset)
-from .embeddings import build_matrix, parse_vector_file, read_cache
+from .embeddings import build_matrix, load_vectors
 from .errors import (AbusekitError, ConfigurationError, NumericError,
                      ParseError, SchemaError)
 from .metrics import classification_report
@@ -66,19 +66,12 @@ class RunConfig:
 def load_run_config(path) -> RunConfig:
     """Read a run config file and check every value (read_config)."""
     try:
-        raw = json.load(open_text(path))
+        raw = json.loads("".join(open_text(path)))
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from None
     return read_config(RunConfig, raw, "config", complete=False)
-
-
-def _load_vectors(path):
-    """Parse a text vector file, or read a write_cache file (its magic tells)."""
-    with open(path, "rb") as fh:
-        is_cache = fh.read(4) == b"EMB1"
-    return read_cache(path) if is_cache else parse_vector_file(path)
 
 
 def _parse_external_arg(value: str) -> tuple[str, str]:
@@ -164,7 +157,7 @@ def cmd_train(args) -> int:
     examples = read_dataset(config.data.train)
     if not examples:
         raise ConfigurationError("training dataset is empty")
-    vectors = _load_vectors(config.data.embeddings)
+    vectors = load_vectors(config.data.embeddings)
 
     report = run_cv(examples, train_config, vectors, out_dir, config.model,
                     prep_config)
@@ -186,12 +179,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _read_id_csv(path, column: str) -> list[tuple[int, str]]:
-    """(post id, raw cell of column) for each row of a CSV with an id column."""
+def _read_id_csv(path, column: str) -> list[tuple[int, int, str]]:
+    """(line, post id, raw cell of column) for each row of a CSV with an id
+    column."""
     rows = []
     for index, (line, record) in enumerate(read_csv(path, ("id", column))[1]):
         try:
-            rows.append((parse_integer(record["id"]), record[column]))
+            rows.append((line, parse_integer(record["id"]), record[column]))
         except ValueError:
             raise ParseError(f"row {index}: non-integer id {record['id']!r}",
                              path=path, line=line) from None
@@ -200,16 +194,18 @@ def _read_id_csv(path, column: str) -> list[tuple[int, str]]:
 
 def _read_label_csv(path, column: str = "label") -> dict[int, int]:
     out = {}
-    for index, (post_id, raw) in enumerate(_read_id_csv(path, column)):
+    for index, (line, post_id, raw) in enumerate(_read_id_csv(path, column)):
         try:
             label = parse_integer(raw)
         except ValueError:
-            raise ParseError(f"row {index}: bad label {raw!r}", path=path) from None
+            raise ParseError(f"row {index}: bad label {raw!r}",
+                             path=path, line=line) from None
         if label not in (0, 1):
             raise ParseError(f"row {index}: label must be 0 or 1, got {label}",
-                             path=path)
+                             path=path, line=line)
         if post_id in out:
-            raise ParseError(f"row {index}: duplicate id {post_id}", path=path)
+            raise ParseError(f"row {index}: duplicate id {post_id}",
+                             path=path, line=line)
         out[post_id] = label
     return out
 
@@ -221,9 +217,9 @@ def cmd_predict(args) -> int:
     states = [run.load_fold(fold) for fold in chosen]
 
     rows = _read_id_csv(args.input, "text")
-    ids = [post_id for post_id, _ in rows]
+    ids = [post_id for _, post_id, _ in rows]
     token_lists = [preprocess_text(text, run.train_config.language, run.prep_config)
-                   for _, text in rows]
+                   for _, _, text in rows]
     sequences = encode_batch(token_lists, run.vocab, max_len=run.model_config.seq_len)
     labels = ensemble_predict(states, sequences)
 
@@ -264,14 +260,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect_embeddings(args) -> int:
-    vectors = _load_vectors(args.file)
+    vectors = load_vectors(args.file)
     print(f"dimension: {vectors.dimension}")
     print(f"entries: {len(vectors)}")
     print(f"header: {'yes' if vectors.had_header else 'no'}")
     if args.vocab:
         vocab = Vocabulary.load(args.vocab)
-        table = build_matrix(vocab, vectors)
-        print(f"coverage: {table.coverage}")
+        print(f"coverage: {build_matrix(vocab, vectors)[1]}")
     return 0
 
 

@@ -222,7 +222,11 @@ def parse_uli_csv(path) -> list[RawAnnotationRow]:
     annotator_cols = {lang: [c for c in cols if c in columns]
                       for lang, cols in ANNOTATOR_COLUMNS.items()}
     rows: list[RawAnnotationRow] = []
-    for line, record in records:
+    width = len(set(columns))
+    for index, (line, record) in enumerate(records):
+        if len(record) < width:   # a cut vote cell is not a vote left unassigned
+            cut = next(c for c in columns if c not in record)
+            raise ParseError(f"row {index}: no {cut!r} cell", path=path, line=line)
         language = _normalize_language(record["language"], line, path)
         key = _normalize_key(record["key"], line, path)
         cols = annotator_cols[language]
@@ -238,7 +242,7 @@ def parse_uli_csv(path) -> list[RawAnnotationRow]:
         except ValueError:
             raise ParseError(f"non-integer id {raw_id!r}", path=path, line=line) from None
         try:
-            votes = [(c, Vote.from_cell(record.get(c))) for c in cols]
+            votes = [(c, Vote.from_cell(record[c])) for c in cols]
         except ParseError as exc:
             raise ParseError(f"row id {row_id}: {exc}", path=path, line=line) from None
         rows.append(RawAnnotationRow(id=row_id, text=record["text"], language=language,

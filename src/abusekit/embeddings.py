@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, CorruptionError, ParseError
-from .text import OOV_INDEX, PAD_INDEX, Vocabulary
+from .text import Vocabulary
 
 __all__ = [
-    "EmbeddingTable",
     "WordVectorFile",
     "build_matrix",
+    "load_vectors",
     "parse_vector_file",
     "read_cache",
     "write_cache",
@@ -135,7 +135,8 @@ def read_cache(path) -> WordVectorFile:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CACHE_MAGIC:
-            raise CorruptionError(f"{path}: bad magic {magic!r}, expected {_CACHE_MAGIC!r}")
+            raise CorruptionError(f"{path}: damaged vector cache: bad magic {magic!r}, "
+                                  f"expected {_CACHE_MAGIC!r}")
         header = fh.read(12)
         if len(header) != 12:
             raise CorruptionError(f"{path}: truncated header")
@@ -166,20 +167,25 @@ def read_cache(path) -> WordVectorFile:
     return WordVectorFile(dimension=dimension, entries=entries, had_header=False)
 
 
-@dataclass
-class EmbeddingTable:
-    """Vocabulary-aligned |V| x dim matrix. Frozen: never receives updates."""
-
-    matrix: np.ndarray
-    coverage: float
+def load_vectors(path) -> WordVectorFile:
+    """Read a write_cache file or parse a text vector file: the first 16
+    bytes tell which.  A cache header holds NUL bytes and the first line of
+    a text vector file none, so read_cache gets a file with NUL there and a
+    damaged magic too, and names it a damaged cache."""
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+    if head.startswith(_CACHE_MAGIC) or b"\0" in head:
+        return read_cache(path)
+    return parse_vector_file(path)
 
 
 def build_matrix(
     vocab: Vocabulary,
     vectors: WordVectorFile,
     expected_dim: int | None = None,
-) -> EmbeddingTable:
-    """Assemble the frozen lookup matrix for a vocabulary.
+) -> tuple[np.ndarray, float]:
+    """The frozen |V| x dim lookup matrix for a vocabulary, and the share
+    of its tokens that the file covers.
 
     Rows 0 (PAD) and 1 (OOV) are always zero, and so are the rows of
     tokens absent from the file.  Coverage counts only non-reserved tokens.
@@ -197,7 +203,4 @@ def build_matrix(
         if vec is not None:
             matrix[row] = vec
             hits += 1
-    matrix[PAD_INDEX] = 0.0
-    matrix[OOV_INDEX] = 0.0
-    coverage = hits / len(tokens) if tokens else 0.0
-    return EmbeddingTable(matrix=matrix, coverage=coverage)
+    return matrix, hits / len(tokens) if tokens else 0.0

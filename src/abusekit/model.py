@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
 from .errors import (ConfigurationError, CorruptionError, NumericError,
                      ShapeError)
 from .layers import (AdamConfig, BiLstm, Conv1D, Dense, Dropout,
@@ -25,7 +24,6 @@ __all__ = [
     "HEAD_CLASSES",
     "ModelConfig",
     "Network",
-    "build_model",
     "labels_from_probs",
     "load_checkpoint",
     "save_checkpoint",
@@ -70,14 +68,19 @@ class ModelConfig:
 
 
 class Network:
-    """Built model: layer stack, num_heads heads, and the frozen embedding."""
+    """Built model: layer stack, num_heads heads initialized from rng's
+    draws, and the frozen embedding matrix (|V| x embed_dim)."""
 
-    def __init__(self, config: ModelConfig, embedding: EmbeddingLookup,
-                 num_heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: ModelConfig, matrix: np.ndarray, num_heads: int,
+                 rng: np.random.Generator, dtype=np.float32):
         config.validate()
+        if matrix.ndim != 2 or matrix.shape[1] != config.embed_dim:
+            raise ConfigurationError(
+                f"embed_dim {config.embed_dim} does not fit an embedding matrix "
+                f"of shape {matrix.shape}")
         self.config = config
         self.dtype = dtype
-        self.embedding = embedding
+        self.embedding = EmbeddingLookup(matrix, dtype)
         self.spatial_dropout = SpatialDropout1D(config.spatial_dropout_rate)
         self.conv = Conv1D(config.embed_dim, config.conv_filters,
                            config.conv_kernel, rng,
@@ -113,8 +116,6 @@ class Network:
             raise ShapeError(
                 f"expected batch of shape (B, {self.config.seq_len}), got {batch.shape}")
         x = self.embedding.forward(batch)
-        if x.dtype != self.dtype:
-            x = x.astype(self.dtype)
         x = self.spatial_dropout.forward(x, train_mode, rng)
         x = self.conv.forward(x)
         x = self.bilstm.forward(x, train_mode, rng)
@@ -150,17 +151,6 @@ class Network:
         self.final_dropout._mask = None
         for layer in (self.conv, self.bilstm, self.dense, *self.heads):
             layer._cache = None
-
-
-def build_model(config: ModelConfig, table: EmbeddingTable, num_heads: int,
-                rng: np.random.Generator, dtype=np.float32) -> Network:
-    """Initialize a network from rng's draws."""
-    config.validate()
-    if table.matrix.shape[1] != config.embed_dim:
-        raise ConfigurationError(
-            f"embedding table dim {table.matrix.shape[1]} != config {config.embed_dim}")
-    embedding = EmbeddingLookup(table.matrix, dtype=dtype)
-    return Network(config, embedding, num_heads, rng, dtype=dtype)
 
 
 def train_step(network: Network, batch: np.ndarray,
@@ -230,10 +220,6 @@ def load_checkpoint(directory, config: ModelConfig, num_heads: int,
     """Build a network of the given config and heads around the run's frozen
     embedding matrix (|V| x embed_dim); fill its parameters, in order, from
     the directory's weights.bin."""
-    if matrix.ndim != 2 or matrix.shape[1] != config.embed_dim:
-        raise CorruptionError(
-            f"embed_dim {config.embed_dim} does not fit an embedding matrix "
-            f"of shape {matrix.shape}")
     path = os.path.join(directory, _WEIGHTS_NAME)
     try:
         with open(path, "rb") as fh:
@@ -241,8 +227,7 @@ def load_checkpoint(directory, config: ModelConfig, num_heads: int,
     except FileNotFoundError:
         raise CorruptionError(f"missing {path}") from None
     # every initial value is overwritten, so any fixed generator serves
-    network = Network(config, EmbeddingLookup(matrix), num_heads,
-                      np.random.default_rng(0))
+    network = Network(config, matrix, num_heads, np.random.default_rng(0))
     params = network.parameters()
     expected = 4 * sum(param.value.size for param in params)
     if len(raw) != expected:

@@ -9,10 +9,10 @@ pads or truncates to a fixed length.
 
 from __future__ import annotations
 
-import io
 import re
 import unicodedata
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -51,17 +51,24 @@ _HASHTAG_DROP_RE = re.compile(r"#\w+")
 _ZERO_WIDTH = {0x200D} | set(range(0xFE00, 0xFE10))
 
 
-def open_text(path, newline=None) -> io.StringIO:
-    """The file's text, decoded as strict UTF-8, with open()'s newline
-    handling (newline="" for csv).  Every text input is read through here:
-    an undecodable byte is a ParseError naming the path and its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def open_text(path, newline=None) -> Iterator[str]:
+    """The file's lines as read, decoded as strict UTF-8, with open()'s
+    newline handling (newline="" for csv).  Every text input is read
+    through here: an undecodable byte is a ParseError naming the path and
+    its line."""
     try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})",
-                         path=path, line=data.count(b"\n", 0, exc.start) + 1) from None
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:   # read again to find the byte's line
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                path=path, line=data.count(b"\n", 0, exc.start) + 1) from None
+        raise   # the file changed between the two reads
 
 
 def _content_lines(text: str):
@@ -99,12 +106,12 @@ def _packaged(parse, name: str):
 
 def load_stopwords(path) -> frozenset[str]:
     """Read a stopword file: one token per line, '#' comment lines ignored."""
-    return _parse_stopwords(open_text(path).read(), path)
+    return _parse_stopwords("".join(open_text(path)), path)
 
 
 def load_emoji_ranges(path) -> tuple[tuple[int, int], ...]:
     """Read inclusive hex codepoint ranges, one 'LO-HI' per line."""
-    return _parse_ranges(open_text(path).read(), path)
+    return _parse_ranges("".join(open_text(path)), path)
 
 
 @dataclass

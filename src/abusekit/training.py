@@ -29,9 +29,8 @@ from .errors import (AbusekitError, ConfigurationError, CorruptionError,
                      DataIntegrityError, ParseError)
 from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
-from .model import (HEAD_CLASSES, ModelConfig, Network, build_model,
-                    labels_from_probs, load_checkpoint, save_checkpoint,
-                    train_step)
+from .model import (HEAD_CLASSES, ModelConfig, Network, labels_from_probs,
+                    load_checkpoint, save_checkpoint, train_step)
 from .text import (PreprocessConfig, Vocabulary, build_vocab, encode_batch,
                    open_text)
 from .text import preprocess as preprocess_text
@@ -212,7 +211,7 @@ def evaluate(network: Network, sequences: np.ndarray,
 
 
 def _train_fold(fold: int, seed: int, model_config: ModelConfig,
-                table, sequences, label_arrays, head_keys,
+                matrix, sequences, label_arrays, head_keys,
                 folds, config: TrainConfig, out_dir) -> FoldReport:
     """Train one fold and write its weights.bin; only its report outlives it."""
     val_idx = folds.val_indices(fold)
@@ -220,7 +219,7 @@ def _train_fold(fold: int, seed: int, model_config: ModelConfig,
     assert not set(val_idx.tolist()) & set(train_idx.tolist())
 
     rng = np.random.default_rng(seed)
-    network = build_model(model_config, table, len(head_keys), rng)
+    network = Network(model_config, matrix, len(head_keys), rng)
     train_labels = [label_arrays[k][train_idx] for k in head_keys]
     val_labels = [label_arrays[k][val_idx] for k in head_keys]
 
@@ -271,7 +270,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     token_lists = [preprocess_text(ex.text, ex.language, prep_config)
                    for ex in examples]
     vocab = build_vocab(token_lists)
-    table = build_matrix(vocab, vectors, expected_dim=model_config.embed_dim)
+    matrix, coverage = build_matrix(vocab, vectors, expected_dim=model_config.embed_dim)
     sequences = encode_batch(token_lists, vocab, max_len=model_config.seq_len)
     label_arrays = {k: np.array([ex.labels[k] for ex in examples]) for k in head_keys}
 
@@ -287,7 +286,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
         if match and int(match.group(1)) >= config.folds and os.path.isdir(path):
             shutil.rmtree(path)
     np.save(os.path.join(out_dir, "embedding.npy"),
-            table.matrix.astype("<f4", copy=False))
+            matrix.astype("<f4", copy=False))
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     _write_json(prep_config.to_dict(), os.path.join(out_dir, "preprocess.json"))
 
@@ -295,7 +294,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     fold_seeds = np.random.SeedSequence(config.seed).generate_state(config.folds)
 
     def job(fold):
-        return _train_fold(fold, int(fold_seeds[fold]), model_config, table,
+        return _train_fold(fold, int(fold_seeds[fold]), model_config, matrix,
                            sequences, label_arrays, head_keys, folds, config,
                            out_dir)
 
@@ -313,7 +312,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     report = RunReport(folds=fold_reports, averaged=averaged,
                        train_config=config.to_dict(),
                        model_config=model_config.to_dict(),
-                       embedding_coverage=table.coverage)
+                       embedding_coverage=coverage)
     emit_curves(report, os.path.join(out_dir, "curves.csv"),
                 os.path.join(out_dir, "curves.svg"))
     write_report(report, report_path)
@@ -395,7 +394,7 @@ def _read_run_json(path, parse):
     missing, garbled or not an object, that lacks a key parse reads, or
     whose values fail validation is a CorruptionError naming it (exit 2)."""
     try:
-        data = json.load(open_text(path))
+        data = json.loads("".join(open_text(path)))
         if not isinstance(data, dict):
             raise CorruptionError("not a JSON object")
         return parse(data)

@@ -20,7 +20,7 @@ from abusekit.embeddings import (build_matrix, parse_vector_file, read_cache,
 from abusekit.layers import (AdamConfig, BiLstm, Conv1D, Dense,
                              GlobalAveragePool1D, Lstm, softmax_cross_entropy)
 from abusekit.metrics import confusion, macro_average, macro_f1
-from abusekit.model import (ModelConfig, build_model, load_checkpoint,
+from abusekit.model import (ModelConfig, Network, load_checkpoint,
                             save_checkpoint)
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
@@ -178,12 +178,12 @@ def test_overfit_full_shape_small_corpus():
                    for ex in examples]
     vocab = build_vocab(token_lists)
     vectors = make_vector_file(vocabulary_of(examples), dim=300, seed=0)
-    table = build_matrix(vocab, vectors, expected_dim=300)
+    matrix, _ = build_matrix(vocab, vectors, expected_dim=300)
 
     config = ModelConfig()
     sequences = encode_batch(token_lists, vocab, max_len=config.seq_len)
     labels = np.array([ex.labels["1"] for ex in examples])
-    network = build_model(config, table, 1, np.random.default_rng(0))
+    network = Network(config, matrix, 1, np.random.default_rng(0))
 
     started = time.perf_counter()
     rng = np.random.default_rng(7)
@@ -260,8 +260,8 @@ def test_embedding_round_trip(tmp_path):
     token_lists = [preprocess_text(ex.text, ex.language, prep)
                    for ex in examples]
     vocab = build_vocab(token_lists)
-    original = build_matrix(vocab, vectors).matrix
-    rebuilt = build_matrix(vocab, reparsed).matrix
+    original, _ = build_matrix(vocab, vectors)
+    rebuilt, _ = build_matrix(vocab, reparsed)
     assert np.max(np.abs(original - rebuilt)) <= 1e-6
 
     with_header = tmp_path / "with_header.txt"
@@ -286,9 +286,7 @@ def test_checkpoint_round_trip(tmp_path):
                          lstm_units=5, dense_units=7)
     table_rows = rng.standard_normal((20, 12)).astype(np.float32)
     table_rows[:2] = 0.0
-    from abusekit.embeddings import EmbeddingTable
-    table = EmbeddingTable(matrix=table_rows, coverage=1.0)
-    network = build_model(config, table, 1, np.random.default_rng(8))
+    network = Network(config, table_rows, 1, np.random.default_rng(8))
 
     batches = [rng.integers(0, 20, size=(4, 10)) for _ in range(3)]
     before = [[p.copy() for p in network.forward(b)] for b in batches]

@@ -681,7 +681,7 @@ class TestPredict:
         assert rc == 2
         assert "row 1: more cells than the header" in capsys.readouterr().err
         posts.write_text('id,text\n4,"hello, world"\n', encoding="utf-8")
-        assert _read_id_csv(posts, "text") == [(4, "hello, world")]
+        assert _read_id_csv(posts, "text") == [(2, 4, "hello, world")]   # (line, id, cell)
 
     def test_ids_parsed_strictly(self, pipeline, tmp_path, capsys):
         posts = tmp_path / "posts.csv"
@@ -750,7 +750,7 @@ class TestEvaluate:
         pred.write_text("id,label\n1,2\n", encoding="utf-8")
         rc = main(["evaluate", "--gold", str(gold), "--pred", str(pred)])
         assert rc == 2
-        assert "label must be 0 or 1" in capsys.readouterr().err
+        assert f"{pred}:2: row 0: label must be 0 or 1, got 2" in capsys.readouterr().err
 
     def test_ids_above_2_53_stay_distinct(self, tmp_path, capsys):
         gold = tmp_path / "gold.csv"
@@ -763,10 +763,10 @@ class TestEvaluate:
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
 
-    @pytest.mark.parametrize("rows, message", [
-        ("1,1\n2,0\n1,0\n", "duplicate id 1"),
-        ("1.7,1\n2,0\n", "non-integer id '1.7'"),
-        ("1,0.5\n2,0\n", "bad label '0.5'")],
+    @pytest.mark.parametrize("rows, message", [   # each names the row's line
+        ("1,1\n2,0\n1,0\n", ":4: row 2: duplicate id 1"),
+        ("1.7,1\n2,0\n", ":2: row 0: non-integer id '1.7'"),
+        ("1,0.5\n2,0\n", ":2: row 0: bad label '0.5'")],
         ids=["duplicate-id", "fractional-id", "fractional-label"])
     def test_bad_rows_rejected(self, tmp_path, capsys, rows, message):
         gold = tmp_path / "gold.csv"
@@ -775,7 +775,7 @@ class TestEvaluate:
         pred.write_text("id,label\n" + rows, encoding="utf-8")
         rc = main(["evaluate", "--gold", str(gold), "--pred", str(pred)])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert f"{pred}{message}" in capsys.readouterr().err
 
 
 class TestInspectEmbeddings:

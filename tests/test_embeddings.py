@@ -60,8 +60,8 @@ class TestParsing:
         path.write_bytes(b"a\xff 1 2\na\xfe 3 4\nb 5 6\n")
         vectors = parse_vector_file(path)
         assert len(vectors) == 3
-        table = build_matrix(build_vocab([["a\ufffd", "a", "b"]]), vectors)
-        assert table.coverage == pytest.approx(1 / 3)
+        _, coverage = build_matrix(build_vocab([["a\ufffd", "a", "b"]]), vectors)
+        assert coverage == pytest.approx(1 / 3)
         text = tmp_path / "back.txt"
         write_vector_file(vectors, text)
         assert text.read_bytes() == path.read_bytes()
@@ -198,15 +198,15 @@ class TestMatrixAssembly:
         entries = {"cat": np.array([1.0, 2.0], dtype=np.float32),
                    "dog": np.array([3.0, 4.0], dtype=np.float32)}
         vectors = WordVectorFile(dimension=2, entries=entries, had_header=False)
-        table = build_matrix(vocab, vectors)
+        matrix, coverage = build_matrix(vocab, vectors)
         assert len(vocab) == 5   # 3 tokens + PAD + OOV
-        assert table.matrix.shape == (5, 2)
-        assert table.matrix.dtype == np.float32
-        np.testing.assert_array_equal(table.matrix[0], 0.0)
-        np.testing.assert_array_equal(table.matrix[1], 0.0)
-        np.testing.assert_array_equal(table.matrix[vocab.index_of("cat")], [1, 2])
-        assert table.matrix[vocab.index_of("bird")].tolist() == [0.0, 0.0]
-        assert table.coverage == pytest.approx(2 / 3)
+        assert matrix.shape == (5, 2)
+        assert matrix.dtype == np.float32
+        np.testing.assert_array_equal(matrix[0], 0.0)
+        np.testing.assert_array_equal(matrix[1], 0.0)
+        np.testing.assert_array_equal(matrix[vocab.index_of("cat")], [1, 2])
+        assert matrix[vocab.index_of("bird")].tolist() == [0.0, 0.0]
+        assert coverage == pytest.approx(2 / 3)
 
     def test_expected_dim_enforced(self):
         vocab = build_vocab([["cat"]])
@@ -221,4 +221,4 @@ class TestMatrixAssembly:
         entries = {"x": np.ones(3, dtype=np.float32),
                    "y": np.ones(3, dtype=np.float32)}
         vectors = WordVectorFile(dimension=3, entries=entries, had_header=False)
-        assert build_matrix(vocab, vectors).coverage == 1.0
+        assert build_matrix(vocab, vectors)[1] == 1.0

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from abusekit.cli import main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import WordVectorFile, write_cache, write_vector_file
+from abusekit.errors import ParseError
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_gold_csv, write_test_csv,
                                 write_uli_csv)
@@ -139,6 +140,20 @@ def test_undecodable_byte_names_path_and_line(workspace, capsys, name):
     assert err.count(str(path)) == 1
 
 
+def test_undecodable_byte_far_into_a_file(tmp_path):
+    # a file is decoded as it streams in: a bad byte past the first 64 KB
+    # still names its own line
+    record = json.dumps({"text": "a post", "language": "en", "labels": {"1": 0}})
+    lines = [record.encode("utf-8")] * 2000
+    lines[1500] = b"\xff" + lines[1500]
+    path = tmp_path / "train.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    assert path.read_bytes().index(b"\xff") > 65536
+    with pytest.raises(ParseError) as info:
+        read_dataset(path)
+    assert str(info.value) == f"{path}:1501: not UTF-8 text: byte 0xff (invalid start byte)"
+
+
 def test_padded_header_cells_match(workspace, tmp_path):
     # header names match case- and space-insensitively, in every CSV input
     path = workspace / "annotations.csv"
@@ -155,6 +170,8 @@ def test_padded_header_cells_match(workspace, tmp_path):
 
 ANNOTATION_ROWS = {   # case: (appended row, expected message)
     "short": (b"99,hello\n", "row 72: no 'language' cell"),
+    # a cut vote cell is not an unassigned vote: the row is damaged
+    "votes cut": (b"99,hello,en,question_1,1\n", "row 72: no 'en_a2' cell"),
     "long": (b"99,hello,en,question_1,1,1,1,1,1,1,extra\n",
              "row 72: more cells than the header"),
 }
@@ -247,6 +264,19 @@ def test_damaged_cache_word_keeps_its_bytes(tmp_path, capsys):
     cache.write_bytes(cache.read_bytes().replace(b"a~", b"a\xff").replace(b"a}", b"a\xfe"))
     assert main(["inspect-embeddings", "--file", str(cache)]) == 0
     assert "entries: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bit", range(32))
+def test_damaged_cache_magic_named(tmp_path, capsys, bit):
+    # the header's NUL bytes still tell a cache whose EMB1 magic is damaged
+    cache = tmp_path / "vectors.bin"
+    write_cache(WordVectorFile(dimension=2, had_header=False,
+                               entries={"a": np.ones(2, np.float32)}), cache)
+    blob = bytearray(cache.read_bytes())
+    blob[bit // 8] ^= 1 << bit % 8
+    cache.write_bytes(bytes(blob))
+    assert main(["inspect-embeddings", "--file", str(cache)]) == 2
+    assert f"{cache}: damaged vector cache: bad magic" in capsys.readouterr().err
 
 
 def mutate(data: bytes, kind: str, at: int, bit: int) -> bytes:

@@ -5,21 +5,20 @@ import numpy as np
 import pytest
 from conftest import held_caches, max_rel_error, numerical_grad
 
-from abusekit.embeddings import EmbeddingTable
 from abusekit.errors import (AbusekitError, ConfigurationError, CorruptionError,
                              ShapeError)
 from abusekit.layers import AdamConfig, softmax_cross_entropy
-from abusekit.model import (ModelConfig, build_model, labels_from_probs,
+from abusekit.model import (ModelConfig, Network, labels_from_probs,
                             load_checkpoint, save_checkpoint, train_step)
 from abusekit.training import ensemble_predict, read_config
 
 
-def make_table(vocab_rows, dim, seed=0, dtype=np.float32):
+def make_matrix(vocab_rows, dim, seed=0, dtype=np.float32):
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-0.5, 0.5, size=(vocab_rows, dim)).astype(dtype)
     matrix[0] = 0.0
     matrix[1] = 0.0
-    return EmbeddingTable(matrix=matrix, coverage=1.0)
+    return matrix
 
 
 def tiny_config(**overrides):
@@ -31,9 +30,9 @@ def tiny_config(**overrides):
     return ModelConfig(**base)
 
 
-def build(config, table, num_heads=1, seed=3, dtype=np.float32):
-    """build_model with a fresh generator seeded at seed."""
-    return build_model(config, table, num_heads, np.random.default_rng(seed), dtype)
+def build(config, matrix, num_heads=1, seed=3, dtype=np.float32):
+    """Network with a fresh generator seeded at seed."""
+    return Network(config, matrix, num_heads, np.random.default_rng(seed), dtype)
 
 
 def random_batch(config, vocab_rows, batch=2, seed=0):
@@ -71,8 +70,8 @@ class TestConfig:
 class TestShapes:
     def test_full_default_chain(self):
         config = ModelConfig()
-        table = make_table(30, 300)
-        net = build(config, table, seed=0)
+        matrix = make_matrix(30, 300)
+        net = build(config, matrix, seed=0)
         batch = random_batch(config, 30, batch=3)
         shared = net.trunk_forward(batch)
         assert shared.shape == (3, 128)
@@ -83,7 +82,7 @@ class TestShapes:
 
     def test_two_heads_independent(self):
         config = tiny_config()
-        net = build(config, make_table(20, 6), num_heads=2)
+        net = build(config, make_matrix(20, 6), num_heads=2)
         assert len(net.heads) == 2
         for head in net.heads:
             assert head.weight.value.shape == (7, 2)
@@ -92,19 +91,19 @@ class TestShapes:
 
     def test_wrong_seq_len_rejected(self):
         config = tiny_config()
-        net = build(config, make_table(20, 6))
+        net = build(config, make_matrix(20, 6))
         with pytest.raises(ShapeError):
             net.forward(np.zeros((2, 9), dtype=np.int32))
 
     def test_table_dim_mismatch(self):
         with pytest.raises(ConfigurationError):
-            build(tiny_config(), make_table(20, 12))
+            build(tiny_config(), make_matrix(20, 12))
 
 
 class TestForward:
     def test_probability_rows(self):
         config = tiny_config()
-        net = build(config, make_table(25, 6), num_heads=2)
+        net = build(config, make_matrix(25, 6), num_heads=2)
         probs = net.forward(random_batch(config, 25, batch=5))
         for p in probs:
             assert np.all(p >= 0)
@@ -112,7 +111,7 @@ class TestForward:
 
     def test_eval_mode_repeatable(self):
         config = tiny_config()
-        net = build(config, make_table(25, 6))
+        net = build(config, make_matrix(25, 6))
         batch = random_batch(config, 25)
         a = net.forward(batch)[0]
         b = net.forward(batch)[0]
@@ -120,16 +119,16 @@ class TestForward:
 
     def test_all_pad_input(self):
         config = tiny_config()
-        net = build(config, make_table(25, 6))
+        net = build(config, make_matrix(25, 6))
         probs = net.forward(np.zeros((2, 8), dtype=np.int32))[0]
         assert np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
     def test_seed_determinism(self):
         config = tiny_config()
-        table = make_table(25, 6)
-        a = build(config, table, seed=11)
-        b = build(config, table, seed=11)
+        matrix = make_matrix(25, 6)
+        a = build(config, matrix, seed=11)
+        b = build(config, matrix, seed=11)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
         batch = random_batch(config, 25)
@@ -142,7 +141,7 @@ class TestTrainStep:
 
     def test_loss_decreases_over_50_steps(self):
         config = tiny_config()
-        net = build(config, make_table(30, 6))
+        net = build(config, make_matrix(30, 6))
         batch = random_batch(config, 30, batch=8, seed=5)
         labels = [self.onehot(np.array([0, 1] * 4))]
         optimizer = AdamConfig(lr=1e-3)
@@ -153,7 +152,7 @@ class TestTrainStep:
 
     def test_two_identical_heads_equal_single_loss(self):
         config = tiny_config()
-        net = build(config, make_table(30, 6), num_heads=2)
+        net = build(config, make_matrix(30, 6), num_heads=2)
         src, dst = net.heads
         dst.weight.value[...] = src.weight.value
         dst.bias.value[...] = src.bias.value
@@ -169,7 +168,7 @@ class TestTrainStep:
         # with every dropout rate at 0 the train-mode logits are the
         # eval-mode ones, so the step's labels match a forward before it
         config = tiny_config()
-        net = build(config, make_table(30, 6), num_heads=2)
+        net = build(config, make_matrix(30, 6), num_heads=2)
         batch = random_batch(config, 30, batch=6, seed=2)
         expected = [labels_from_probs(p) for p in net.forward(batch)]
         target = self.onehot(np.array([0, 1, 1, 0, 1, 0]))
@@ -180,16 +179,16 @@ class TestTrainStep:
 
     def test_missing_head_labels(self):
         config = tiny_config()
-        net = build(config, make_table(30, 6), num_heads=2)
+        net = build(config, make_matrix(30, 6), num_heads=2)
         batch = random_batch(config, 30)
         with pytest.raises(ConfigurationError):
             train_step(net, batch, [self.onehot(np.array([0, 1]))])
 
     def test_embedding_never_updated(self):
         config = tiny_config()
-        table = make_table(30, 6)
-        frozen = table.matrix.copy()
-        net = build(config, table)
+        matrix = make_matrix(30, 6)
+        frozen = matrix.copy()
+        net = build(config, matrix)
         batch = random_batch(config, 30, batch=4)
         labels = [self.onehot(np.array([0, 1, 0, 1]))]
         for _ in range(3):
@@ -198,7 +197,7 @@ class TestTrainStep:
 
     def test_grads_zeroed_after_step(self):
         config = tiny_config()
-        net = build(config, make_table(30, 6))
+        net = build(config, make_matrix(30, 6))
         batch = random_batch(config, 30)
         train_step(net, batch, [self.onehot(np.array([0, 1]))])
         for p in net.parameters():
@@ -208,8 +207,8 @@ class TestTrainStep:
 class TestEndToEndGradients:
     def setup(self):
         config = tiny_config()
-        table = make_table(20, 6, dtype=np.float64)
-        net = build(config, table, dtype=np.float64)
+        matrix = make_matrix(20, 6, dtype=np.float64)
+        net = build(config, matrix, dtype=np.float64)
         batch = random_batch(config, 20, batch=2, seed=9)
         target = np.eye(2)[[0, 1]].astype(np.float64)
         return net, batch, target
@@ -255,7 +254,7 @@ class TestRelease:
     def test_every_cache_and_mask_dropped(self):
         config = tiny_config(spatial_dropout_rate=0.2, final_dropout_rate=0.2,
                              lstm_dropout=0.1, lstm_recurrent_dropout=0.1)
-        net = build(config, make_table(20, 6), num_heads=2)
+        net = build(config, make_matrix(20, 6), num_heads=2)
         net.forward(random_batch(config, 20, batch=4), train_mode=True,
                     rng=np.random.default_rng(0))
         assert held_caches(net) == ["spatial_dropout", "conv", "bilstm", "dense",
@@ -268,8 +267,8 @@ class TestRelease:
         # networks need about what one forward needs, not five times it
         config = ModelConfig(seq_len=40, embed_dim=16, conv_filters=16,
                              lstm_units=32, dense_units=16)
-        table = make_table(50, 16)
-        nets = [build(config, table, seed=seed) for seed in range(5)]
+        matrix = make_matrix(50, 16)
+        nets = [build(config, matrix, seed=seed) for seed in range(5)]
         batch = random_batch(config, 50, batch=64, seed=4)
 
         def traced_peak(run):
@@ -297,7 +296,7 @@ class TestPredict:
 
     def test_monotone_logit_invariance(self):
         config = tiny_config()
-        net = build(config, make_table(30, 6))
+        net = build(config, make_matrix(30, 6))
         batch = random_batch(config, 30, batch=16, seed=21)
         before = ensemble_predict([net], batch)[0]
         for head in net.heads:
@@ -308,7 +307,7 @@ class TestPredict:
 
     def test_batching_invisible(self):
         config = tiny_config()
-        net = build(config, make_table(30, 6))
+        net = build(config, make_matrix(30, 6))
         batch = random_batch(config, 30, batch=10, seed=2)
         np.testing.assert_array_equal(ensemble_predict([net], batch, batch_size=3)[0],
                                       ensemble_predict([net], batch, batch_size=64)[0])
@@ -317,16 +316,16 @@ class TestPredict:
 class TestCheckpoint:
     def test_round_trip_bit_identical(self, tmp_path):
         config = tiny_config()
-        table = make_table(30, 6)
-        net = build(config, table, num_heads=2, seed=8)
+        matrix = make_matrix(30, 6)
+        net = build(config, matrix, num_heads=2, seed=8)
         batch = random_batch(config, 30, batch=4, seed=1)
         before = net.forward(batch)
         save_checkpoint(net, tmp_path / "ckpt")
-        restored = load_checkpoint(tmp_path / "ckpt", config, 2, table.matrix)
+        restored = load_checkpoint(tmp_path / "ckpt", config, 2, matrix)
         assert restored.config == net.config
         for pa, pb in zip(net.parameters(), restored.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
-        assert restored.embedding.matrix is table.matrix
+        assert restored.embedding.matrix is matrix
         after = restored.forward(batch)
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
@@ -334,39 +333,39 @@ class TestCheckpoint:
     def test_truncated_weights(self, tmp_path):
         # 16 bytes short, or 4 bytes (one float) over: either size is wrong
         config = tiny_config()
-        table = make_table(30, 6)
-        save_checkpoint(build(config, table), tmp_path / "ckpt")
+        matrix = make_matrix(30, 6)
+        save_checkpoint(build(config, matrix), tmp_path / "ckpt")
         weights = tmp_path / "ckpt" / "weights.bin"
         blob = weights.read_bytes()
         for damaged in (blob[:-16], blob + bytes(4)):
             weights.write_bytes(damaged)
             with pytest.raises(CorruptionError, match=f"needs {len(blob)}"):
-                load_checkpoint(tmp_path / "ckpt", config, 1, table.matrix)
+                load_checkpoint(tmp_path / "ckpt", config, 1, matrix)
 
     def test_missing_weights(self, tmp_path):
-        table = make_table(30, 6)
-        save_checkpoint(build(tiny_config(), table), tmp_path / "ckpt")
+        matrix = make_matrix(30, 6)
+        save_checkpoint(build(tiny_config(), matrix), tmp_path / "ckpt")
         (tmp_path / "ckpt" / "weights.bin").unlink()
         with pytest.raises(CorruptionError, match="missing .*weights.bin"):
-            load_checkpoint(tmp_path / "ckpt", tiny_config(), 1, table.matrix)
+            load_checkpoint(tmp_path / "ckpt", tiny_config(), 1, matrix)
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(CorruptionError):
             load_checkpoint(tmp_path / "absent", tiny_config(), 1,
-                            make_table(30, 6).matrix)
+                            make_matrix(30, 6))
 
     @pytest.mark.parametrize("shape", [(30,), (30, 5), (30, 7)])
     def test_embedding_width_checked(self, tmp_path, shape):
-        save_checkpoint(build(tiny_config(), make_table(30, 6)),
+        save_checkpoint(build(tiny_config(), make_matrix(30, 6)),
                         tmp_path / "ckpt")
-        with pytest.raises(CorruptionError, match="embed_dim 6"):
+        with pytest.raises(ConfigurationError, match="embed_dim 6"):
             load_checkpoint(tmp_path / "ckpt", tiny_config(), 1,
                             np.zeros(shape, dtype=np.float32))
 
     def test_manifest_records_frozen_embedding(self, tmp_path):
         # the frozen matrix and the config are the run's, not the
         # checkpoint's: weights.bin is the trainable parameters alone
-        net = build(tiny_config(), make_table(30, 6))
+        net = build(tiny_config(), make_matrix(30, 6))
         save_checkpoint(net, tmp_path / "ckpt")
         assert os.listdir(tmp_path / "ckpt") == ["weights.bin"]
         total = os.path.getsize(tmp_path / "ckpt" / "weights.bin")

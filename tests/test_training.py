@@ -14,7 +14,7 @@ from abusekit import training
 from abusekit.errors import ConfigurationError, DataIntegrityError
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
-from abusekit.model import (ModelConfig, build_model, labels_from_probs,
+from abusekit.model import (ModelConfig, Network, labels_from_probs,
                             save_checkpoint, train_step)
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
@@ -34,9 +34,9 @@ def small_model_config(**overrides):
     return ModelConfig(**base)
 
 
-def build(config, table, num_heads=1, seed=0):
-    """build_model with a fresh generator seeded at seed."""
-    return build_model(config, table, num_heads, np.random.default_rng(seed))
+def build(config, matrix, num_heads=1, seed=0):
+    """Network with a fresh generator seeded at seed."""
+    return Network(config, matrix, num_heads, np.random.default_rng(seed))
 
 
 def marker_setup(n=40, markers=None, seed=0):
@@ -128,8 +128,8 @@ class TestTrainEpoch:
         from abusekit.text import preprocess as preprocess_text
         prep = None
         vocab = build_vocab([ex.text.split() for ex in examples])
-        table = build_matrix(vocab, vectors, expected_dim=8)
-        net = build(config, table)
+        matrix = build_matrix(vocab, vectors, expected_dim=8)[0]
+        net = build(config, matrix)
         loss, acc = train_epoch(net, sequences, labels, batch_size=32,
                                 optimizer=AdamConfig(), rng=np.random.default_rng(1))
         assert net.parameters()[0].step_count == 4
@@ -141,10 +141,10 @@ class TestTrainEpoch:
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        table = build_matrix(vocab, vectors, expected_dim=8)
+        matrix = build_matrix(vocab, vectors, expected_dim=8)[0]
         outcomes = []
         for _ in range(2):
-            net = build(config, table)
+            net = build(config, matrix)
             rng = np.random.default_rng(42)
             data_rng = np.random.default_rng(7)
             sequences = data_rng.integers(0, 5, size=(20, config.seq_len),
@@ -167,7 +167,7 @@ class TestTrainEpoch:
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        return build(config, build_matrix(vocab, vectors, expected_dim=8), num_heads)
+        return build(config, build_matrix(vocab, vectors, expected_dim=8)[0], num_heads)
 
     def epoch_data(self, num_heads):
         rng = np.random.default_rng(5)
@@ -235,7 +235,7 @@ class TestEvaluate:
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        net = build(config, build_matrix(vocab, vectors, expected_dim=8))
+        net = build(config, build_matrix(vocab, vectors, expected_dim=8)[0])
         empty = np.zeros((0, config.seq_len), dtype=np.int32)
         with pytest.raises(ConfigurationError, match="empty set"):
             evaluate(net, empty, [np.zeros(0, dtype=int)])
@@ -246,7 +246,7 @@ class TestEvaluate:
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        net = build(config, build_matrix(vocab, vectors, expected_dim=8))
+        net = build(config, build_matrix(vocab, vectors, expected_dim=8)[0])
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(10, config.seq_len), dtype=np.int32)
         evaluate(net, sequences, [np.zeros(10, dtype=int)], batch_size=4)
@@ -367,9 +367,9 @@ class TestRunCv:
             assert fr.epochs[-1].val_accuracy >= fr.epochs[0].val_accuracy
 
 
-def rigged_network(config, table, p1: float):
+def rigged_network(config, matrix, p1: float):
     """Network whose single head always outputs (1-p1, p1)."""
-    net = build(config, table)
+    net = build(config, matrix)
     head = net.heads[0]
     head.weight.value[...] = 0.0
     head.bias.value[...] = np.array([math.log(1.0 - p1), math.log(p1)],
@@ -378,19 +378,19 @@ def rigged_network(config, table, p1: float):
 
 
 class TestEnsemble:
-    def setup_table(self):
+    def setup_matrix(self):
         examples, vectors = marker_setup(n=10)
         from abusekit.embeddings import build_matrix
         from abusekit.text import build_vocab
         vocab = build_vocab([ex.text.split() for ex in examples])
-        return build_matrix(vocab, vectors, expected_dim=8)
+        return build_matrix(vocab, vectors, expected_dim=8)[0]
 
     def test_arithmetic_oracle(self):
         # 3 models at p(1)=0.9 and 2 at p(1)=0.2 average to 0.62: label 1
         config = small_model_config()
-        table = self.setup_table()
-        states = [rigged_network(config, table, 0.9) for _ in range(3)]
-        states += [rigged_network(config, table, 0.2) for _ in range(2)]
+        matrix = self.setup_matrix()
+        states = [rigged_network(config, matrix, 0.9) for _ in range(3)]
+        states += [rigged_network(config, matrix, 0.2) for _ in range(2)]
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(7, config.seq_len), dtype=np.int32)
         labels = ensemble_predict(states, sequences)[0]
@@ -399,25 +399,25 @@ class TestEnsemble:
     def test_minority_high_confidence_loses(self):
         # 2 models at 0.9 and 3 at 0.2 average to 0.48: label 0
         config = small_model_config()
-        table = self.setup_table()
-        states = [rigged_network(config, table, 0.9) for _ in range(2)]
-        states += [rigged_network(config, table, 0.2) for _ in range(3)]
+        matrix = self.setup_matrix()
+        states = [rigged_network(config, matrix, 0.9) for _ in range(2)]
+        states += [rigged_network(config, matrix, 0.2) for _ in range(3)]
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(4, config.seq_len), dtype=np.int32)
         np.testing.assert_array_equal(ensemble_predict(states, sequences)[0], 0)
 
     def test_exact_tie_goes_high(self):
         config = small_model_config()
-        table = self.setup_table()
-        states = [rigged_network(config, table, 0.5) for _ in range(2)]
+        matrix = self.setup_matrix()
+        states = [rigged_network(config, matrix, 0.5) for _ in range(2)]
         sequences = np.random.default_rng(1).integers(
             0, 5, size=(3, config.seq_len), dtype=np.int32)
         np.testing.assert_array_equal(ensemble_predict(states, sequences)[0], 1)
 
     def test_identical_models_match_single(self):
         config = small_model_config()
-        table = self.setup_table()
-        states = [build(config, table, seed=13) for _ in range(5)]
+        matrix = self.setup_matrix()
+        states = [build(config, matrix, seed=13) for _ in range(5)]
         sequences = np.random.default_rng(2).integers(
             0, 5, size=(9, config.seq_len), dtype=np.int32)
         ensembled = ensemble_predict(states, sequences)[0]
@@ -426,8 +426,8 @@ class TestEnsemble:
 
     def test_order_invariance(self):
         config = small_model_config()
-        table = self.setup_table()
-        states = [rigged_network(config, table, p) for p in
+        matrix = self.setup_matrix()
+        states = [rigged_network(config, matrix, p) for p in
                   (0.9, 0.2, 0.7, 0.4, 0.55)]
         sequences = np.random.default_rng(3).integers(
             0, 5, size=(6, config.seq_len), dtype=np.int32)
@@ -437,10 +437,10 @@ class TestEnsemble:
 
     def test_mismatched_configs_rejected(self):
         # a different layer size, or the same config with another head count
-        table = self.setup_table()
-        a = build(small_model_config(), table)
-        for b in (build(small_model_config(dense_units=6), table),
-                  build(small_model_config(), table, num_heads=2)):
+        matrix = self.setup_matrix()
+        a = build(small_model_config(), matrix)
+        for b in (build(small_model_config(dense_units=6), matrix),
+                  build(small_model_config(), matrix, num_heads=2)):
             with pytest.raises(ConfigurationError, match="disagree"):
                 ensemble_predict([a, b], np.zeros((1, 12), dtype=np.int32))
 
@@ -450,16 +450,16 @@ class TestEnsemble:
 
     def test_seed_differences_allowed(self):
         # folds differ by their generators' seeds alone
-        table = self.setup_table()
-        a = build(small_model_config(), table, seed=1)
-        b = build(small_model_config(), table, seed=2)
+        matrix = self.setup_matrix()
+        a = build(small_model_config(), matrix, seed=1)
+        b = build(small_model_config(), matrix, seed=2)
         labels = ensemble_predict([a, b], np.zeros((2, 12), dtype=np.int32))
         assert labels[0].shape == (2,)
 
 
     def test_releases_every_fold(self):
-        table = self.setup_table()
-        states = [build(small_model_config(), table, seed=s) for s in range(3)]
+        matrix = self.setup_matrix()
+        states = [build(small_model_config(), matrix, seed=s) for s in range(3)]
         ensemble_predict(states, np.zeros((5, 12), dtype=np.int32), batch_size=2)
         for state in states:
             assert held_caches(state) == []
@@ -468,11 +468,11 @@ class TestEnsemble:
     @pytest.mark.parametrize("batch_size", [256, 7, 1])
     def test_matches_batch_outer_reference(self, num_heads, batch_size):
         # fold-outer order adds the same p / k terms per post, in fold order
-        table = self.setup_table()
-        states = [build(small_model_config(), table, num_heads, seed=s)
+        matrix = self.setup_matrix()
+        states = [build(small_model_config(), matrix, num_heads, seed=s)
                   for s in range(5)]
         sequences = np.random.default_rng(4).integers(
-            0, table.matrix.shape[0], size=(30, 12), dtype=np.int32)
+            0, matrix.shape[0], size=(30, 12), dtype=np.int32)
         for state in states:   # centre each head's logit gap: mixed labels
             shared = state.trunk_forward(sequences)
             for head in state.heads:
