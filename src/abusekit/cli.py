@@ -32,8 +32,9 @@ from .training import (TrainConfig, ensemble_predict, read_config, read_run,
 __all__ = ["entrypoint", "main"]
 
 
-def _resolve_threads(flag_value: int | None, config_value: int) -> int:
-    """Priority: --threads flag, ABUSE_DETECT_THREADS env, config file (1 by default)."""
+def _resolve_threads(flag_value: int | None, default: int) -> int:
+    """Priority: --threads flag, ABUSE_DETECT_THREADS env, then default (the
+    config file's for train, _default_processes for predict)."""
     if flag_value is not None:
         return flag_value
     env = os.environ.get("ABUSE_DETECT_THREADS")
@@ -43,7 +44,26 @@ def _resolve_threads(flag_value: int | None, config_value: int) -> int:
         except ValueError:
             raise ConfigurationError(
                 f"ABUSE_DETECT_THREADS={env!r} is not an integer") from None
-    return config_value
+    return default
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _default_processes() -> int:
+    """predict's process count when neither --threads nor the environment
+    sets one: as many as the usable CPUs hold at the BLAS thread count that
+    every process inherits (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS).
+    An unpinned BLAS already runs a thread per CPU, so that is one process:
+    more would oversubscribe the CPUs."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            return max(1, _usable_cpus() // int(value))
+    return 1
 
 
 @dataclass
@@ -181,14 +201,19 @@ def cmd_train(args) -> int:
 
 def _read_id_csv(path, column: str) -> list[tuple[int, int, str]]:
     """(line, post id, raw cell of column) for each row of a CSV with an id
-    column."""
-    rows = []
+    column; each id must be an integer and appear once."""
+    rows, seen = [], set()
     for index, (line, record) in enumerate(read_csv(path, ("id", column))[1]):
         try:
-            rows.append((line, parse_integer(record["id"]), record[column]))
+            post_id = parse_integer(record["id"])
         except ValueError:
             raise ParseError(f"row {index}: non-integer id {record['id']!r}",
                              path=path, line=line) from None
+        if post_id in seen:
+            raise ParseError(f"row {index}: duplicate id {post_id}",
+                             path=path, line=line)
+        seen.add(post_id)
+        rows.append((line, post_id, record[column]))
     return rows
 
 
@@ -203,25 +228,33 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
         if label not in (0, 1):
             raise ParseError(f"row {index}: label must be 0 or 1, got {label}",
                              path=path, line=line)
-        if post_id in out:
-            raise ParseError(f"row {index}: duplicate id {post_id}",
-                             path=path, line=line)
         out[post_id] = label
     return out
 
 
 def cmd_predict(args) -> int:
+    processes = _resolve_threads(args.threads, _default_processes())
+    if processes < 1:
+        raise ConfigurationError(f"threads must be positive, got {processes}")
     run = read_run(args.run_dir)
     mode = args.ensemble or run.train_config.ensemble
     chosen = [run.best_fold] if mode == "best" else range(run.train_config.folds)
-    states = [run.load_fold(fold) for fold in chosen]
+    # This process runs the first share of the folds, and a worker process
+    # each other share.  Every fold is checked before any worker starts.
+    shares = [share.tolist() for share in
+              np.array_split(chosen, min(processes, len(chosen)))]
+    states = [run.load_fold(fold) for fold in shares[0]]
+    for share in shares[1:]:
+        for fold in share:
+            run.check_fold(fold, states[0])
 
     rows = _read_id_csv(args.input, "text")
     ids = [post_id for _, post_id, _ in rows]
     token_lists = [preprocess_text(text, run.train_config.language, run.prep_config)
                    for _, _, text in rows]
     sequences = encode_batch(token_lists, run.vocab, max_len=run.model_config.seq_len)
-    labels = ensemble_predict(states, sequences)
+    labels = ensemble_predict(states, sequences, run_dir=args.run_dir,
+                              worker_folds=shares[1:])
 
     head_keys = run.head_keys
     if len(head_keys) == 1:
@@ -303,6 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="submission CSV path")
     p.add_argument("--ensemble", choices=["average", "best"],
                    help="fold combination (default: the run's train.ensemble)")
+    p.add_argument("--threads", type=int,
+                   help="processes sharing the folds (env ABUSE_DETECT_THREADS; "
+                        "default: the usable CPUs over the pinned BLAS threads, "
+                        "or 1 if OPENBLAS_NUM_THREADS/OMP_NUM_THREADS is unset)")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")

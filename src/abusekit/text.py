@@ -9,10 +9,13 @@ pads or truncates to a fixed length.
 
 from __future__ import annotations
 
+import os
 import re
+import threading
 import unicodedata
 from collections import Counter
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 
@@ -27,6 +30,7 @@ __all__ = [
     "PreprocessConfig",
     "PreprocessFiles",
     "Vocabulary",
+    "atomic_write",
     "build_vocab",
     "clean",
     "encode_batch",
@@ -69,6 +73,25 @@ def open_text(path, newline=None) -> Iterator[str]:
                 f"not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})",
                 path=path, line=data.count(b"\n", 0, exc.start) + 1) from None
         raise   # the file changed between the two reads
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A file object (mode "w" for UTF-8 text with "\\n" newlines, or "wb")
+    on a temporary file beside path, which replaces path (os.replace) once
+    the block ends cleanly.  A reader sees the old file or the new one,
+    never a part: if the block raises, path is untouched and the temporary
+    file is removed.  Every run-directory file is written through here."""
+    temp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(temp, mode, **text) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
 
 
 def _content_lines(text: str):
@@ -302,7 +325,7 @@ class Vocabulary:
         return sorted(self.token_to_index, key=self.token_to_index.__getitem__)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(path) as fh:
             for token in self.tokens():
                 fh.write(token + "\n")
 

@@ -10,10 +10,13 @@ softmax probabilities over the fold models.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import shutil
+import sys
+import threading
 import tokenize
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -30,9 +33,9 @@ from .errors import (AbusekitError, ConfigurationError, CorruptionError,
 from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (HEAD_CLASSES, ModelConfig, Network, labels_from_probs,
-                    load_checkpoint, save_checkpoint, train_step)
-from .text import (PreprocessConfig, Vocabulary, build_vocab, encode_batch,
-                   open_text)
+                    _read_weights, load_checkpoint, save_checkpoint, train_step)
+from .text import (PreprocessConfig, Vocabulary, atomic_write, build_vocab,
+                   encode_batch, open_text)
 from .text import preprocess as preprocess_text
 
 __all__ = [
@@ -46,6 +49,7 @@ __all__ = [
     "emit_curves",
     "ensemble_predict",
     "evaluate",
+    "fold_probabilities",
     "one_hot",
     "read_config",
     "read_run",
@@ -285,8 +289,8 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
         path = os.path.join(out_dir, name)
         if match and int(match.group(1)) >= config.folds and os.path.isdir(path):
             shutil.rmtree(path)
-    np.save(os.path.join(out_dir, "embedding.npy"),
-            matrix.astype("<f4", copy=False))
+    with atomic_write(os.path.join(out_dir, "embedding.npy"), "wb") as fh:
+        np.save(fh, matrix.astype("<f4", copy=False))
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     _write_json(prep_config.to_dict(), os.path.join(out_dir, "preprocess.json"))
 
@@ -319,10 +323,35 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     return report
 
 
+def fold_probabilities(network: Network, sequences: np.ndarray,
+                       batch_size: int = 256) -> list[np.ndarray]:
+    """One fold model's per-head softmax probabilities (N x classes) for the
+    encoded posts, run forward batch_size posts at a time.  The network's
+    forward caches are released before it returns."""
+    sequences = np.asarray(sequences)
+    probs = [np.empty((len(sequences), HEAD_CLASSES), dtype=network.dtype)
+             for _ in network.heads]
+    for start in range(0, len(sequences), batch_size):
+        for out, p in zip(probs, network.forward(sequences[start:start + batch_size])):
+            out[start:start + len(p)] = p
+    network.release()
+    return probs
+
+
 def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
-                     batch_size: int = 256) -> list[np.ndarray]:
+                     batch_size: int = 256, run_dir=None,
+                     worker_folds: list[list[int]] = ()) -> list[np.ndarray]:
     """Average per-head softmax probabilities over fold models, then argmax
-    (exact two-way ties go to class 1)."""
+    (exact two-way ties go to class 1).
+
+    fold_states run in this process.  Each list of worker_folds names folds
+    of the run directory run_dir that one child process (python -m
+    abusekit._foldworker) loads and runs meanwhile.  The sum takes the
+    folds of fold_states first, then those of worker_folds in turn, each
+    adding p / k, so the labels are bit-identical to one process running
+    all the folds in that order.  A worker that fails is an AbusekitError
+    carrying its message.
+    """
     if not fold_states:
         raise ConfigurationError("no fold models given")
     config, num_heads = fold_states[0].config, len(fold_states[0].heads)
@@ -330,20 +359,86 @@ def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
         if state.config != config or len(state.heads) != num_heads:
             raise ConfigurationError("fold models disagree on configuration")
 
-    # One fold at a time, so only one network's forward caches are alive.
-    # Each post still gets p / k added in fold order, as a batch-outer loop
-    # would add them, so the sums are bit-identical to it.
+    # One fold at a time per process, so each holds one network's forward
+    # caches.  Each post still gets p / k added in fold order, as a
+    # batch-outer loop would add them, so the sums are bit-identical to it.
     test_sequences = np.asarray(test_sequences)
-    k = len(fold_states)
+    k = len(fold_states) + sum(len(folds) for folds in worker_folds)
     sums = [np.zeros((len(test_sequences), HEAD_CLASSES), dtype=fold_states[0].dtype)
             for _ in range(num_heads)]
-    for state in fold_states:
-        for start in range(0, len(test_sequences), batch_size):
-            probs = state.forward(test_sequences[start:start + batch_size])
-            for h, p in enumerate(probs):
-                sums[h][start:start + len(p)] += p / k
-        state.release()
+
+    def add(probs):
+        for h, p in enumerate(probs):
+            sums[h] += p / k
+
+    workers = []
+    try:
+        for folds in worker_folds:
+            workers.append(_FoldWorker(run_dir, folds, test_sequences, batch_size))
+        for state in fold_states:
+            add(fold_probabilities(state, test_sequences, batch_size))
+        for worker in workers:
+            for probs in worker.result(num_heads):
+                add(probs)
+    finally:
+        for worker in workers:
+            worker.close()
     return [labels_from_probs(s) for s in sums]
+
+
+def _npy_bytes(arrays) -> bytes:
+    buffer = io.BytesIO()
+    for array in arrays:
+        np.lib.format.write_array(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _npy_arrays(data: bytes, count: int) -> list[np.ndarray]:
+    buffer = io.BytesIO(data)
+    return [np.lib.format.read_array(buffer, allow_pickle=False) for _ in range(count)]
+
+
+class _FoldWorker:
+    """A child process running fold_probabilities for some folds of a run
+    directory: the parent side of abusekit._foldworker's protocol.  A plain subprocess,
+    so no helper process outlives the command; close() reaps it."""
+
+    def __init__(self, run_dir, folds: list[int], sequences: np.ndarray,
+                 batch_size: int):
+        # imported here: only a parallel predict starts a process, and the
+        # import would cost every other command time and memory
+        import subprocess
+
+        self.folds = folds
+        self._proc = subprocess.Popen(
+            [sys.executable, "-m", "abusekit._foldworker", os.fspath(run_dir),
+             str(batch_size), *map(str, folds)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        # The posts outgrow a pipe's buffer: a thread feeds them and drains
+        # the replies, so the parent starts its own folds at once.
+        self._talker = threading.Thread(target=self._communicate, args=(sequences,))
+        self._talker.start()
+
+    def _communicate(self, sequences) -> None:
+        self._output = self._proc.communicate(_npy_bytes([sequences]))
+
+    def result(self, num_heads: int) -> list[list[np.ndarray]]:
+        """Per fold of self.folds, in order, its per-head probabilities."""
+        self._talker.join()
+        out, err = self._output
+        if self._proc.returncode != 0:
+            lines = err.decode("utf-8", "replace").splitlines()
+            raise AbusekitError(f"worker for folds {self.folds} exited "
+                                f"{self._proc.returncode}: "
+                                + (lines[-1] if lines else "no message"))
+        arrays = _npy_arrays(out, len(self.folds) * num_heads)
+        return [arrays[i:i + num_heads] for i in range(0, len(arrays), num_heads)]
+
+    def close(self) -> None:
+        """Stop the process if it still runs; communicate() reaps it."""
+        if self._proc.poll() is None:
+            self._proc.kill()
+        self._talker.join()
 
 
 def best_fold_index(report: dict) -> int:
@@ -359,7 +454,7 @@ def best_fold_index(report: dict) -> int:
 
 
 def _write_json(data, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -387,6 +482,11 @@ class SavedRun:
     def load_fold(self, fold: int) -> Network:
         return load_checkpoint(os.path.join(self.directory, f"fold{fold}"),
                                self.model_config, len(self.head_keys), self.matrix)
+
+    def check_fold(self, fold: int, like: Network) -> None:
+        """Fail as load_fold would on a missing or wrongly sized weights.bin,
+        without building a network: like is one of this run's networks."""
+        _read_weights(os.path.join(self.directory, f"fold{fold}"), like)
 
 
 def _read_run_json(path, parse):
@@ -519,7 +619,7 @@ def emit_curves(report: RunReport, csv_path, svg_path=None) -> None:
 
     Floats are written with repr so a re-parse reproduces them exactly.
     """
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write(",".join(_CURVE_FIELDS) + "\n")
         for fr in report.folds:
             for rec in fr.epochs:
@@ -528,7 +628,7 @@ def emit_curves(report: RunReport, csv_path, svg_path=None) -> None:
                     repr(rec.train_loss), repr(rec.train_accuracy),
                     repr(rec.val_loss), repr(rec.val_accuracy)]) + "\n")
     if svg_path is not None:
-        with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(svg_path) as fh:
             fh.write(_render_curves_svg(report))
 
 

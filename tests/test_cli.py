@@ -683,6 +683,17 @@ class TestPredict:
         posts.write_text('id,text\n4,"hello, world"\n', encoding="utf-8")
         assert _read_id_csv(posts, "text") == [(2, 4, "hello, world")]   # (line, id, cell)
 
+    def test_duplicate_id_rejected(self, pipeline, tmp_path, capsys):
+        # evaluate would refuse a submission that names an id twice
+        posts = tmp_path / "posts.csv"
+        posts.write_text("id,text\n5,hello\n5,world\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(posts), "--out", str(out)])
+        assert rc == 2
+        assert f"{posts}:3: row 1: duplicate id 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ids_parsed_strictly(self, pipeline, tmp_path, capsys):
         posts = tmp_path / "posts.csv"
         posts.write_text("id,text\n9007199254740993,hello\n12.0,there\n",

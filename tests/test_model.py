@@ -330,6 +330,25 @@ class TestCheckpoint:
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
+    def test_failed_save_keeps_old_weights(self, tmp_path, monkeypatch):
+        # weights.bin is written beside itself and swapped in whole
+        config = tiny_config()
+        matrix = make_matrix(30, 6)
+        save_checkpoint(build(config, matrix, seed=1), tmp_path / "ckpt")
+        old = (tmp_path / "ckpt" / "weights.bin").read_bytes()
+        net = build(config, matrix, seed=2)
+        first = net.parameters()[0]
+
+        def first_then_fail():
+            yield first
+            raise OSError("disk full")
+
+        monkeypatch.setattr(net, "parameters", first_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(net, tmp_path / "ckpt")
+        assert (tmp_path / "ckpt" / "weights.bin").read_bytes() == old
+        assert os.listdir(tmp_path / "ckpt") == ["weights.bin"]
+
     def test_truncated_weights(self, tmp_path):
         # 16 bytes short, or 4 bytes (one float) over: either size is wrong
         config = tiny_config()

@@ -173,6 +173,20 @@ class TestVocabulary:
         back = Vocabulary.load(path)
         assert back.token_to_index == vocab.token_to_index
 
+    def test_failed_save_keeps_old_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        build_vocab([["old"]]).save(path)
+
+        class Broken(Vocabulary):
+            def tokens(self):
+                yield "new"
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            Broken(token_to_index={"new": 2}).save(path)
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
     def test_determinism(self):
         corpus = [["m", "n", "o"], ["n", "o"], ["o"]]
         assert build_vocab(corpus).token_to_index == build_vocab(corpus).token_to_index
