@@ -35,17 +35,15 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         run_cv(train, train_config, vectors, tmp, model_config)
         run = read_run(tmp)
-        folds = [run.load_fold(fold) for fold in range(run.train_config.folds)]
-
-    token_lists = [preprocess_text(ex.text, ex.language, run.prep_config)
-                   for ex in held_out]
-    sequences = encode_batch(token_lists, run.vocab,
-                             max_len=run.model_config.seq_len)
+        token_lists = [preprocess_text(ex.text, ex.language, run.prep_config)
+                       for ex in held_out]
+        sequences = encode_batch(token_lists, run.vocab,
+                                 max_len=run.model_config.seq_len)
+        # folds load from the run directory one at a time as they are scored
+        averaged = ensemble_predict(run, range(run.train_config.folds), sequences)[0]
+        best = run.best_fold
+        solo = ensemble_predict(run, [best], sequences)[0]
     gold = np.array([ex.labels["1"] for ex in held_out])
-
-    averaged = ensemble_predict(folds, sequences)[0]
-    best = run.best_fold
-    solo = ensemble_predict([folds[best]], sequences)[0]
 
     print(f"40 unseen posts, gold positives: {gold.sum()}")
     print(f"ensemble of 5 folds accuracy:   {(averaged == gold).mean():.3f}")

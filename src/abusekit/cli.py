@@ -23,8 +23,8 @@ from .errors import (AbusekitError, ConfigurationError, NumericError,
                      ParseError, SchemaError)
 from .metrics import classification_report
 from .model import ModelConfig
-from .text import (PreprocessConfig, PreprocessFiles, Vocabulary, encode_batch,
-                   open_text)
+from .text import (PreprocessConfig, PreprocessFiles, Vocabulary, atomic_write,
+                   encode_batch, open_text)
 from .text import preprocess as preprocess_text
 from .training import (TrainConfig, ensemble_predict, read_config, read_run,
                        run_cv)
@@ -239,22 +239,13 @@ def cmd_predict(args) -> int:
     run = read_run(args.run_dir)
     mode = args.ensemble or run.train_config.ensemble
     chosen = [run.best_fold] if mode == "best" else range(run.train_config.folds)
-    # This process runs the first share of the folds, and a worker process
-    # each other share.  Every fold is checked before any worker starts.
-    shares = [share.tolist() for share in
-              np.array_split(chosen, min(processes, len(chosen)))]
-    states = [run.load_fold(fold) for fold in shares[0]]
-    for share in shares[1:]:
-        for fold in share:
-            run.check_fold(fold, states[0])
 
     rows = _read_id_csv(args.input, "text")
     ids = [post_id for _, post_id, _ in rows]
     token_lists = [preprocess_text(text, run.train_config.language, run.prep_config)
                    for _, _, text in rows]
     sequences = encode_batch(token_lists, run.vocab, max_len=run.model_config.seq_len)
-    labels = ensemble_predict(states, sequences, run_dir=args.run_dir,
-                              worker_folds=shares[1:])
+    labels = ensemble_predict(run, chosen, sequences, processes)
 
     head_keys = run.head_keys
     if len(head_keys) == 1:
@@ -264,7 +255,7 @@ def cmd_predict(args) -> int:
         header = "id," + ",".join(f"label_{k}" for k in head_keys)
         rows = (f"{post_id}," + ",".join(str(labels[h][i]) for h in range(len(head_keys)))
                 for i, post_id in enumerate(ids))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(args.out) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(row + "\n")

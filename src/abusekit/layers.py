@@ -411,10 +411,8 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng):
         masked.append(x if in_mask is None else x * in_mask[:, None, :])
         in_masks.append(in_mask)
         rec_masks.append(rec_mask)
-    rec_mask = None
-    if any(m is not None for m in rec_masks):
-        rec_mask = np.stack([np.ones((batch, hidden), dtype) if m is None else m
-                             for m in rec_masks])
+    # the cells share their rates, so every cell has a mask or none does
+    rec_mask = None if rec_masks[0] is None else np.stack(rec_masks)
 
     # gates[d, :, s] holds cell d's input projection for step s, then its
     # activations i, f, g, o; backward overwrites them with the gate grads.

@@ -216,34 +216,27 @@ def save_checkpoint(network: Network, directory) -> None:
             fh.write(np.ascontiguousarray(param.value, dtype="<f4").tobytes())
 
 
-def _read_weights(directory, network: Network) -> np.ndarray:
-    """The directory's weights.bin as float32 values, checked to hold one
-    per parameter of network, a network of the checkpoint's config and
-    heads.  load_checkpoint reads through here; a caller that only checks
-    a checkpoint builds no network of its own."""
+def load_checkpoint(directory, config: ModelConfig, num_heads: int,
+                    matrix: np.ndarray) -> Network:
+    """Build a network of the given config and heads around the run's frozen
+    embedding matrix (|V| x embed_dim); fill its parameters, in order, from
+    the directory's weights.bin."""
     path = os.path.join(directory, _WEIGHTS_NAME)
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except FileNotFoundError:
         raise CorruptionError(f"missing {path}") from None
-    expected = 4 * sum(param.value.size for param in network.parameters())
+    # every initial value is overwritten, so any fixed generator serves
+    network = Network(config, matrix, num_heads, np.random.default_rng(0))
+    params = network.parameters()
+    expected = 4 * sum(param.value.size for param in params)
     if len(raw) != expected:
         raise CorruptionError(
             f"{path} holds {len(raw)} bytes, the model config needs {expected}")
-    return np.frombuffer(raw, dtype="<f4")
-
-
-def load_checkpoint(directory, config: ModelConfig, num_heads: int,
-                    matrix: np.ndarray) -> Network:
-    """Build a network of the given config and heads around the run's frozen
-    embedding matrix (|V| x embed_dim); fill its parameters, in order, from
-    the directory's weights.bin."""
-    # every initial value is overwritten, so any fixed generator serves
-    network = Network(config, matrix, num_heads, np.random.default_rng(0))
-    values = _read_weights(directory, network)
+    values = np.frombuffer(raw, dtype="<f4")
     offset = 0
-    for param in network.parameters():
+    for param in params:
         size = param.value.size
         param.value[...] = values[offset:offset + size].reshape(param.value.shape)
         offset += size

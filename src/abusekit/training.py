@@ -33,7 +33,7 @@ from .errors import (AbusekitError, ConfigurationError, CorruptionError,
 from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (HEAD_CLASSES, ModelConfig, Network, labels_from_probs,
-                    _read_weights, load_checkpoint, save_checkpoint, train_step)
+                    load_checkpoint, save_checkpoint, train_step)
 from .text import (PreprocessConfig, Vocabulary, atomic_write, build_vocab,
                    encode_batch, open_text)
 from .text import preprocess as preprocess_text
@@ -338,45 +338,39 @@ def fold_probabilities(network: Network, sequences: np.ndarray,
     return probs
 
 
-def ensemble_predict(fold_states: list[Network], test_sequences: np.ndarray,
-                     batch_size: int = 256, run_dir=None,
-                     worker_folds: list[list[int]] = ()) -> list[np.ndarray]:
-    """Average per-head softmax probabilities over fold models, then argmax
-    (exact two-way ties go to class 1).
+def ensemble_predict(run: SavedRun, folds, test_sequences: np.ndarray,
+                     processes: int = 1, batch_size: int = 256) -> list[np.ndarray]:
+    """Average per-head softmax probabilities over the run's folds, then
+    argmax (exact two-way ties go to class 1).
 
-    fold_states run in this process.  Each list of worker_folds names folds
-    of the run directory run_dir that one child process (python -m
-    abusekit._foldworker) loads and runs meanwhile.  The sum takes the
-    folds of fold_states first, then those of worker_folds in turn, each
-    adding p / k, so the labels are bit-identical to one process running
-    all the folds in that order.  A worker that fails is an AbusekitError
-    carrying its message.
+    folds is cut in order into min(processes, len(folds)) shares.  This
+    process loads and scores the first share one fold at a time, so it holds
+    one network and its forward caches at a time; a child process (python
+    -m abusekit._foldworker) does the same for each other share meanwhile.
+    Each fold adds p / k in fold order, so the labels are bit-identical at
+    any process count.  A fold that fails to load, here or in a worker, is
+    an AbusekitError carrying load_checkpoint's message.
     """
-    if not fold_states:
-        raise ConfigurationError("no fold models given")
-    config, num_heads = fold_states[0].config, len(fold_states[0].heads)
-    for state in fold_states[1:]:
-        if state.config != config or len(state.heads) != num_heads:
-            raise ConfigurationError("fold models disagree on configuration")
-
-    # One fold at a time per process, so each holds one network's forward
-    # caches.  Each post still gets p / k added in fold order, as a
-    # batch-outer loop would add them, so the sums are bit-identical to it.
+    if not folds:
+        raise ConfigurationError("no folds given")
+    shares = [share.tolist() for share in
+              np.array_split(folds, min(processes, len(folds)))]
     test_sequences = np.asarray(test_sequences)
-    k = len(fold_states) + sum(len(folds) for folds in worker_folds)
-    sums = [np.zeros((len(test_sequences), HEAD_CLASSES), dtype=fold_states[0].dtype)
+    num_heads = len(run.head_keys)
+    sums = [np.zeros((len(test_sequences), HEAD_CLASSES), dtype=np.float32)
             for _ in range(num_heads)]
 
     def add(probs):
         for h, p in enumerate(probs):
-            sums[h] += p / k
+            sums[h] += p / len(folds)
 
     workers = []
     try:
-        for folds in worker_folds:
-            workers.append(_FoldWorker(run_dir, folds, test_sequences, batch_size))
-        for state in fold_states:
-            add(fold_probabilities(state, test_sequences, batch_size))
+        for share in shares[1:]:
+            workers.append(_FoldWorker(run.directory, share, test_sequences,
+                                       batch_size))
+        for fold in shares[0]:
+            add(fold_probabilities(run.load_fold(fold), test_sequences, batch_size))
         for worker in workers:
             for probs in worker.result(num_heads):
                 add(probs)
@@ -482,11 +476,6 @@ class SavedRun:
     def load_fold(self, fold: int) -> Network:
         return load_checkpoint(os.path.join(self.directory, f"fold{fold}"),
                                self.model_config, len(self.head_keys), self.matrix)
-
-    def check_fold(self, fold: int, like: Network) -> None:
-        """Fail as load_fold would on a missing or wrongly sized weights.bin,
-        without building a network: like is one of this run's networks."""
-        _read_weights(os.path.join(self.directory, f"fold{fold}"), like)
 
 
 def _read_run_json(path, parse):

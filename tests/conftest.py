@@ -1,6 +1,11 @@
 """Shared numeric helpers for the test suite."""
 
+import os
+
 import numpy as np
+
+from abusekit.model import save_checkpoint
+from abusekit.training import SavedRun, TrainConfig
 
 
 def numerical_grad(loss_fn, array, eps=1e-5):
@@ -83,3 +88,17 @@ def held_caches(network):
     return [name for name, layer in layers.items()
             if getattr(layer, "_cache", None) is not None
             or getattr(layer, "_mask", None) is not None]
+
+
+def saved_run(directory, networks):
+    """A SavedRun whose folds 0, 1, ... are networks (of one config and head
+    count), saved as fold{k}/weights.bin under directory.  It holds no
+    vocabulary or preprocessing: ensemble_predict reads neither."""
+    first = networks[0]
+    for fold, network in enumerate(networks):
+        save_checkpoint(network, os.path.join(directory, f"fold{fold}"))
+    task = {1: 1, 2: 3}[len(first.heads)]   # task 3 scores two heads
+    return SavedRun(os.fspath(directory), first.config,
+                    TrainConfig(task=task, language="en", folds=len(networks)),
+                    best_fold=0, vocab=None, prep_config=None,
+                    matrix=first.embedding.matrix)

@@ -5,6 +5,8 @@ so the full pipeline stays fast enough for the default suite; only
 test_runs_as_module starts a child interpreter.
 """
 
+import contextlib
+import errno
 import json
 import os
 import shutil
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 
 import abusekit
-from abusekit import training
+from abusekit import cli, training
 from abusekit.cli import _read_id_csv, main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import parse_vector_file, write_cache, write_vector_file
@@ -693,6 +695,35 @@ class TestPredict:
         assert rc == 2
         assert f"{posts}:3: row 1: duplicate id 5" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_failed_write_leaves_no_submission(self, pipeline, tmp_path, monkeypatch,
+                                               capsys):
+        # the disk fills after the header: exit 2, and neither a truncated
+        # submission nor a temporary file is left behind
+        real_atomic_write = cli.atomic_write
+
+        class FullDisk:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(data)
+
+        @contextlib.contextmanager
+        def filling(path, mode="w"):
+            with real_atomic_write(path, mode) as fh:
+                yield FullDisk(fh)
+
+        monkeypatch.setattr(cli, "atomic_write", filling)
+        out = tmp_path / "out.csv"
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(pipeline["test_csv"]), "--out", str(out)])
+        assert rc == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_ids_parsed_strictly(self, pipeline, tmp_path, capsys):
         posts = tmp_path / "posts.csv"

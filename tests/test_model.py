@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import held_caches, max_rel_error, numerical_grad
+from conftest import held_caches, max_rel_error, numerical_grad, saved_run
 
 from abusekit.errors import (AbusekitError, ConfigurationError, CorruptionError,
                              ShapeError)
@@ -262,13 +262,15 @@ class TestRelease:
         net.release()
         assert held_caches(net) == []
 
-    def test_ensemble_peak_is_one_network(self):
-        # numpy reports its buffers to tracemalloc; run fold by fold, five
-        # networks need about what one forward needs, not five times it
+    def test_ensemble_peak_is_one_network(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; loaded and run fold by
+        # fold, five networks need about what one forward needs, not five
+        # times it
         config = ModelConfig(seq_len=40, embed_dim=16, conv_filters=16,
                              lstm_units=32, dense_units=16)
         matrix = make_matrix(50, 16)
         nets = [build(config, matrix, seed=seed) for seed in range(5)]
+        run = saved_run(tmp_path, nets)
         batch = random_batch(config, 50, batch=64, seed=4)
 
         def traced_peak(run):
@@ -281,7 +283,7 @@ class TestRelease:
 
         single = traced_peak(lambda: nets[0].forward(batch))
         nets[0].release()
-        ensemble = traced_peak(lambda: ensemble_predict(nets, batch))
+        ensemble = traced_peak(lambda: ensemble_predict(run, range(5), batch))
         assert ensemble < 1.5 * single
 
 
@@ -294,23 +296,23 @@ class TestPredict:
         probs = np.array([[0.4, 0.3, 0.3], [1 / 3, 1 / 3, 1 / 3]])
         np.testing.assert_array_equal(labels_from_probs(probs), [0, 2])
 
-    def test_monotone_logit_invariance(self):
+    def test_monotone_logit_invariance(self, tmp_path):
         config = tiny_config()
         net = build(config, make_matrix(30, 6))
         batch = random_batch(config, 30, batch=16, seed=21)
-        before = ensemble_predict([net], batch)[0]
+        before = ensemble_predict(saved_run(tmp_path / "before", [net]), [0], batch)[0]
         for head in net.heads:
             head.weight.value *= 2.0
             head.bias.value *= 2.0
-        after = ensemble_predict([net], batch)[0]
+        after = ensemble_predict(saved_run(tmp_path / "after", [net]), [0], batch)[0]
         np.testing.assert_array_equal(before, after)
 
-    def test_batching_invisible(self):
+    def test_batching_invisible(self, tmp_path):
         config = tiny_config()
-        net = build(config, make_matrix(30, 6))
+        run = saved_run(tmp_path, [build(config, make_matrix(30, 6))])
         batch = random_batch(config, 30, batch=10, seed=2)
-        np.testing.assert_array_equal(ensemble_predict([net], batch, batch_size=3)[0],
-                                      ensemble_predict([net], batch, batch_size=64)[0])
+        np.testing.assert_array_equal(ensemble_predict(run, [0], batch, batch_size=3)[0],
+                                      ensemble_predict(run, [0], batch, batch_size=64)[0])
 
 
 class TestCheckpoint:

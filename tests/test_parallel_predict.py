@@ -1,10 +1,12 @@
-"""Process-parallel ensemble predict: the parent runs the first share of the
-folds and worker processes (python -m abusekit._foldworker) run the rest.
+"""Process-parallel ensemble predict: the parent loads and runs the first
+share of the folds, one at a time, and worker processes (python -m
+abusekit._foldworker) run the rest.
 
 Submissions must be byte-identical at any worker count, a fold that fails
 anywhere exits 2 naming its file, and no process outlives the command.
 """
 
+import gc
 import glob
 import shutil
 
@@ -15,7 +17,7 @@ from abusekit import cli, training
 from abusekit.cli import _read_id_csv, main
 from abusekit.errors import AbusekitError
 from abusekit.layers import AdamConfig
-from abusekit.model import ModelConfig
+from abusekit.model import ModelConfig, Network
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_test_csv)
 from abusekit.text import encode_batch, preprocess
@@ -62,14 +64,15 @@ def predict(runs, k, out, *flags):
 @pytest.mark.parametrize("mode", ["average", "best"])
 def test_submission_identical_at_any_worker_count(runs, tmp_path, monkeypatch, k, mode):
     monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
-    submissions = []
-    for threads in ("1", "2", "3"):
+    submissions = set()
+    for threads in ("1", "2", "3", "4", "5"):
         out = tmp_path / f"{threads}.csv"
         assert predict(runs, k, out, "--ensemble", mode, "--threads", threads) == 0
-        submissions.append(out.read_bytes())
-    assert submissions[0] == submissions[1] == submissions[2]
-    assert submissions[0].count(b"\n") == 41
-    assert b",0\n" in submissions[0] and b",1\n" in submissions[0]
+        submissions.add(out.read_bytes())
+    assert len(submissions) == 1
+    submission, = submissions
+    assert submission.count(b"\n") == 41
+    assert b",0\n" in submission and b",1\n" in submission
 
 
 def sequences_of(run, path):
@@ -94,22 +97,40 @@ def test_worker_probabilities_bit_identical(runs):
         assert probs[0].dtype == local[0].dtype and probs[0].shape == (40, 2)
 
 
-@pytest.mark.parametrize("own, worker_folds", [
-    (1, [[1, 2, 3, 4]]), (3, [[3, 4]]), (2, [[2], [3, 4]]), (1, [[1], [2], [3], [4]])])
-def test_labels_identical_however_folds_are_spread(runs, own, worker_folds):
+@pytest.mark.parametrize("processes", [2, 3, 4, 5])
+def test_labels_identical_however_folds_are_spread(runs, processes):
+    # the five folds in 2 to 5 shares: [0 1 2][3 4] ... [0][1][2][3][4]
     run = read_run(runs / "k5")
     sequences = sequences_of(run, runs / "posts.csv")
-    expected = ensemble_predict([run.load_fold(f) for f in range(5)], sequences,
-                                batch_size=6)
-    got = ensemble_predict([run.load_fold(f) for f in range(own)], sequences,
-                           batch_size=6, run_dir=runs / "k5", worker_folds=worker_folds)
+    expected = ensemble_predict(run, range(5), sequences, batch_size=6)
+    got = ensemble_predict(run, range(5), sequences, processes, batch_size=6)
     np.testing.assert_array_equal(got[0], expected[0])
+
+
+def test_parent_holds_one_fold_network_at_a_time(runs, tmp_path, monkeypatch):
+    # the command loads each fold of its own share where it scores it, and
+    # drops it before it loads the next
+    def live_networks():
+        gc.collect()
+        return sum(isinstance(o, Network) for o in gc.get_objects())
+
+    score, held = training.fold_probabilities, []
+
+    def counting(network, sequences, batch_size=256):
+        held.append(live_networks() - before)
+        return score(network, sequences, batch_size)
+
+    monkeypatch.setattr(training, "fold_probabilities", counting)
+    monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+    before = live_networks()
+    assert predict(runs, 5, tmp_path / "out.csv", "--threads", "1") == 0
+    assert held == [1] * 5
 
 
 @pytest.mark.parametrize("case", ["truncated", "missing"])
 def test_damaged_fold_in_workers_share_exits_2(runs, tmp_path, capsys, case):
-    # the parent checks every chosen fold before it starts a worker, with
-    # load_checkpoint's own messages
+    # the worker's load fails with load_checkpoint's own message, and the
+    # command writes nothing
     clone = tmp_path / "run"
     shutil.copytree(runs / "k5", clone)
     weights = clone / "fold4" / "weights.bin"
@@ -129,18 +150,15 @@ def test_damaged_fold_in_workers_share_exits_2(runs, tmp_path, capsys, case):
 
 @needs_proc_children
 def test_fold_failing_inside_a_worker_is_named(runs, tmp_path):
-    # damaged after the parent's check: the worker's own load fails, and
     # the error names the worker's folds and the file, with no process left
     clone = tmp_path / "run"
     shutil.copytree(runs / "k5", clone)
     run = read_run(clone)
-    states = [run.load_fold(f) for f in range(3)]
     weights = clone / "fold4" / "weights.bin"
     weights.write_bytes(weights.read_bytes()[:-4])
     before = child_pids()
     with pytest.raises(AbusekitError) as caught:
-        ensemble_predict(states, sequences_of(run, runs / "posts.csv"),
-                         run_dir=clone, worker_folds=[[3, 4]])
+        ensemble_predict(run, range(5), sequences_of(run, runs / "posts.csv"), 2)
     message = str(caught.value)
     assert "worker for folds [3, 4] exited 2" in message
     assert f"{weights} holds" in message
@@ -204,6 +222,5 @@ def test_parent_failure_stops_its_workers(runs, monkeypatch):
     monkeypatch.setattr(training, "fold_probabilities", diverge)
     before = child_pids()
     with pytest.raises(AbusekitError, match="parent fold failed"):
-        ensemble_predict([run.load_fold(f) for f in range(3)], sequences,
-                         run_dir=runs / "k5", worker_folds=[[3, 4]])
+        ensemble_predict(run, range(5), sequences, 2)
     assert child_pids() == before

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import held_caches
+from conftest import held_caches, saved_run
 
 from abusekit import training
 from abusekit.errors import ConfigurationError, DataIntegrityError
@@ -385,7 +385,7 @@ class TestEnsemble:
         vocab = build_vocab([ex.text.split() for ex in examples])
         return build_matrix(vocab, vectors, expected_dim=8)[0]
 
-    def test_arithmetic_oracle(self):
+    def test_arithmetic_oracle(self, tmp_path):
         # 3 models at p(1)=0.9 and 2 at p(1)=0.2 average to 0.62: label 1
         config = small_model_config()
         matrix = self.setup_matrix()
@@ -393,10 +393,10 @@ class TestEnsemble:
         states += [rigged_network(config, matrix, 0.2) for _ in range(2)]
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(7, config.seq_len), dtype=np.int32)
-        labels = ensemble_predict(states, sequences)[0]
+        labels = ensemble_predict(saved_run(tmp_path, states), range(5), sequences)[0]
         np.testing.assert_array_equal(labels, 1)
 
-    def test_minority_high_confidence_loses(self):
+    def test_minority_high_confidence_loses(self, tmp_path):
         # 2 models at 0.9 and 3 at 0.2 average to 0.48: label 0
         config = small_model_config()
         matrix = self.setup_matrix()
@@ -404,69 +404,62 @@ class TestEnsemble:
         states += [rigged_network(config, matrix, 0.2) for _ in range(3)]
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(4, config.seq_len), dtype=np.int32)
-        np.testing.assert_array_equal(ensemble_predict(states, sequences)[0], 0)
+        run = saved_run(tmp_path, states)
+        np.testing.assert_array_equal(ensemble_predict(run, range(5), sequences)[0], 0)
 
-    def test_exact_tie_goes_high(self):
+    def test_exact_tie_goes_high(self, tmp_path):
         config = small_model_config()
         matrix = self.setup_matrix()
-        states = [rigged_network(config, matrix, 0.5) for _ in range(2)]
+        run = saved_run(tmp_path, [rigged_network(config, matrix, 0.5) for _ in range(2)])
         sequences = np.random.default_rng(1).integers(
             0, 5, size=(3, config.seq_len), dtype=np.int32)
-        np.testing.assert_array_equal(ensemble_predict(states, sequences)[0], 1)
+        np.testing.assert_array_equal(ensemble_predict(run, range(2), sequences)[0], 1)
 
-    def test_identical_models_match_single(self):
+    def test_identical_models_match_single(self, tmp_path):
         config = small_model_config()
         matrix = self.setup_matrix()
-        states = [build(config, matrix, seed=13) for _ in range(5)]
+        run = saved_run(tmp_path, [build(config, matrix, seed=13) for _ in range(5)])
         sequences = np.random.default_rng(2).integers(
             0, 5, size=(9, config.seq_len), dtype=np.int32)
-        ensembled = ensemble_predict(states, sequences)[0]
-        single = ensemble_predict(states[:1], sequences)[0]
+        ensembled = ensemble_predict(run, range(5), sequences)[0]
+        single = ensemble_predict(run, [0], sequences)[0]
         np.testing.assert_array_equal(ensembled, single)
 
-    def test_order_invariance(self):
+    def test_order_invariance(self, tmp_path):
         config = small_model_config()
         matrix = self.setup_matrix()
-        states = [rigged_network(config, matrix, p) for p in
-                  (0.9, 0.2, 0.7, 0.4, 0.55)]
+        run = saved_run(tmp_path, [rigged_network(config, matrix, p) for p in
+                                   (0.9, 0.2, 0.7, 0.4, 0.55)])
         sequences = np.random.default_rng(3).integers(
             0, 5, size=(6, config.seq_len), dtype=np.int32)
-        forward = ensemble_predict(states, sequences)[0]
-        backward = ensemble_predict(states[::-1], sequences)[0]
+        forward = ensemble_predict(run, range(5), sequences)[0]
+        backward = ensemble_predict(run, range(4, -1, -1), sequences)[0]
         np.testing.assert_array_equal(forward, backward)
 
-    def test_mismatched_configs_rejected(self):
-        # a different layer size, or the same config with another head count
+    def test_empty_states_rejected(self, tmp_path):
+        run = saved_run(tmp_path, [build(small_model_config(), self.setup_matrix())])
+        with pytest.raises(ConfigurationError, match="no folds"):
+            ensemble_predict(run, [], np.zeros((1, 12), dtype=np.int32))
+
+    def test_releases_every_fold(self, tmp_path):
         matrix = self.setup_matrix()
-        a = build(small_model_config(), matrix)
-        for b in (build(small_model_config(dense_units=6), matrix),
-                  build(small_model_config(), matrix, num_heads=2)):
-            with pytest.raises(ConfigurationError, match="disagree"):
-                ensemble_predict([a, b], np.zeros((1, 12), dtype=np.int32))
+        run = saved_run(tmp_path, [build(small_model_config(), matrix, seed=s)
+                                   for s in range(3)])
+        loaded, load_fold = [], run.load_fold
 
-    def test_empty_states_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ensemble_predict([], np.zeros((1, 12), dtype=np.int32))
+        def recording_load_fold(fold):
+            loaded.append(load_fold(fold))
+            return loaded[-1]
 
-    def test_seed_differences_allowed(self):
-        # folds differ by their generators' seeds alone
-        matrix = self.setup_matrix()
-        a = build(small_model_config(), matrix, seed=1)
-        b = build(small_model_config(), matrix, seed=2)
-        labels = ensemble_predict([a, b], np.zeros((2, 12), dtype=np.int32))
-        assert labels[0].shape == (2,)
-
-
-    def test_releases_every_fold(self):
-        matrix = self.setup_matrix()
-        states = [build(small_model_config(), matrix, seed=s) for s in range(3)]
-        ensemble_predict(states, np.zeros((5, 12), dtype=np.int32), batch_size=2)
-        for state in states:
+        run.load_fold = recording_load_fold
+        ensemble_predict(run, range(3), np.zeros((5, 12), dtype=np.int32), batch_size=2)
+        assert len(loaded) == 3
+        for state in loaded:
             assert held_caches(state) == []
 
     @pytest.mark.parametrize("num_heads", [1, 2])
     @pytest.mark.parametrize("batch_size", [256, 7, 1])
-    def test_matches_batch_outer_reference(self, num_heads, batch_size):
+    def test_matches_batch_outer_reference(self, tmp_path, num_heads, batch_size):
         # fold-outer order adds the same p / k terms per post, in fold order
         matrix = self.setup_matrix()
         states = [build(small_model_config(), matrix, num_heads, seed=s)
@@ -491,7 +484,8 @@ class TestEnsemble:
                         mean_probs[h] += p / len(states)
             for h in range(num_heads):
                 outs[h].append(labels_from_probs(mean_probs[h]))
-        got = ensemble_predict(states, sequences, batch_size=batch_size)
+        got = ensemble_predict(saved_run(tmp_path, states), range(5), sequences,
+                               batch_size=batch_size)
         assert len(got) == num_heads
         for h in range(num_heads):
             want = np.concatenate(outs[h])
