@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _CACHE_MAGIC = b"EMB1"
+# characters read per readlines() call of parse_vector_file: a 1 MiB chunk
+# of a 300-d file is ~460 lines and a ~0.6 MB float32 block
+_CHUNK_CHARS = 1 << 20
+# loadtxt strips these from a field's edges as whitespace, but float(), and
+# so np.array, rejects a field that holds them
+_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 @dataclass
@@ -56,6 +63,50 @@ def _is_header(fields: list[str]) -> bool:
     return True
 
 
+def _parse_row(fields: list[str], dimension: int, path, line_no: int) -> np.ndarray:
+    """One data line's vector by the rule every line must pass: exactly
+    dimension components, each a number that float() reads, all finite."""
+    raw = fields[1:]
+    if len(raw) != dimension:
+        raise ParseError(f"expected {dimension} components, found {len(raw)}",
+                         path=str(path), line=line_no)
+    try:
+        vec = np.array(raw, dtype=np.float32)
+    except ValueError:
+        raise ParseError("non-numeric vector component",
+                         path=str(path), line=line_no) from None
+    if not np.all(np.isfinite(vec)):
+        raise ParseError("non-finite vector component", path=str(path), line=line_no)
+    return vec
+
+
+def _parse_block(rests: list[str], dimension: int) -> np.ndarray | None:
+    """The components after each line's word as one float32 block, or None
+    when the chunk must go through _parse_row line by line.
+
+    loadtxt reads each field as a double and casts it to float32, as
+    np.array does, so a block it accepts holds _parse_row's rows bit for
+    bit.  Where the two differ, the chunk goes to _parse_row: loadtxt
+    rejects some fields that float() reads (``1_0``, non-ASCII digits),
+    skips a line with no components (the shape check sees the missing
+    row), and strips _LOADTXT_ONLY_SPACES (checked before it runs).
+    """
+    if any(sep in rest for rest in rests for sep in _LOADTXT_ONLY_SPACES):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns of "no data" when every line is empty; the
+            # shape check below sends such a chunk to _parse_row
+            warnings.simplefilter("ignore", UserWarning)
+            block = np.loadtxt(rests, dtype=np.float32, delimiter=" ",
+                               comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(rests), dimension) or not np.isfinite(block).all():
+        return None
+    return block
+
+
 def parse_vector_file(path) -> WordVectorFile:
     """Stream-parse a text vector file, inferring the dimension.
 
@@ -63,42 +114,48 @@ def parse_vector_file(path) -> WordVectorFile:
     later line.  Duplicate words keep the last occurrence.  A word keeps
     its undecodable bytes (as surrogateescape does), so it stays distinct
     and never matches a vocabulary token.
+
+    Lines are read in chunks and each chunk's numbers are converted by one
+    loadtxt call into a float32 block, whose rows are the entries.  A chunk
+    that fails in bulk is read again line by line with _parse_row, which
+    names the first bad line.
     """
     entries: dict[str, np.ndarray] = {}
     dimension = None
     had_header = False
+    line_no = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            fields = line.rstrip("\n").split(" ")
-            if fields and fields[-1] == "":
-                fields = fields[:-1]
-            if not fields or fields == [""]:
+        while lines := fh.readlines(_CHUNK_CHARS):
+            texts, numbers = [], []
+            for line in lines:
+                line_no += 1
+                text = line.rstrip("\n")
+                if text.endswith(" "):
+                    text = text[:-1]
+                if not text:
+                    continue
+                if line_no == 1 and _is_header(text.split(" ")):
+                    had_header = True
+                    continue
+                texts.append(text)
+                numbers.append(line_no)
+            if not texts:
                 continue
-            if line_no == 1 and _is_header(fields):
-                had_header = True
-                continue
-            word, raw = fields[0], fields[1:]
             if dimension is None:
-                dimension = len(raw)
+                dimension = texts[0].count(" ")
                 if dimension == 0:
                     raise ParseError("no vector components on first data line",
-                                     path=str(path), line=line_no)
-            elif len(raw) != dimension:
-                raise ParseError(
-                    f"expected {dimension} components, found {len(raw)}",
-                    path=str(path), line=line_no)
-            try:
-                vec = np.array(raw, dtype=np.float32)
-            except ValueError:
-                raise ParseError("non-numeric vector component",
-                                 path=str(path), line=line_no) from None
-            if not np.all(np.isfinite(vec)):
-                raise ParseError("non-finite vector component",
-                                 path=str(path), line=line_no)
-            if word in entries:
-                log.warning("duplicate vector for %r at %s:%d; keeping the later one",
-                            word, path, line_no)
-            entries[word] = vec
+                                     path=str(path), line=numbers[0])
+            words, _, rests = zip(*(text.partition(" ") for text in texts))
+            rows = _parse_block(list(rests), dimension)
+            if rows is None:
+                rows = (_parse_row(text.split(" "), dimension, path, n)
+                        for text, n in zip(texts, numbers))
+            for word, row, n in zip(words, rows, numbers):
+                if word in entries:
+                    log.warning("duplicate vector for %r at %s:%d; keeping the later one",
+                                word, path, n)
+                entries[word] = row
     if dimension is None:
         raise ParseError("vector file has no data lines", path=str(path))
     return WordVectorFile(dimension=dimension, entries=entries, had_header=had_header)

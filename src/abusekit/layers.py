@@ -66,15 +66,21 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def glorot_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
-                   rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
+                   rng: np.random.Generator | None, dtype=np.float32) -> np.ndarray:
+    """Uniform draw in +-sqrt(6 / (fan_in + fan_out)); zeros without rng,
+    for a layer whose values are loaded rather than trained from scratch."""
+    if rng is None:
+        return np.zeros(shape, dtype=dtype)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def orthogonal(rows: int, cols: int, rng: np.random.Generator,
+def orthogonal(rows: int, cols: int, rng: np.random.Generator | None,
                dtype=np.float32) -> np.ndarray:
     """Orthogonal init via QR of a Gaussian draw, sign-corrected so the
-    decomposition is unique."""
+    decomposition is unique; zeros without rng, as glorot_uniform."""
+    if rng is None:
+        return np.zeros((rows, cols), dtype=dtype)
     a = rng.standard_normal((max(rows, cols), min(rows, cols)))
     q, r = np.linalg.qr(a)
     q = q * np.sign(np.diag(r))
@@ -266,7 +272,7 @@ class Conv1D(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator, activation: str = "relu",
+                 rng: np.random.Generator | None, activation: str = "relu",
                  dtype=np.float32):
         if activation not in _ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {activation!r}")
@@ -318,7 +324,7 @@ class Dense(Module):
     """Affine map on the trailing axis; broadcasts over any leading dims."""
 
     def __init__(self, in_features: int, out_features: int,
-                 rng: np.random.Generator, activation: str = "relu",
+                 rng: np.random.Generator | None, activation: str = "relu",
                  dtype=np.float32):
         if activation not in _ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {activation!r}")
@@ -367,7 +373,7 @@ class GlobalAveragePool1D(Module):
         return np.repeat(grad_out[:, None, :] / length, length, axis=1)
 
 
-def _init_lstm_params(input_dim: int, hidden: int, rng: np.random.Generator,
+def _init_lstm_params(input_dim: int, hidden: int, rng: np.random.Generator | None,
                       dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gate parameters in gate order i, f, g, o along the first axis.
 
@@ -494,7 +500,7 @@ class Lstm(Module):
     2016): one mask per sequence, reused at every timestep.
     """
 
-    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator,
+    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator | None,
                  dropout: float = 0.0, recurrent_dropout: float = 0.0,
                  dtype=np.float32):
         W, U, b = _init_lstm_params(input_dim, hidden_size, rng, dtype)
@@ -527,7 +533,7 @@ class BiLstm(Module):
     one time loop; the backward cell reads the time-reversed input.
     """
 
-    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator,
+    def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator | None,
                  dropout: float = 0.1, recurrent_dropout: float = 0.1,
                  dtype=np.float32):
         self.forward_cell = Lstm(input_dim, hidden_size, rng, dropout,

@@ -70,10 +70,11 @@ class ModelConfig:
 
 class Network:
     """Built model: layer stack, num_heads heads initialized from rng's
-    draws, and the frozen embedding matrix (|V| x embed_dim)."""
+    draws (zero weights when rng is None, for values to be loaded), and the
+    frozen embedding matrix (|V| x embed_dim)."""
 
     def __init__(self, config: ModelConfig, matrix: np.ndarray, num_heads: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator | None, dtype=np.float32):
         config.validate()
         if matrix.ndim != 2 or matrix.shape[1] != config.embed_dim:
             raise ConfigurationError(
@@ -227,8 +228,7 @@ def load_checkpoint(directory, config: ModelConfig, num_heads: int,
             raw = fh.read()
     except FileNotFoundError:
         raise CorruptionError(f"missing {path}") from None
-    # every initial value is overwritten, so any fixed generator serves
-    network = Network(config, matrix, num_heads, np.random.default_rng(0))
+    network = Network(config, matrix, num_heads, None)
     params = network.parameters()
     expected = 4 * sum(param.value.size for param in params)
     if len(raw) != expected:

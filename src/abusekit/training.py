@@ -21,7 +21,7 @@ import tokenize
 import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
-from xml.sax.saxutils import escape
+from html import escape
 
 import numpy as np
 
@@ -652,7 +652,7 @@ def _panel(title, series, x0, width, height) -> list[str]:
         f'<rect x="{x0 + pad:.2f}" y="{pad:.2f}" width="{plot_w:.2f}" '
         f'height="{plot_h:.2f}" fill="none" stroke="#999" />',
         f'<text x="{x0 + width / 2:.2f}" y="{pad - 10:.2f}" text-anchor="middle" '
-        f'font-size="12">{escape(title)}</text>',
+        f'font-size="12">{escape(title, quote=False)}</text>',
         f'<text x="{x0 + pad - 4:.2f}" y="{pad + 10:.2f}" text-anchor="end" '
         f'font-size="9">{hi:.3f}</text>',
         f'<text x="{x0 + pad - 4:.2f}" y="{pad + plot_h:.2f}" text-anchor="end" '

@@ -873,6 +873,20 @@ def test_runs_as_module(module, tmp_path):
     assert missing.returncode == 2 and "missing" in missing.stderr
 
 
+def test_cli_import_skips_network_modules():
+    # every command and every predict worker pays the CLI's imports in a
+    # fresh interpreter; these four cost 29-46 ms and no command uses them
+    src = str(Path(abusekit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, abusekit.cli; print(' '.join(sorted(m for m in "
+         "('urllib.request', 'http.client', 'email.parser', 'ssl') if m in sys.modules)))"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""
+
+
 def test_fold_threads_invisible_at_two_blas_threads(pipeline, tmp_path):
     # Seeded runs are bit-identical at a fixed BLAS thread count; a BLAS
     # count of 2 may round differently from 1, but fold threads must still

@@ -332,6 +332,22 @@ class TestCheckpoint:
         for a, b in zip(before, after):
             np.testing.assert_array_equal(a, b)
 
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        # every value comes from weights.bin, so a load builds its network
+        # without the orthogonal init's QR of each recurrent gate block
+        config = tiny_config()
+        matrix = make_matrix(30, 6)
+        net = build(config, matrix, seed=8)
+        run = saved_run(tmp_path, [net])
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called during a load")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        loaded = run.load_fold(0)
+        for pa, pb in zip(net.parameters(), loaded.parameters()):
+            np.testing.assert_array_equal(pa.value, pb.value)
+
     def test_failed_save_keeps_old_weights(self, tmp_path, monkeypatch):
         # weights.bin is written beside itself and swapped in whole
         config = tiny_config()

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import json
 import math
 import os
@@ -551,3 +552,24 @@ class TestReportHelpers:
 
         tree = ET.fromstring(svg_path.read_text(encoding="utf-8"))
         assert tree.tag.endswith("svg")
+
+    def test_curves_svg_bytes_with_markup_in_title(self, tmp_path, monkeypatch):
+        # a title holding & < > is escaped as text (quotes stay); the whole
+        # file is pinned by its digest, so any change to the output shows
+        rng = np.random.default_rng(4)
+        folds = [FoldReport(fold=f, head_reports={},
+                            epochs=[EpochRecord(e + 1, rng.random(), rng.random(),
+                                                rng.random(), rng.random())
+                                    for e in range(3)])
+                 for f in range(2)]
+        report = RunReport(folds=folds, averaged={}, train_config={}, model_config={},
+                           embedding_coverage=1.0)
+        panel = training._panel
+        monkeypatch.setattr(training, "_panel",
+                            lambda title, *rest: panel(title + ' & <"x">', *rest))
+        svg_path = tmp_path / "curves.svg"
+        emit_curves(report, tmp_path / "curves.csv", svg_path)
+        svg = svg_path.read_bytes()
+        assert b'loss (dashed = train) &amp; &lt;"x"&gt;</text>' in svg
+        assert hashlib.sha256(svg).hexdigest() == \
+            "1326b68a61298ff3b6661510467394188259266aab2bad9df4db345ad86b6067"
