@@ -32,7 +32,7 @@ def worst_error(layer, x):
         return float((layer.forward(x) * proj).sum())
 
     layer.zero_grad()
-    layer.forward(x)
+    layer.forward(x, train_mode=True)   # keeps what backward reads
     dx = layer.backward(proj.copy())
     analytic = {id(p): p.grad.copy() for p in layer.parameters()}
 

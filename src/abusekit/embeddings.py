@@ -71,7 +71,8 @@ def _parse_row(fields: list[str], dimension: int, path, line_no: int) -> np.ndar
         raise ParseError(f"expected {dimension} components, found {len(raw)}",
                          path=str(path), line=line_no)
     try:
-        vec = np.array(raw, dtype=np.float32)
+        with np.errstate(over="ignore"):   # inf fails the check below
+            vec = np.array(raw, dtype=np.float32)
     except ValueError:
         raise ParseError("non-numeric vector component",
                          path=str(path), line=line_no) from None
@@ -94,7 +95,7 @@ def _parse_block(rests: list[str], dimension: int) -> np.ndarray | None:
     if any(sep in rest for rest in rests for sep in _LOADTXT_ONLY_SPACES):
         return None
     try:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             # loadtxt warns of "no data" when every line is empty; the
             # shape check below sends such a chunk to _parse_row
             warnings.simplefilter("ignore", UserWarning)

@@ -91,19 +91,21 @@ def orthogonal(rows: int, cols: int, rng: np.random.Generator | None,
 
 @dataclass
 class Parameter:
-    """Trainable array with its gradient and Adam moment buffers."""
+    """Trainable array.  Its gradient and Adam moments (grad, adam_m,
+    adam_v) are zeros allocated at first use, by a backward or adam_step, so
+    a network that is only loaded and run forward holds just its values."""
 
     value: np.ndarray
-    grad: np.ndarray = field(init=False)
-    adam_m: np.ndarray = field(init=False)
-    adam_v: np.ndarray = field(init=False)
     step_count: int = field(default=0, init=False)
     name: str = ""
 
-    def __post_init__(self):
-        self.grad = np.zeros_like(self.value)
-        self.adam_m = np.zeros_like(self.value)
-        self.adam_v = np.zeros_like(self.value)
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for a missing attribute: a buffer not yet allocated
+        if name not in ("grad", "adam_m", "adam_v"):
+            raise AttributeError(name)
+        buffer = np.zeros_like(self.value)
+        setattr(self, name, buffer)
+        return buffer
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -171,7 +173,7 @@ def _activate_backward(name: str, grad: np.ndarray, z: np.ndarray,
 
 
 class Module:
-    """Base for layers: forward caches what backward needs."""
+    """Base for layers: a train-mode forward caches what backward needs."""
 
     def parameters(self) -> list[Parameter]:
         return []
@@ -248,17 +250,13 @@ class Dropout(Module):
         return grad_out * self._mask
 
 
-def _cached(layer: Module):
-    """The layer's forward cache; none (never run, or released) is an error."""
-    if layer._cache is None:
+def _take_cache(layer: Module):
+    """The layer's forward cache, which its backward consumes exactly once;
+    none (never run in train mode, or already consumed) is an error."""
+    cache = layer._cache
+    if cache is None:
         raise AbusekitError(
             f"{type(layer).__name__}.backward needs a fresh forward pass")
-    return layer._cache
-
-
-def _take_cache(layer: Module):
-    """The layer's forward cache, which its backward consumes exactly once."""
-    cache = _cached(layer)
     layer._cache = None
     return cache
 
@@ -290,7 +288,7 @@ class Conv1D(Module):
     def parameters(self) -> list[Parameter]:
         return [self.kernels, self.bias]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train_mode: bool = False) -> np.ndarray:
         _, length, _ = x.shape
         k = self.kernel_size
         if length < k:
@@ -300,11 +298,11 @@ class Conv1D(Module):
         for dt in range(k):
             z += x[:, dt:dt + out_len, :] @ self.kernels.value[dt]
         out = _activate(self.activation, z)
-        self._cache = (x, z, out)
+        self._cache = (x, z, out) if train_mode else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, z, out = _cached(self)
+        x, z, out = _take_cache(self)
         if grad_out.shape != z.shape:
             raise ShapeError(f"gradient shape {grad_out.shape} != output {z.shape}")
         dz = _activate_backward(self.activation, grad_out, z, out)
@@ -339,17 +337,17 @@ class Dense(Module):
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train_mode: bool = False) -> np.ndarray:
         if x.shape[-1] != self.weight.value.shape[0]:
             raise ShapeError(
                 f"input features {x.shape[-1]} != weight rows {self.weight.value.shape[0]}")
         z = x @ self.weight.value + self.bias.value
         out = _activate(self.activation, z)
-        self._cache = (x, z, out)
+        self._cache = (x, z, out) if train_mode else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, z, out = _cached(self)
+        x, z, out = _take_cache(self)
         dz = _activate_backward(self.activation, grad_out, z, out)
         flat_in = x.reshape(-1, x.shape[-1])
         flat_dz = dz.reshape(-1, dz.shape[-1])
@@ -397,8 +395,9 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng):
     inputs[d] is cell d's B x L x D_in input in the order the cell reads it,
     and outputs[d] a B x L x H view its hidden states are written into, in
     the same order.  Each step makes one stacked recurrent matmul and one
-    activation pass over the D x B x 4H gate slice.  Returns the cache that
-    _lstm_backward consumes.
+    activation pass over the D x B x 4H gate slice.  In train mode it returns
+    the cache that _lstm_backward consumes; in eval mode it keeps no history
+    of the cell states or masked hidden states, and returns None.
     """
     batch, length, _ = inputs[0].shape
     hidden = cells[0].hidden_size
@@ -426,27 +425,31 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng):
     for d, (cell, xm) in enumerate(zip(cells, masked)):
         np.matmul(xm, cell.W.value.T, out=gates[d])
         gates[d] += cell.b.value
-    # cs[s] is the cell state entering step s, so cs[s + 1] is its output.
-    cs = np.empty((length + 1, len(cells), batch, hidden), dtype=dtype)
-    cs[0] = 0.0
-    h_masked = np.empty((len(cells), batch, length, hidden), dtype=dtype)
-    h = np.zeros((len(cells), batch, hidden), dtype=dtype)
+    if train_mode:
+        # cs[s] is the cell state entering step s, so cs[s + 1] is its output.
+        cs = np.empty((length + 1, len(cells), batch, hidden), dtype=dtype)
+        cs[0] = 0.0
+        h_masked = np.empty((len(cells), batch, length, hidden), dtype=dtype)
+    c = np.zeros((len(cells), batch, hidden), dtype=dtype)
+    h = np.zeros_like(c)
     U_T = np.ascontiguousarray(
         np.stack([cell.U.value for cell in cells]).transpose(0, 2, 1))
     for s in range(length):
         hm = h if rec_mask is None else h * rec_mask
-        h_masked[:, :, s] = hm
+        if train_mode:
+            h_masked[:, :, s] = hm
         z = gates[:, :, s]
         z += np.matmul(hm, U_T)
         g = np.tanh(z[..., 2 * hidden:3 * hidden])
         sigmoid(z, out=z)
         z[..., 2 * hidden:3 * hidden] = g
-        c = z[..., hidden:2 * hidden] * cs[s] + z[..., :hidden] * g
-        cs[s + 1] = c
+        c = z[..., hidden:2 * hidden] * c + z[..., :hidden] * g
+        if train_mode:
+            cs[s + 1] = c
         h = z[..., 3 * hidden:] * np.tanh(c)
         for out, h_d in zip(outputs, h):
             out[:, s] = h_d
-    return masked, in_masks, rec_mask, gates, cs, h_masked
+    return (masked, in_masks, rec_mask, gates, cs, h_masked) if train_mode else None
 
 
 def _lstm_backward(cells, cache, grads):

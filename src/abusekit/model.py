@@ -113,15 +113,17 @@ class Network:
 
     def trunk_forward(self, batch: np.ndarray, train_mode: bool = False,
                       rng: np.random.Generator | None = None) -> np.ndarray:
+        """Pooled features, B x dense_units.  Only a train-mode pass keeps
+        the caches and dropout masks that trunk_backward reads."""
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[1] != self.config.seq_len:
             raise ShapeError(
                 f"expected batch of shape (B, {self.config.seq_len}), got {batch.shape}")
         x = self.embedding.forward(batch)
         x = self.spatial_dropout.forward(x, train_mode, rng)
-        x = self.conv.forward(x)
+        x = self.conv.forward(x, train_mode)
         x = self.bilstm.forward(x, train_mode, rng)
-        x = self.dense.forward(x)
+        x = self.dense.forward(x, train_mode)
         x = self.pool.forward(x)
         x = self.final_dropout.forward(x, train_mode, rng)
         if __debug__:
@@ -141,18 +143,7 @@ class Network:
                 rng: np.random.Generator | None = None) -> list[np.ndarray]:
         """Per-head softmax probability matrices, each B x classes."""
         shared = self.trunk_forward(batch, train_mode, rng)
-        return [softmax(head.forward(shared)) for head in self.heads]
-
-    def release(self) -> None:
-        """Drop every layer's forward cache and dropout mask.
-
-        At B=256 and the default shape the caches are ~230 MB, most of it
-        the BiLSTM gate slab; a backward after this needs a fresh forward.
-        """
-        self.spatial_dropout._mask = None
-        self.final_dropout._mask = None
-        for layer in (self.conv, self.bilstm, self.dense, *self.heads):
-            layer._cache = None
+        return [softmax(head.forward(shared, train_mode)) for head in self.heads]
 
 
 def train_step(network: Network, batch: np.ndarray,
@@ -177,7 +168,7 @@ def train_step(network: Network, batch: np.ndarray,
     grad_shared = np.zeros_like(shared)
     preds = []
     for head, target in zip(network.heads, onehot_labels):
-        logits = head.forward(shared)
+        logits = head.forward(shared, train_mode=True)
         preds.append(labels_from_probs(softmax(logits)))
         loss, grad_logits = softmax_cross_entropy(logits, target)
         total_loss += loss / num_heads

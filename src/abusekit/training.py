@@ -39,6 +39,7 @@ from .text import (PreprocessConfig, Vocabulary, atomic_write, build_vocab,
 from .text import preprocess as preprocess_text
 
 __all__ = [
+    "EVAL_BATCH",
     "EpochRecord",
     "FORMAT_VERSION",
     "FoldReport",
@@ -63,6 +64,10 @@ _TASK_DEFAULTS = {1: (32, 5), 2: (64, 7), 3: (32, 5)}
 # Version of the run directory layout: run_report.json and the fold
 # weights.bin files it describes.
 FORMAT_VERSION = 6
+# Posts per eval-mode forward in evaluate and predict.  An eval forward
+# keeps no cache, so a process holds one batch's activations at a time;
+# the tests pin that batches of 8 to 256 give the same probability bits.
+EVAL_BATCH = 64
 
 
 def task_head_keys(task: int) -> list[str]:
@@ -188,30 +193,29 @@ def train_epoch(network: Network, sequences: np.ndarray,
 
 
 def evaluate(network: Network, sequences: np.ndarray,
-             labels_per_head: list[np.ndarray], batch_size: int = 256
+             labels_per_head: list[np.ndarray], batch_size: int = EVAL_BATCH
              ) -> tuple[float, float, list[np.ndarray]]:
-    """Eval-mode (mean loss, accuracy averaged over heads, per-head preds)."""
+    """Eval-mode (mean loss, accuracy averaged over heads, per-head preds).
+
+    The loss is taken once over every post's logits, so no figure depends
+    on batch_size.
+    """
     n = len(sequences)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty set")
-    onehots = [one_hot(labels) for labels in labels_per_head]
     num_heads = len(network.heads)
-    loss_sum = 0.0
-    preds: list[list[np.ndarray]] = [[] for _ in range(num_heads)]
+    logits = [np.empty((n, HEAD_CLASSES), dtype=network.dtype) for _ in network.heads]
     for start in range(0, n, batch_size):
-        stop = start + batch_size
-        shared = network.trunk_forward(sequences[start:stop])
-        for h, head in enumerate(network.heads):
-            logits = head.forward(shared)
-            loss, _ = softmax_cross_entropy(logits, onehots[h][start:stop])
-            loss_sum += loss * (min(stop, n) - start) / num_heads
-            preds[h].append(labels_from_probs(softmax(logits)))
-    network.release()
-    merged = [np.concatenate(p) for p in preds]
-    accuracy = float(np.mean([
-        (merged[h] == np.asarray(labels_per_head[h])).mean()
-        for h in range(num_heads)]))
-    return loss_sum / n, accuracy, merged
+        shared = network.trunk_forward(sequences[start:start + batch_size])
+        for out, head in zip(logits, network.heads):
+            out[start:start + len(shared)] = head.forward(shared)
+    loss_sum = 0.0
+    for z, labels in zip(logits, labels_per_head):
+        loss_sum += softmax_cross_entropy(z, one_hot(labels))[0] * n / num_heads
+    preds = [labels_from_probs(softmax(z)) for z in logits]
+    accuracy = float(np.mean([(p == np.asarray(labels)).mean()
+                              for p, labels in zip(preds, labels_per_head)]))
+    return loss_sum / n, accuracy, preds
 
 
 def _train_fold(fold: int, seed: int, model_config: ModelConfig,
@@ -324,28 +328,26 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
 
 
 def fold_probabilities(network: Network, sequences: np.ndarray,
-                       batch_size: int = 256) -> list[np.ndarray]:
+                       batch_size: int = EVAL_BATCH) -> list[np.ndarray]:
     """One fold model's per-head softmax probabilities (N x classes) for the
-    encoded posts, run forward batch_size posts at a time.  The network's
-    forward caches are released before it returns."""
+    encoded posts, run forward batch_size posts at a time."""
     sequences = np.asarray(sequences)
     probs = [np.empty((len(sequences), HEAD_CLASSES), dtype=network.dtype)
              for _ in network.heads]
     for start in range(0, len(sequences), batch_size):
         for out, p in zip(probs, network.forward(sequences[start:start + batch_size])):
             out[start:start + len(p)] = p
-    network.release()
     return probs
 
 
 def ensemble_predict(run: SavedRun, folds, test_sequences: np.ndarray,
-                     processes: int = 1, batch_size: int = 256) -> list[np.ndarray]:
+                     processes: int = 1, batch_size: int = EVAL_BATCH) -> list[np.ndarray]:
     """Average per-head softmax probabilities over the run's folds, then
     argmax (exact two-way ties go to class 1).
 
     folds is cut in order into min(processes, len(folds)) shares.  This
     process loads and scores the first share one fold at a time, so it holds
-    one network and its forward caches at a time; a child process (python
+    one network and one batch's activations at a time; a child process (python
     -m abusekit._foldworker) does the same for each other share meanwhile.
     Each fold adds p / k in fold order, so the labels are bit-identical at
     any process count.  A fold that fails to load, here or in a worker, is

@@ -80,7 +80,8 @@ def assert_same_bits(actual, expected):
 
 def held_caches(network):
     """Names of the network's layers still holding a forward cache or a
-    dropout mask; empty once Network.release() has run."""
+    dropout mask.  Only a train-mode forward keeps them, and an eval-mode
+    forward drops them, so this is empty after any eval pass."""
     layers = {"spatial_dropout": network.spatial_dropout, "conv": network.conv,
               "bilstm": network.bilstm, "dense": network.dense,
               "final_dropout": network.final_dropout}

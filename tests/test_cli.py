@@ -39,6 +39,13 @@ MODEL_SECTION = {
 }
 
 
+def child_env(**extra):
+    """The environment for a child interpreter that imports this abusekit."""
+    src = str(Path(abusekit.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def write_config(path, train_jsonl, embeddings, out_dir=None, preprocess=None,
                  **train_overrides):
     train = {"task": 1, "language": "en", "folds": 3, "epochs": 8,
@@ -856,15 +863,22 @@ class TestInspectEmbeddings:
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
 
+    def test_overflow_is_one_error_line(self, tmp_path):
+        # 1e39 overflows float32 to inf; a fresh interpreter shows any numpy
+        # warning on stderr, and the user sees only the path:line error
+        bad = tmp_path / "overflow.txt"
+        bad.write_text("cat 1 2\ndog 1e39 2\n", encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "abusekit", "inspect-embeddings", "--file", str(bad)],
+            env=child_env(), capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [f"error: {bad}:2: non-finite vector component"]
+
 
 @pytest.mark.parametrize("module", ["abusekit", "abusekit.cli"])
 def test_runs_as_module(module, tmp_path):
-    src = str(Path(abusekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-
     def run(*args):
-        return subprocess.run([sys.executable, "-m", module, *args], env=env,
+        return subprocess.run([sys.executable, "-m", module, *args], env=child_env(),
                               cwd=tmp_path, capture_output=True, text=True)
 
     shown = run("--help")
@@ -876,13 +890,10 @@ def test_runs_as_module(module, tmp_path):
 def test_cli_import_skips_network_modules():
     # every command and every predict worker pays the CLI's imports in a
     # fresh interpreter; these four cost 29-46 ms and no command uses them
-    src = str(Path(abusekit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run(
         [sys.executable, "-c", "import sys, abusekit.cli; print(' '.join(sorted(m for m in "
          "('urllib.request', 'http.client', 'email.parser', 'ssl') if m in sys.modules)))"],
-        env=env, capture_output=True, text=True)
+        env=child_env(), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == ""
 
@@ -891,9 +902,7 @@ def test_fold_threads_invisible_at_two_blas_threads(pipeline, tmp_path):
     # Seeded runs are bit-identical at a fixed BLAS thread count; a BLAS
     # count of 2 may round differently from 1, but fold threads must still
     # change nothing.  Default model shape, so BLAS has work to split.
-    src = str(Path(abusekit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    env = child_env(OPENBLAS_NUM_THREADS="2")
     env.pop("ABUSE_DETECT_THREADS", None)
     vectors = tmp_path / "vectors300.txt"
     write_vector_file(make_vector_file(vocabulary_of(pipeline["examples"]),

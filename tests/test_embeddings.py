@@ -48,7 +48,8 @@ def reference_parse(path) -> WordVectorFile:
                 raise ParseError(f"expected {dimension} components, found {len(raw)}",
                                  path=str(path), line=line_no)
             try:
-                vec = np.array(raw, dtype=np.float32)
+                with np.errstate(over="ignore"):   # inf is reported below
+                    vec = np.array(raw, dtype=np.float32)
             except ValueError:
                 raise ParseError("non-numeric vector component",
                                  path=str(path), line=line_no) from None

@@ -214,7 +214,7 @@ class TestConv1D:
             rng = np.random.default_rng(seed)
             conv = Conv1D(3, 4, 2, rng, activation=activation, dtype=np.float64)
             x = np.random.default_rng(seed + 50).standard_normal((2, 5, 3))
-            gradcheck(conv, x, conv.forward)
+            gradcheck(conv, x, lambda a: conv.forward(a, train_mode=True))
 
     def test_gradients_relu_away_from_kink(self):
         # relu has no gradient at 0; check on seeds whose pre-activations
@@ -225,12 +225,12 @@ class TestConv1D:
             rng = np.random.default_rng(seed)
             conv = Conv1D(3, 4, 2, rng, activation="relu", dtype=np.float64)
             x = np.random.default_rng(seed + 500).standard_normal((2, 5, 3))
-            conv.forward(x)
+            conv.forward(x, train_mode=True)
             z = conv._cache[1]
             seed += 1
             if np.min(np.abs(z)) < 1e-3:
                 continue
-            gradcheck(conv, x, conv.forward)
+            gradcheck(conv, x, lambda a: conv.forward(a, train_mode=True))
             checked += 1
         assert checked == 5
 
@@ -238,7 +238,7 @@ class TestConv1D:
         rng = np.random.default_rng(1)
         conv = Conv1D(3, 4, 2, rng, activation="linear", dtype=np.float64)
         x = rng.standard_normal((2, 6, 3))
-        out = conv.forward(x)
+        out = conv.forward(x, train_mode=True)
         dx = conv.backward(np.zeros_like(out))
         assert not dx.any()
         assert not conv.kernels.grad.any() and not conv.bias.grad.any()
@@ -251,12 +251,15 @@ class TestConv1D:
         g1 = rng.standard_normal(out.shape)
         g2 = rng.standard_normal(out.shape)
         conv.zero_grad()
+        conv.forward(x, train_mode=True)   # each backward consumes its forward
         dx1 = conv.backward(g1)
         k1 = conv.kernels.grad.copy()
         conv.zero_grad()
+        conv.forward(x, train_mode=True)
         dx2 = conv.backward(g2)
         k2 = conv.kernels.grad.copy()
         conv.zero_grad()
+        conv.forward(x, train_mode=True)
         dx12 = conv.backward(g1 + g2)
         np.testing.assert_allclose(dx12, dx1 + dx2, atol=1e-10)
         np.testing.assert_allclose(conv.kernels.grad, k1 + k2, atol=1e-10)
@@ -289,26 +292,29 @@ class TestDense:
             rng = np.random.default_rng(seed)
             dense = Dense(4, 3, rng, activation="tanh", dtype=np.float64)
             x = np.random.default_rng(seed + 70).standard_normal(shape)
-            gradcheck(dense, x, dense.forward)
+            gradcheck(dense, x, lambda a: dense.forward(a, train_mode=True))
 
 
 @pytest.mark.parametrize("make", [
     lambda rng: Conv1D(3, 4, 2, rng, dtype=np.float64),
     lambda rng: Dense(3, 4, rng, dtype=np.float64)], ids=["conv", "dense"])
 def test_backward_without_cache_is_typed(make):
-    # never run, or released by Network.release(): a typed error, not a
-    # TypeError from unpacking None
+    # never run, run in eval mode, or already consumed by a backward: a
+    # typed error, not a TypeError from unpacking None
     layer = make(np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((2, 5, 3))
     with pytest.raises(AbusekitError, match="fresh forward"):
         layer.backward(np.ones((2, 4, 4)))
-    out = layer.forward(x)
+    out = layer.forward(x, train_mode=True)
     first = layer.backward(np.ones_like(out))
-    layer._cache = None
+    with pytest.raises(AbusekitError, match="fresh forward"):
+        layer.backward(np.ones_like(out))
+    layer.forward(x, train_mode=True)
+    assert_same_bits(layer.forward(x), out)   # and drops the train cache
     with pytest.raises(AbusekitError, match="fresh forward"):
         layer.backward(np.ones_like(out))
     layer.zero_grad()
-    layer.forward(x)
+    layer.forward(x, train_mode=True)
     assert_same_bits(layer.backward(np.ones_like(out)), first)
 
 
@@ -539,7 +545,7 @@ class TestLstmLayer:
             rng = np.random.default_rng(seed)
             lstm = Lstm(3, 5, rng, dtype=np.float64)
             x = np.random.default_rng(seed + 30).standard_normal((2, length, 3))
-            gradcheck(lstm, x, lambda a: lstm.forward(a, train_mode=False))
+            gradcheck(lstm, x, lambda a: lstm.forward(a, train_mode=True))
 
     def test_forward_matches_cell_chain(self):
         rng = np.random.default_rng(6)
@@ -576,7 +582,7 @@ class TestLstmLayer:
                                      dtype=np.float64)
 
             def forward(a):
-                return lstm.forward(a * mask[:, None, :], train_mode=False)
+                return lstm.forward(a * mask[:, None, :], train_mode=True)
 
             out = forward(x)
             proj = np.random.default_rng(999).standard_normal(out.shape)
@@ -601,7 +607,7 @@ class TestBiLstm:
             net = BiLstm(3, 5, rng, dropout=0.0, recurrent_dropout=0.0,
                          dtype=np.float64)
             x = np.random.default_rng(seed + 20).standard_normal((2, 4, 3))
-            gradcheck(net, x, lambda a: net.forward(a, train_mode=False))
+            gradcheck(net, x, lambda a: net.forward(a, train_mode=True))
 
     def test_reversal_swaps_directions(self):
         # with tied weights, feeding the reversed sequence must reproduce the
@@ -675,20 +681,36 @@ class TestFusedLoop:
         for got, param in zip(fused_grads, net.parameters()):
             assert_same_bits(got, param.grad)
 
-    @pytest.mark.parametrize("make", [
+    layers = pytest.mark.parametrize("make", [
         lambda rng: Lstm(3, 4, rng, dtype=np.float64),
-        lambda rng: BiLstm(3, 4, rng, dtype=np.float64)], ids=["lstm", "bilstm"])
+        lambda rng: BiLstm(3, 4, rng, dropout=0.0, recurrent_dropout=0.0,
+                           dtype=np.float64)], ids=["lstm", "bilstm"])
+
+    @layers
     def test_backward_consumes_the_forward_cache(self, make):
         # backward writes the gate gradients over the cached activations
         layer = make(np.random.default_rng(0))
         x = np.random.default_rng(1).standard_normal((2, 5, 3))
-        out = layer.forward(x)
+        out = layer.forward(x, train_mode=True)
         first = layer.backward(np.ones_like(out))
         with pytest.raises(AbusekitError, match="fresh forward"):
             layer.backward(np.ones_like(out))
         layer.zero_grad()
-        layer.forward(x)
+        layer.forward(x, train_mode=True)
         assert_same_bits(layer.backward(np.ones_like(out)), first)
+
+    @layers
+    def test_eval_forward_keeps_no_cache(self, make):
+        # the eval pass carries the cell state without its history: the
+        # same bits as a train pass with no dropout, and nothing held
+        layer = make(np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((2, 5, 3))
+        train = layer.forward(x, train_mode=True)
+        assert layer._cache is not None
+        assert_same_bits(layer.forward(x), train)
+        assert layer._cache is None
+        with pytest.raises(AbusekitError, match="fresh forward"):
+            layer.backward(np.ones_like(train))
 
 
 class TestAdam:
@@ -765,5 +787,5 @@ class TestSuiteBudget:
         net = BiLstm(3, 5, rng, dropout=0.0, recurrent_dropout=0.0,
                      dtype=np.float64)
         x = np.random.default_rng(1).standard_normal((2, 4, 3))
-        gradcheck(net, x, lambda a: net.forward(a, train_mode=False))
+        gradcheck(net, x, lambda a: net.forward(a, train_mode=True))
         assert time.perf_counter() - start < 30.0

@@ -10,7 +10,8 @@ from abusekit.errors import (AbusekitError, ConfigurationError, CorruptionError,
 from abusekit.layers import AdamConfig, softmax_cross_entropy
 from abusekit.model import (ModelConfig, Network, labels_from_probs,
                             load_checkpoint, save_checkpoint, train_step)
-from abusekit.training import ensemble_predict, read_config
+from abusekit.training import (EVAL_BATCH, ensemble_predict,
+                               fold_probabilities, read_config)
 
 
 def make_matrix(vocab_rows, dim, seed=0, dtype=np.float32):
@@ -39,6 +40,23 @@ def random_batch(config, vocab_rows, batch=2, seed=0):
     rng = np.random.default_rng(seed)
     return rng.integers(0, vocab_rows, size=(batch, config.seq_len),
                         dtype=np.int32)
+
+
+def traced_peak(run):
+    """Peak bytes traced while run() runs; numpy reports its buffers to
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def memory_config():
+    """A shape whose activations outweigh the fixed costs of a forward."""
+    return ModelConfig(seq_len=40, embed_dim=16, conv_filters=16,
+                       lstm_units=32, dense_units=16)
 
 
 class TestConfig:
@@ -73,7 +91,7 @@ class TestShapes:
         matrix = make_matrix(30, 300)
         net = build(config, matrix, seed=0)
         batch = random_batch(config, 30, batch=3)
-        shared = net.trunk_forward(batch)
+        shared = net.trunk_forward(batch, train_mode=True, rng=np.random.default_rng(0))
         assert shared.shape == (3, 128)
         conv_out = net.conv._cache[2]
         assert conv_out.shape == (3, 99, 64)
@@ -224,10 +242,11 @@ class TestEndToEndGradients:
 
         for p in net.parameters():
             p.zero_grad()
-        shared = net.trunk_forward(batch)
+        shared = net.trunk_forward(batch, train_mode=True)
         grad_shared = np.zeros_like(shared)
         for head in net.heads:
-            _, grad_logits = softmax_cross_entropy(head.forward(shared), target)
+            _, grad_logits = softmax_cross_entropy(
+                head.forward(shared, train_mode=True), target)
             grad_shared += head.backward(grad_logits / len(net.heads))
         net.trunk_backward(grad_shared)
 
@@ -240,51 +259,52 @@ class TestEndToEndGradients:
     def test_full_network_gradcheck(self):
         assert self.worst_error(*self.setup()) < 1e-3
 
-    def test_gradcheck_after_release(self):
-        # release() drops what backward reads; a fresh forward restores it
+    def test_gradcheck_after_eval_forward(self):
+        # an eval forward keeps nothing that backward reads, and drops what
+        # a train forward kept; a fresh train forward restores it
         net, batch, target = self.setup()
+        net.forward(batch, train_mode=True)
         net.forward(batch)
-        net.release()
         with pytest.raises(AbusekitError, match="fresh forward"):
             net.trunk_backward(np.ones((2, net.config.dense_units)))
         assert self.worst_error(net, batch, target) < 1e-3
 
 
 class TestRelease:
+    """Only a train-mode forward keeps caches: an eval forward releases them."""
+
     def test_every_cache_and_mask_dropped(self):
         config = tiny_config(spatial_dropout_rate=0.2, final_dropout_rate=0.2,
                              lstm_dropout=0.1, lstm_recurrent_dropout=0.1)
         net = build(config, make_matrix(20, 6), num_heads=2)
-        net.forward(random_batch(config, 20, batch=4), train_mode=True,
-                    rng=np.random.default_rng(0))
+        batch = random_batch(config, 20, batch=4)
+        net.forward(batch, train_mode=True, rng=np.random.default_rng(0))
         assert held_caches(net) == ["spatial_dropout", "conv", "bilstm", "dense",
                                     "final_dropout", "head0", "head1"]
-        net.release()
+        net.forward(batch)
         assert held_caches(net) == []
 
     def test_ensemble_peak_is_one_network(self, tmp_path):
-        # numpy reports its buffers to tracemalloc; loaded and run fold by
-        # fold, five networks need about what one forward needs, not five
-        # times it
-        config = ModelConfig(seq_len=40, embed_dim=16, conv_filters=16,
-                             lstm_units=32, dense_units=16)
+        # loaded and run fold by fold, five networks need about what one
+        # forward needs, not five times it
+        config = memory_config()
         matrix = make_matrix(50, 16)
         nets = [build(config, matrix, seed=seed) for seed in range(5)]
         run = saved_run(tmp_path, nets)
-        batch = random_batch(config, 50, batch=64, seed=4)
-
-        def traced_peak(run):
-            tracemalloc.start()
-            try:
-                run()
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
+        batch = random_batch(config, 50, batch=EVAL_BATCH, seed=4)
         single = traced_peak(lambda: nets[0].forward(batch))
-        nets[0].release()
         ensemble = traced_peak(lambda: ensemble_predict(run, range(5), batch))
         assert ensemble < 1.5 * single
+
+    def test_predict_peak_is_one_batch(self):
+        # fold_probabilities holds one batch's activations at a time, so
+        # four batches of posts cost about what one batch costs
+        config = memory_config()
+        net = build(config, make_matrix(50, 16))
+        posts = random_batch(config, 50, batch=4 * EVAL_BATCH, seed=4)
+        one = traced_peak(lambda: fold_probabilities(net, posts[:EVAL_BATCH]))
+        four = traced_peak(lambda: fold_probabilities(net, posts))
+        assert four <= 1.2 * one
 
 
 class TestPredict:

@@ -9,7 +9,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import held_caches, saved_run
+from conftest import assert_same_bits, held_caches, saved_run
 
 from abusekit import training
 from abusekit.errors import ConfigurationError, DataIntegrityError
@@ -21,7 +21,8 @@ from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
 from abusekit.training import (EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
-                               ensemble_predict, evaluate, one_hot,
+                               ensemble_predict, evaluate,
+                               fold_probabilities, one_hot,
                                read_config, read_run, run_cv,
                                task_head_keys, train_epoch, write_report)
 
@@ -250,8 +251,24 @@ class TestEvaluate:
         net = build(config, build_matrix(vocab, vectors, expected_dim=8)[0])
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(10, config.seq_len), dtype=np.int32)
+        net.forward(sequences, train_mode=True)
+        assert held_caches(net) == ["conv", "bilstm", "dense", "head0"]
         evaluate(net, sequences, [np.zeros(10, dtype=int)], batch_size=4)
         assert held_caches(net) == []
+
+    def test_batch_size_changes_nothing(self):
+        # the loss is one mean over the set, not a sum of batch means
+        matrix = np.random.default_rng(2).uniform(-0.5, 0.5, (50, 8)).astype(np.float32)
+        net = build(small_model_config(), matrix, num_heads=2)
+        rng = np.random.default_rng(3)
+        sequences = rng.integers(0, 50, size=(200, 12), dtype=np.int32)
+        labels = [rng.integers(0, 2, 200), rng.integers(0, 2, 200)]
+        loss, accuracy, preds = evaluate(net, sequences, labels, batch_size=256)
+        for batch_size in (7, 64):
+            got = evaluate(net, sequences, labels, batch_size)
+            assert got[:2] == (loss, accuracy)
+            for a, b in zip(got[2], preds):
+                np.testing.assert_array_equal(a, b)
 
 
 def run_dir_bytes(run_dir):
@@ -457,6 +474,22 @@ class TestEnsemble:
         assert len(loaded) == 3
         for state in loaded:
             assert held_caches(state) == []
+
+    def test_eval_batch_keeps_the_bits(self):
+        # The default shape with shorter posts: every batch size from 8 to
+        # 256 gives each post the same probability bits, so EVAL_BATCH is
+        # free to change.  Batch 1 may differ (by ~1e-7 here), because BLAS
+        # takes another path for a one-row product.
+        config = ModelConfig(seq_len=20)
+        rng = np.random.default_rng(5)
+        matrix = rng.uniform(-0.5, 0.5, (400, config.embed_dim)).astype(np.float32)
+        net = Network(config, matrix, 2, rng)
+        posts = rng.integers(0, 400, size=(256, config.seq_len), dtype=np.int32)
+        want = fold_probabilities(net, posts, 256)
+        assert held_caches(net) == []
+        for batch_size in (8, 16, 32, 64, 128):
+            for got, expected in zip(fold_probabilities(net, posts, batch_size), want):
+                assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("num_heads", [1, 2])
     @pytest.mark.parametrize("batch_size", [256, 7, 1])
