@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--threads", type=int,
-                   help="fold-parallel workers (env ABUSE_DETECT_THREADS)")
+                   help="processes sharing the folds (env ABUSE_DETECT_THREADS; "
+                        "default: the config's train.threads)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write submission CSV from a trained run")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import re
-import threading
 import unicodedata
 from collections import Counter
 from collections.abc import Iterator
@@ -82,7 +81,7 @@ def atomic_write(path, mode: str = "w"):
     the block ends cleanly.  A reader sees the old file or the new one,
     never a part: if the block raises, path is untouched and the temporary
     file is removed.  Every run-directory file is written through here."""
-    temp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    temp = f"{path}.{os.getpid()}.tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
         with open(temp, mode, **text) as fh:

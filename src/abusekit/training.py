@@ -10,17 +10,17 @@ softmax probabilities over the fold models.
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import pickle
 import re
 import shutil
 import sys
 import threading
 import tokenize
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import partial
 from html import escape
 
 import numpy as np
@@ -29,7 +29,7 @@ from .corpus import (KEY_TO_LABEL, LANGUAGES, TASK_QUESTIONS, LabeledExample,
                      kfold_indices)
 from .embeddings import WordVectorFile, build_matrix
 from .errors import (AbusekitError, ConfigurationError, CorruptionError,
-                     DataIntegrityError, ParseError)
+                     DataIntegrityError, NumericError, ParseError)
 from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (HEAD_CLASSES, ModelConfig, Network, labels_from_probs,
@@ -55,6 +55,7 @@ __all__ = [
     "read_config",
     "read_run",
     "run_cv",
+    "run_folds",
     "task_head_keys",
     "train_epoch",
     "write_report",
@@ -218,15 +219,17 @@ def evaluate(network: Network, sequences: np.ndarray,
     return loss_sum / n, accuracy, preds
 
 
-def _train_fold(fold: int, seed: int, model_config: ModelConfig,
-                matrix, sequences, label_arrays, head_keys,
-                folds, config: TrainConfig, out_dir) -> FoldReport:
-    """Train one fold and write its weights.bin; only its report outlives it."""
+def _train_fold(model_config: ModelConfig, sequences, label_arrays, head_keys,
+                folds, config: TrainConfig, out_dir, fold: int) -> FoldReport:
+    """Train one fold around the run's embedding.npy and write its
+    weights.bin; only its report outlives it."""
     val_idx = folds.val_indices(fold)
     train_idx = folds.train_indices(fold)
     assert not set(val_idx.tolist()) & set(train_idx.tolist())
 
-    rng = np.random.default_rng(seed)
+    seed = np.random.SeedSequence(config.seed).generate_state(config.folds)[fold]
+    rng = np.random.default_rng(int(seed))
+    matrix = np.load(os.path.join(out_dir, "embedding.npy"), allow_pickle=False)
     network = Network(model_config, matrix, len(head_keys), rng)
     train_labels = [label_arrays[k][train_idx] for k in head_keys]
     val_labels = [label_arrays[k][val_idx] for k in head_keys]
@@ -258,6 +261,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     so every fold shares one embedding matrix.  embedding.npy, vocab.txt and
     preprocess.json are written first, each fold{k}/weights.bin as its fold
     ends, and curves.* and run_report.json, the returned report, last.
+    The folds run in config.threads processes (run_folds).
     """
     config.validate()
     if model_config is None:
@@ -295,22 +299,14 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
             shutil.rmtree(path)
     with atomic_write(os.path.join(out_dir, "embedding.npy"), "wb") as fh:
         np.save(fh, matrix.astype("<f4", copy=False))
+    del matrix   # each fold reads embedding.npy
     vocab.save(os.path.join(out_dir, "vocab.txt"))
     _write_json(prep_config.to_dict(), os.path.join(out_dir, "preprocess.json"))
 
     folds = kfold_indices(n, k=config.folds, seed=config.seed)
-    fold_seeds = np.random.SeedSequence(config.seed).generate_state(config.folds)
-
-    def job(fold):
-        return _train_fold(fold, int(fold_seeds[fold]), model_config, matrix,
-                           sequences, label_arrays, head_keys, folds, config,
-                           out_dir)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            fold_reports = list(pool.map(job, range(config.folds)))
-    else:
-        fold_reports = [job(fold) for fold in range(config.folds)]
+    job = partial(_train_fold, model_config, sequences, label_arrays, head_keys,
+                  folds, config, out_dir)
+    fold_reports = run_folds(job, range(config.folds), config.threads)
 
     averaged = {key: {name: float(np.mean([getattr(fr.head_reports[key], name)
                                            for fr in fold_reports]))
@@ -340,95 +336,94 @@ def fold_probabilities(network: Network, sequences: np.ndarray,
     return probs
 
 
+def _score_fold(run: SavedRun, sequences: np.ndarray, batch_size: int,
+                fold: int) -> list[np.ndarray]:
+    """ensemble_predict's job: load one fold and score the posts with it."""
+    return fold_probabilities(run.load_fold(fold), sequences, batch_size)
+
+
 def ensemble_predict(run: SavedRun, folds, test_sequences: np.ndarray,
                      processes: int = 1, batch_size: int = EVAL_BATCH) -> list[np.ndarray]:
     """Average per-head softmax probabilities over the run's folds, then
-    argmax (exact two-way ties go to class 1).
+    argmax (exact two-way ties go to class 1).  The folds run in processes
+    processes (run_folds), each loaded where it is scored, so a process
+    holds one network at a time.  Each adds p / k in fold order: the labels
+    are bit-identical at any process count.  A fold that fails to load is
+    an AbusekitError carrying load_checkpoint's message."""
+    test_sequences = np.asarray(test_sequences)
+    fold_probs = run_folds(partial(_score_fold, run, test_sequences, batch_size),
+                           folds, processes)
+    sums = [np.zeros((len(test_sequences), HEAD_CLASSES), dtype=np.float32)
+            for _ in run.head_keys]
+    for probs in fold_probs:
+        for h, p in enumerate(probs):
+            sums[h] += p / len(fold_probs)
+    return [labels_from_probs(s) for s in sums]
+
+
+def run_folds(job, folds, processes: int = 1) -> list:
+    """[job(fold) for fold in folds], in fold order.
 
     folds is cut in order into min(processes, len(folds)) shares.  This
-    process loads and scores the first share one fold at a time, so it holds
-    one network and one batch's activations at a time; a child process (python
-    -m abusekit._foldworker) does the same for each other share meanwhile.
-    Each fold adds p / k in fold order, so the labels are bit-identical at
-    any process count.  A fold that fails to load, here or in a worker, is
-    an AbusekitError carrying load_checkpoint's message.
+    process runs the first share; a child process (python -m
+    abusekit._foldworker) runs each other share meanwhile, so job must
+    pickle: a module-level function or a functools.partial of one.  A
+    child's NumericError is a NumericError here and its other failures an
+    AbusekitError, each naming the child's folds and carrying its message.
     """
+    folds = list(folds)
     if not folds:
         raise ConfigurationError("no folds given")
     shares = [share.tolist() for share in
               np.array_split(folds, min(processes, len(folds)))]
-    test_sequences = np.asarray(test_sequences)
-    num_heads = len(run.head_keys)
-    sums = [np.zeros((len(test_sequences), HEAD_CLASSES), dtype=np.float32)
-            for _ in range(num_heads)]
-
-    def add(probs):
-        for h, p in enumerate(probs):
-            sums[h] += p / len(folds)
-
     workers = []
     try:
         for share in shares[1:]:
-            workers.append(_FoldWorker(run.directory, share, test_sequences,
-                                       batch_size))
-        for fold in shares[0]:
-            add(fold_probabilities(run.load_fold(fold), test_sequences, batch_size))
+            workers.append(_FoldWorker(job, share))
+        results = [job(fold) for fold in shares[0]]
         for worker in workers:
-            for probs in worker.result(num_heads):
-                add(probs)
+            results += worker.result()
     finally:
         for worker in workers:
             worker.close()
-    return [labels_from_probs(s) for s in sums]
-
-
-def _npy_bytes(arrays) -> bytes:
-    buffer = io.BytesIO()
-    for array in arrays:
-        np.lib.format.write_array(buffer, array, allow_pickle=False)
-    return buffer.getvalue()
-
-
-def _npy_arrays(data: bytes, count: int) -> list[np.ndarray]:
-    buffer = io.BytesIO(data)
-    return [np.lib.format.read_array(buffer, allow_pickle=False) for _ in range(count)]
+    return results
 
 
 class _FoldWorker:
-    """A child process running fold_probabilities for some folds of a run
-    directory: the parent side of abusekit._foldworker's protocol.  A plain subprocess,
-    so no helper process outlives the command; close() reaps it."""
+    """A child process running [job(fold) for fold in folds]: the parent
+    side of abusekit._foldworker.  A plain subprocess, so no helper process
+    outlives the command; close() reaps it."""
 
-    def __init__(self, run_dir, folds: list[int], sequences: np.ndarray,
-                 batch_size: int):
-        # imported here: only a parallel predict starts a process, and the
+    def __init__(self, job, folds: list[int]):
+        # imported here: only a parallel run starts a process, and the
         # import would cost every other command time and memory
         import subprocess
 
         self.folds = folds
+        request = pickle.dumps((job, folds), protocol=pickle.HIGHEST_PROTOCOL)
         self._proc = subprocess.Popen(
-            [sys.executable, "-m", "abusekit._foldworker", os.fspath(run_dir),
-             str(batch_size), *map(str, folds)],
+            [sys.executable, "-m", "abusekit._foldworker"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        # The posts outgrow a pipe's buffer: a thread feeds them and drains
-        # the replies, so the parent starts its own folds at once.
-        self._talker = threading.Thread(target=self._communicate, args=(sequences,))
+        # The job outgrows a pipe's buffer: a thread feeds it and drains
+        # the reply, so the parent starts its own folds at once.
+        self._talker = threading.Thread(target=self._communicate, args=(request,))
         self._talker.start()
 
-    def _communicate(self, sequences) -> None:
-        self._output = self._proc.communicate(_npy_bytes([sequences]))
+    def _communicate(self, request: bytes) -> None:
+        self._output = self._proc.communicate(request)
 
-    def result(self, num_heads: int) -> list[list[np.ndarray]]:
-        """Per fold of self.folds, in order, its per-head probabilities."""
+    def result(self) -> list:
+        """[job(fold) for fold in self.folds], as the child returned it."""
         self._talker.join()
         out, err = self._output
-        if self._proc.returncode != 0:
+        code = self._proc.returncode
+        if code != 0:
             lines = err.decode("utf-8", "replace").splitlines()
-            raise AbusekitError(f"worker for folds {self.folds} exited "
-                                f"{self._proc.returncode}: "
-                                + (lines[-1] if lines else "no message"))
-        arrays = _npy_arrays(out, len(self.folds) * num_heads)
-        return [arrays[i:i + num_heads] for i in range(0, len(arrays), num_heads)]
+            error = NumericError if code == 3 else AbusekitError
+            raise error(f"worker for folds {self.folds} exited {code}: "
+                        + (lines[-1] if lines else "no message"))
+        # the reply of this command's own child, over its own pipe
+        return pickle.loads(out)
 
     def close(self) -> None:
         """Stop the process if it still runs; communicate() reaps it."""
@@ -478,6 +473,10 @@ class SavedRun:
     def load_fold(self, fold: int) -> Network:
         return load_checkpoint(os.path.join(self.directory, f"fold{fold}"),
                                self.model_config, len(self.head_keys), self.matrix)
+
+    def __reduce__(self):
+        # a worker reads and checks the directory itself (read_run)
+        return read_run, (self.directory,)
 
 
 def _read_run_json(path, parse):

@@ -1,8 +1,10 @@
 """Shared numeric helpers for the test suite."""
 
+import glob
 import os
 
 import numpy as np
+import pytest
 
 from abusekit.model import save_checkpoint
 from abusekit.training import SavedRun, TrainConfig
@@ -103,3 +105,17 @@ def saved_run(directory, networks):
                     TrainConfig(task=task, language="en", folds=len(networks)),
                     best_fold=0, vocab=None, prep_config=None,
                     matrix=first.embedding.matrix)
+
+
+needs_proc_children = pytest.mark.skipif(
+    not glob.glob("/proc/self/task/*/children"),
+    reason="needs /proc/<pid>/task/<tid>/children")
+
+
+def child_pids() -> list[str]:
+    """Every child of this process, reaped or not, from any of its threads."""
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):
+        with open(path, encoding="ascii") as fh:
+            pids += fh.read().split()
+    return pids

@@ -1,8 +1,8 @@
 """End-to-end command tests: prepare -> train -> predict -> evaluate.
 
-Everything runs in-process through main(argv) on a small synthetic corpus,
-so the full pipeline stays fast enough for the default suite; only
-test_runs_as_module starts a child interpreter.
+Everything runs through main(argv) on a small synthetic corpus, so the
+full pipeline stays fast enough for the default suite.  The tests that use
+child_env() start a child interpreter, and `--threads 2` starts workers.
 """
 
 import contextlib
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import child_pids, needs_proc_children
 
 import abusekit
 from abusekit import cli, training
@@ -386,10 +387,10 @@ class TestTrain:
         shutil.copytree(pipeline["run_dir"], run)
         train_fold = training._train_fold
 
-        def fail_fold1(fold, *args):
-            if fold == 1:
+        def fail_fold1(*args):
+            if args[-1] == 1:
                 raise NumericError("fold 1 diverged")
-            return train_fold(fold, *args)
+            return train_fold(*args)
 
         monkeypatch.setattr(training, "_train_fold", fail_fold1)
         rc = main(["train", "--config", str(config), "--out-dir", str(run)])
@@ -454,16 +455,51 @@ class TestTrain:
             submissions.append(out.read_bytes())
         assert submissions[0] == submissions[1]
 
-    def test_numeric_blowup_exits_3(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_numeric_blowup_exits_3(self, pipeline, tmp_path, capsys, threads):
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=2, folds=2,
                               optimizer={"lr": 1e25})
         with np.errstate(all="ignore"):
             rc = main(["train", "--config", str(config),
-                       "--out-dir", str(tmp_path / "run")])
+                       "--out-dir", str(tmp_path / "run"), "--threads", threads])
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "run_report.json").exists()
+
+    @needs_proc_children
+    def test_no_process_outlives_train(self, pipeline, tmp_path, monkeypatch):
+        monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1, folds=2)
+        before = child_pids()
+        rc = main(["train", "--config", str(config),
+                   "--out-dir", str(tmp_path / "run"), "--threads", "2"])
+        assert rc == 0
+        assert child_pids() == before
+
+    @needs_proc_children
+    def test_failed_worker_fold_exits_2_and_leaves_no_process(
+            self, pipeline, tmp_path, capsys, monkeypatch):
+        # at 2 processes the worker trains fold 1, whose directory cannot
+        # be made: a file stands in its place
+        monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1, folds=2)
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "fold1").write_text("not a directory", encoding="utf-8")
+        before = child_pids()
+        rc = main(["train", "--config", str(config), "--out-dir", str(run),
+                   "--threads", "2"])
+        assert rc == 2
+        assert "worker for folds [1] exited 2" in capsys.readouterr().err
+        assert child_pids() == before
+        assert (run / "fold0" / "weights.bin").exists()
+        assert not (run / "run_report.json").exists()
 
     def test_non_finite_gradient_exits_3(self, pipeline, tmp_path, capsys,
                                          monkeypatch):

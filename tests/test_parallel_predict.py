@@ -7,11 +7,12 @@ anywhere exits 2 naming its file, and no process outlives the command.
 """
 
 import gc
-import glob
 import shutil
+from functools import partial
 
 import numpy as np
 import pytest
+from conftest import child_pids, needs_proc_children
 
 from abusekit import cli, training
 from abusekit.cli import _read_id_csv, main
@@ -26,20 +27,6 @@ from abusekit.training import (TrainConfig, ensemble_predict, fold_probabilities
 
 MODEL = ModelConfig(seq_len=12, embed_dim=8, conv_filters=4, conv_kernel=2,
                     lstm_units=4, dense_units=4)
-
-needs_proc_children = pytest.mark.skipif(
-    not glob.glob("/proc/self/task/*/children"),
-    reason="needs /proc/<pid>/task/<tid>/children")
-
-
-def child_pids() -> list[str]:
-    """Every child of this process, reaped or not, from any of its threads."""
-    pids = []
-    for path in glob.glob("/proc/self/task/*/children"):
-        with open(path, encoding="ascii") as fh:
-            pids += fh.read().split()
-    return pids
-
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
@@ -86,9 +73,10 @@ def test_worker_probabilities_bit_identical(runs):
     # exactly the probabilities this process would compute
     run = read_run(runs / "k5")
     sequences = sequences_of(run, runs / "posts.csv")
-    worker = training._FoldWorker(runs / "k5", [3, 1], sequences, 7)
+    worker = training._FoldWorker(
+        partial(training._score_fold, run, sequences, 7), [3, 1])
     try:
-        remote = worker.result(num_heads=1)
+        remote = worker.result()
     finally:
         worker.close()
     for fold, probs in zip([3, 1], remote):

@@ -1,6 +1,7 @@
 import csv
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -9,10 +10,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import assert_same_bits, held_caches, saved_run
+from conftest import (assert_same_bits, child_pids, held_caches,
+                      needs_proc_children, saved_run)
 
 from abusekit import training
-from abusekit.errors import ConfigurationError, DataIntegrityError
+from abusekit.errors import ConfigurationError, DataIntegrityError, NumericError
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
 from abusekit.model import (ModelConfig, Network, labels_from_probs,
@@ -23,7 +25,7 @@ from abusekit.training import (EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
                                ensemble_predict, evaluate,
                                fold_probabilities, one_hot,
-                               read_config, read_run, run_cv,
+                               read_config, read_run, run_cv, run_folds,
                                task_head_keys, train_epoch, write_report)
 
 
@@ -383,6 +385,48 @@ class TestRunCv:
                             embed_dim=16, conv_filters=8, lstm_units=8))
         for fr in report.folds:
             assert fr.epochs[-1].val_accuracy >= fr.epochs[0].val_accuracy
+
+
+FOLD_JOBS = """
+from abusekit.errors import NumericError
+
+def square(fold):
+    return fold * fold
+
+def diverge_at_1(fold):
+    if fold == 1:
+        raise NumericError(f"fold {fold} diverged")
+    return fold
+"""
+
+
+class TestRunFolds:
+    @pytest.fixture
+    def jobs(self, tmp_path, monkeypatch):
+        """Fold jobs in a module that the worker processes import too."""
+        (tmp_path / "fold_jobs.py").write_text(FOLD_JOBS, encoding="utf-8")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        paths = [str(tmp_path), os.environ.get("PYTHONPATH", "")]
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        return importlib.import_module("fold_jobs")
+
+    @pytest.mark.parametrize("processes", [1, 2, 3, 5, 8])
+    def test_results_in_fold_order(self, jobs, processes):
+        assert run_folds(jobs.square, range(5), processes) == [0, 1, 4, 9, 16]
+
+    def test_no_folds(self, jobs):
+        with pytest.raises(ConfigurationError, match="no folds given"):
+            run_folds(jobs.square, [], 2)
+
+    @needs_proc_children
+    def test_worker_numeric_error_stays_numeric(self, jobs):
+        # fold 1 is the worker's share: its exit 3 is a NumericError here,
+        # so the command exits 3 as a fold in its own process would
+        before = child_pids()
+        with pytest.raises(NumericError,
+                           match=r"worker for folds \[1\] exited 3: fold 1 diverged"):
+            run_folds(jobs.diverge_at_1, range(2), 2)
+        assert child_pids() == before
 
 
 def rigged_network(config, matrix, p1: float):
