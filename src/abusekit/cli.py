@@ -177,10 +177,9 @@ def cmd_train(args) -> int:
     examples = read_dataset(config.data.train)
     if not examples:
         raise ConfigurationError("training dataset is empty")
-    vectors = load_vectors(config.data.embeddings)
-
-    report = run_cv(examples, train_config, vectors, out_dir, config.model,
-                    prep_config)
+    # run_cv reads the vector file itself and frees it once the matrix is built
+    report = run_cv(examples, train_config, config.data.embeddings, out_dir,
+                    config.model, prep_config)
     print(f"task {train_config.task} ({train_config.language})  "
           f"folds={train_config.folds}  epochs={train_config.epochs}  "
           f"batch={train_config.batch_size}")

@@ -135,9 +135,9 @@ class Network:
         grad = self.pool.backward(grad)
         grad = self.dense.backward(grad)
         grad = self.bilstm.backward(grad)
-        grad = self.conv.backward(grad)
-        grad = self.spatial_dropout.backward(grad)
-        self.embedding.backward(grad)
+        # The embedding is frozen, so no gradient flows below the conv's
+        # parameters: nothing reads the conv's input gradient.
+        self.conv.backward(grad, input_grad=False)
 
     def forward(self, batch: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> list[np.ndarray]:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import (KEY_TO_LABEL, LANGUAGES, TASK_QUESTIONS, LabeledExample,
                      kfold_indices)
-from .embeddings import WordVectorFile, build_matrix
+from .embeddings import WordVectorFile, build_matrix, load_vectors
 from .errors import (AbusekitError, ConfigurationError, CorruptionError,
                      DataIntegrityError, NumericError, ParseError)
 from .layers import AdamConfig, softmax, softmax_cross_entropy
@@ -252,7 +252,7 @@ def _train_fold(model_config: ModelConfig, sequences, label_arrays, head_keys,
 
 
 def run_cv(examples: list[LabeledExample], config: TrainConfig,
-           vectors: WordVectorFile, out_dir,
+           vectors: WordVectorFile | str | os.PathLike, out_dir,
            model_config: ModelConfig | None = None,
            prep_config: PreprocessConfig | None = None) -> RunReport:
     """Full k-fold run over labeled examples into the run directory out_dir.
@@ -261,7 +261,9 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     so every fold shares one embedding matrix.  embedding.npy, vocab.txt and
     preprocess.json are written first, each fold{k}/weights.bin as its fold
     ends, and curves.* and run_report.json, the returned report, last.
-    The folds run in config.threads processes (run_folds).
+    The folds run in config.threads processes (run_folds).  vectors is a
+    parsed file or a path that load_vectors reads here; given a path, the
+    parsed file is freed once the matrix is built, before the first fold.
     """
     config.validate()
     if model_config is None:
@@ -282,7 +284,10 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     token_lists = [preprocess_text(ex.text, ex.language, prep_config)
                    for ex in examples]
     vocab = build_vocab(token_lists)
+    if not isinstance(vectors, WordVectorFile):
+        vectors = load_vectors(vectors)
     matrix, coverage = build_matrix(vocab, vectors, expected_dim=model_config.embed_dim)
+    del vectors
     sequences = encode_batch(token_lists, vocab, max_len=model_config.seq_len)
     label_arrays = {k: np.array([ex.labels[k] for ex in examples]) for k in head_keys}
 

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +406,31 @@ class TestTrain:
         assert rc == 2
         assert "run_report.json" in capsys.readouterr().err
 
+    def test_vector_file_freed_before_the_first_fold(self, pipeline, tmp_path,
+                                                     monkeypatch):
+        # only build_matrix reads the parsed vector file, which can be many
+        # times the matrix: neither cmd_train nor run_cv holds it after that
+        refs, alive = [], []
+        load_vectors, train_fold = training.load_vectors, training._train_fold
+
+        def load(path):
+            vectors = load_vectors(path)
+            refs.append(weakref.ref(vectors))
+            return vectors
+
+        def fold(*args):
+            alive.append(refs[0]() is not None)
+            return train_fold(*args)
+
+        monkeypatch.setattr(training, "load_vectors", load)
+        monkeypatch.setattr(training, "_train_fold", fold)
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1)
+        assert main(["train", "--config", str(config),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert alive == [False] * 3
+
     def test_embeddings_cache_key_rejected(self, pipeline, tmp_path, capsys):
         config_path = tmp_path / "bad.json"
         data = json.loads(pipeline["config"].read_text(encoding="utf-8"))
@@ -506,8 +532,8 @@ class TestTrain:
         # the loss stays finite; only one parameter's gradient goes bad
         backward = Conv1D.backward
 
-        def poisoned(self, grad_out):
-            dx = backward(self, grad_out)
+        def poisoned(self, grad_out, **kwargs):
+            dx = backward(self, grad_out, **kwargs)
             self.kernels.grad[0, 0, 0] = np.nan
             return dx
 

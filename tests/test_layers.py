@@ -264,6 +264,22 @@ class TestConv1D:
         np.testing.assert_allclose(dx12, dx1 + dx2, atol=1e-10)
         np.testing.assert_allclose(conv.kernels.grad, k1 + k2, atol=1e-10)
 
+    def test_parameter_grads_without_input_grad(self):
+        # the model's conv reads a frozen embedding: input_grad=False skips
+        # the input product and leaves the parameter gradients' bits alone
+        rng = np.random.default_rng(3)
+        conv = Conv1D(5, 4, 2, rng)
+        x = rng.standard_normal((3, 7, 5)).astype(np.float32)
+        grad = rng.standard_normal((3, 6, 4)).astype(np.float32)
+        conv.forward(x, train_mode=True)
+        assert conv.backward(grad).shape == x.shape
+        want = [p.grad.copy() for p in conv.parameters()]
+        conv.zero_grad()
+        conv.forward(x, train_mode=True)
+        assert conv.backward(grad, input_grad=False) is None
+        for param, expected in zip(conv.parameters(), want):
+            assert_same_bits(param.grad, expected)
+
 
 class TestDense:
     def test_identity_map(self):
@@ -698,6 +714,20 @@ class TestFusedLoop:
         layer.zero_grad()
         layer.forward(x, train_mode=True)
         assert_same_bits(layer.backward(np.ones_like(out)), first)
+
+    @pytest.mark.parametrize("batch, length", [
+        (batch, length) for batch in (1, 2, 3, 5, 8, 64, 256)
+        for length in (1, 2, 3, 17, 18, 99)] + [(1, 513), (2, 257)])
+    def test_eval_chunks_keep_the_slab_bits(self, batch, length):
+        # Eval mode projects max(8, ceil(512 / B)) steps at a time, train
+        # mode every step at once.  The cases leave 1- and 2-step tails, and
+        # at B <= 2 tails of 1 or 2 rows that must join the chunk before.
+        net = BiLstm(64, 128, np.random.default_rng(length), dropout=0.0,
+                     recurrent_dropout=0.0)
+        x = np.random.default_rng(batch).standard_normal(
+            (batch, length, 64)).astype(np.float32)
+        train = net.forward(x, train_mode=True)
+        assert_same_bits(net.forward(x), train)
 
     @layers
     def test_eval_forward_keeps_no_cache(self, make):

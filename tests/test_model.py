@@ -307,6 +307,23 @@ class TestRelease:
         assert four <= 1.2 * one
 
 
+    def test_eval_bilstm_holds_no_gate_slab(self):
+        # An eval BiLSTM projects its input a few steps at a time, so at the
+        # default shape it holds its output plus chunk buffers and step
+        # temporaries (about 1.6x the output).  A (2, B, L, 4H) gate slab is
+        # 4x the output, so a peak under output + a quarter slab leaves room
+        # for numpy's temporaries and still fails if the slab comes back.
+        config = ModelConfig()
+        net = build(config, make_matrix(50, config.embed_dim))
+        posts = random_batch(config, 50, batch=EVAL_BATCH, seed=6)
+        x = net.conv.forward(net.embedding.forward(posts))
+        out = []
+        peak = traced_peak(lambda: out.append(net.bilstm.forward(x)))
+        batch, length, _ = x.shape
+        slab = 2 * batch * length * 4 * config.lstm_units * x.itemsize
+        assert peak < out[0].nbytes + slab / 4
+
+
 class TestPredict:
     def test_tie_resolves_high(self):
         probs = np.array([[0.5, 0.5], [0.9, 0.1], [0.1, 0.9]])
