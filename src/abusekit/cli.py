@@ -23,8 +23,8 @@ from .errors import (AbusekitError, ConfigurationError, NumericError,
                      ParseError, SchemaError)
 from .metrics import classification_report
 from .model import ModelConfig
-from .text import (PreprocessConfig, PreprocessFiles, Vocabulary, atomic_write,
-                   encode_batch, open_text)
+from .text import (PreprocessConfig, PreprocessFiles, Vocabulary, _write_json,
+                   atomic_write, encode_batch, open_text)
 from .text import preprocess as preprocess_text
 from .training import (TrainConfig, ensemble_predict, read_config, read_run,
                        run_cv)
@@ -150,9 +150,7 @@ def cmd_prepare(args) -> int:
         "train_label_counts": label_counts(train),
         "test_label_counts": label_counts(test),
     }
-    with open(os.path.join(args.out, "prepare.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(manifest, os.path.join(args.out, "prepare.json"))
 
     print(f"posts parsed: {total_posts}   kept: {len(examples)}   dropped: {dropped}")
     print(f"train: {len(train)} examples   test: {len(test)} examples")
@@ -246,18 +244,11 @@ def cmd_predict(args) -> int:
     sequences = encode_batch(token_lists, run.vocab, max_len=run.model_config.seq_len)
     labels = ensemble_predict(run, chosen, sequences, processes)
 
-    head_keys = run.head_keys
-    if len(head_keys) == 1:
-        header = "id,label"
-        rows = (f"{post_id},{labels[0][i]}" for i, post_id in enumerate(ids))
-    else:
-        header = "id," + ",".join(f"label_{k}" for k in head_keys)
-        rows = (f"{post_id}," + ",".join(str(labels[h][i]) for h in range(len(head_keys)))
-                for i, post_id in enumerate(ids))
+    columns = ["label"] if len(labels) == 1 else [f"label_{k}" for k in run.head_keys]
     with atomic_write(args.out) as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.write(",".join(["id", *columns]) + "\n")
+        for i, post_id in enumerate(ids):
+            fh.write(",".join([str(post_id), *(str(h[i]) for h in labels)]) + "\n")
     print(f"wrote {len(ids)} predictions to {args.out}")
     return 0
 

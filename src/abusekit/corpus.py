@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .text import open_text
+from .text import atomic_write, open_text
 
 __all__ = [
     "ANNOTATOR_COLUMNS",
@@ -402,8 +402,9 @@ def kfold_indices(n: int, k: int = 5, seed: int = 0) -> FoldAssignment:
 
 
 def write_dataset(examples: list[LabeledExample], path) -> None:
-    """Write the canonical dataset file: one JSON object per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write the canonical dataset file, one JSON object per line, through
+    atomic_write: a failed write leaves no partial file."""
+    with atomic_write(path) as fh:
         for ex in examples:
             record = {
                 "text": ex.text,

@@ -201,32 +201,6 @@ class EmbeddingLookup(Module):
         return None
 
 
-class SpatialDropout1D(Module):
-    """Drops whole channels: one Bernoulli draw per (batch, channel) pair,
-    applied across every timestep."""
-
-    def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise ConfigurationError(f"dropout rate {rate} outside [0, 1)")
-        self.rate = rate
-        self._mask = None
-
-    def forward(self, x: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        if not train_mode or self.rate == 0.0:
-            self._mask = None
-            return x
-        batch, _, channels = x.shape
-        self._mask = make_dropout_mask((batch, 1, channels), self.rate, rng,
-                                       dtype=x.dtype)
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
 class Dropout(Module):
     """Standard elementwise inverted dropout."""
 
@@ -236,18 +210,36 @@ class Dropout(Module):
         self.rate = rate
         self._mask = None
 
+    def _mask_shape(self, x: np.ndarray) -> tuple[int, ...]:
+        return x.shape
+
     def forward(self, x: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         if not train_mode or self.rate == 0.0:
             self._mask = None
             return x
-        self._mask = make_dropout_mask(x.shape, self.rate, rng, dtype=x.dtype)
+        self._mask = make_dropout_mask(self._mask_shape(x), self.rate, rng,
+                                       dtype=x.dtype)
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
+
+
+class SpatialDropout1D(Dropout):
+    """Drops whole channels: one Bernoulli draw per (batch, channel) pair,
+    applied across every timestep."""
+
+    def _mask_shape(self, x: np.ndarray) -> tuple[int, ...]:
+        batch, _, channels = x.shape
+        return (batch, 1, channels)
+
+    # Bound here, not only inherited: perfbench's tracer wraps the methods
+    # it finds in each class's own __dict__, this class's included.
+    forward = Dropout.forward
+    backward = Dropout.backward
 
 
 def _take_cache(layer: Module):

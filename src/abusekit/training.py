@@ -34,8 +34,8 @@ from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (HEAD_CLASSES, ModelConfig, Network, labels_from_probs,
                     load_checkpoint, save_checkpoint, train_step)
-from .text import (PreprocessConfig, Vocabulary, atomic_write, build_vocab,
-                   encode_batch, open_text)
+from .text import (PreprocessConfig, Vocabulary, _write_json, atomic_write,
+                   build_vocab, encode_batch, open_text)
 from .text import preprocess as preprocess_text
 
 __all__ = [
@@ -194,20 +194,20 @@ def train_epoch(network: Network, sequences: np.ndarray,
 
 
 def evaluate(network: Network, sequences: np.ndarray,
-             labels_per_head: list[np.ndarray], batch_size: int = EVAL_BATCH
-             ) -> tuple[float, float, list[np.ndarray]]:
-    """Eval-mode (mean loss, accuracy averaged over heads, per-head preds).
+             labels_per_head: list[np.ndarray]) -> tuple[float, float, list[np.ndarray]]:
+    """Eval-mode (mean loss, accuracy averaged over heads, per-head preds),
+    EVAL_BATCH posts per forward.
 
     The loss is taken once over every post's logits, so no figure depends
-    on batch_size.
+    on the batch size.
     """
     n = len(sequences)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty set")
     num_heads = len(network.heads)
     logits = [np.empty((n, HEAD_CLASSES), dtype=network.dtype) for _ in network.heads]
-    for start in range(0, n, batch_size):
-        shared = network.trunk_forward(sequences[start:start + batch_size])
+    for start in range(0, n, EVAL_BATCH):
+        shared = network.trunk_forward(sequences[start:start + EVAL_BATCH])
         for out, head in zip(logits, network.heads):
             out[start:start + len(shared)] = head.forward(shared)
     loss_sum = 0.0
@@ -219,8 +219,8 @@ def evaluate(network: Network, sequences: np.ndarray,
     return loss_sum / n, accuracy, preds
 
 
-def _train_fold(model_config: ModelConfig, sequences, label_arrays, head_keys,
-                folds, config: TrainConfig, out_dir, fold: int) -> FoldReport:
+def _train_fold(model_config: ModelConfig, sequences, label_arrays, head_keys, folds,
+                config: TrainConfig, out_dir, vocab_size: int, fold: int) -> FoldReport:
     """Train one fold around the run's embedding.npy and write its
     weights.bin; only its report outlives it."""
     val_idx = folds.val_indices(fold)
@@ -229,7 +229,8 @@ def _train_fold(model_config: ModelConfig, sequences, label_arrays, head_keys,
 
     seed = np.random.SeedSequence(config.seed).generate_state(config.folds)[fold]
     rng = np.random.default_rng(int(seed))
-    matrix = np.load(os.path.join(out_dir, "embedding.npy"), allow_pickle=False)
+    matrix = _load_embedding(os.path.join(out_dir, "embedding.npy"),
+                             (vocab_size, model_config.embed_dim))
     network = Network(model_config, matrix, len(head_keys), rng)
     train_labels = [label_arrays[k][train_idx] for k in head_keys]
     val_labels = [label_arrays[k][val_idx] for k in head_keys]
@@ -310,7 +311,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
 
     folds = kfold_indices(n, k=config.folds, seed=config.seed)
     job = partial(_train_fold, model_config, sequences, label_arrays, head_keys,
-                  folds, config, out_dir)
+                  folds, config, out_dir, len(vocab))
     fold_reports = run_folds(job, range(config.folds), config.threads)
 
     averaged = {key: {name: float(np.mean([getattr(fr.head_reports[key], name)
@@ -328,27 +329,25 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     return report
 
 
-def fold_probabilities(network: Network, sequences: np.ndarray,
-                       batch_size: int = EVAL_BATCH) -> list[np.ndarray]:
+def fold_probabilities(network: Network, sequences: np.ndarray) -> list[np.ndarray]:
     """One fold model's per-head softmax probabilities (N x classes) for the
-    encoded posts, run forward batch_size posts at a time."""
+    encoded posts, run forward EVAL_BATCH posts at a time."""
     sequences = np.asarray(sequences)
     probs = [np.empty((len(sequences), HEAD_CLASSES), dtype=network.dtype)
              for _ in network.heads]
-    for start in range(0, len(sequences), batch_size):
-        for out, p in zip(probs, network.forward(sequences[start:start + batch_size])):
+    for start in range(0, len(sequences), EVAL_BATCH):
+        for out, p in zip(probs, network.forward(sequences[start:start + EVAL_BATCH])):
             out[start:start + len(p)] = p
     return probs
 
 
-def _score_fold(run: SavedRun, sequences: np.ndarray, batch_size: int,
-                fold: int) -> list[np.ndarray]:
+def _score_fold(run: SavedRun, sequences: np.ndarray, fold: int) -> list[np.ndarray]:
     """ensemble_predict's job: load one fold and score the posts with it."""
-    return fold_probabilities(run.load_fold(fold), sequences, batch_size)
+    return fold_probabilities(run.load_fold(fold), sequences)
 
 
 def ensemble_predict(run: SavedRun, folds, test_sequences: np.ndarray,
-                     processes: int = 1, batch_size: int = EVAL_BATCH) -> list[np.ndarray]:
+                     processes: int = 1) -> list[np.ndarray]:
     """Average per-head softmax probabilities over the run's folds, then
     argmax (exact two-way ties go to class 1).  The folds run in processes
     processes (run_folds), each loaded where it is scored, so a process
@@ -356,8 +355,7 @@ def ensemble_predict(run: SavedRun, folds, test_sequences: np.ndarray,
     are bit-identical at any process count.  A fold that fails to load is
     an AbusekitError carrying load_checkpoint's message."""
     test_sequences = np.asarray(test_sequences)
-    fold_probs = run_folds(partial(_score_fold, run, test_sequences, batch_size),
-                           folds, processes)
+    fold_probs = run_folds(partial(_score_fold, run, test_sequences), folds, processes)
     sums = [np.zeros((len(test_sequences), HEAD_CLASSES), dtype=np.float32)
             for _ in run.head_keys]
     for probs in fold_probs:
@@ -447,12 +445,6 @@ def best_fold_index(report: dict) -> int:
     scores = [float(np.mean([fr["head_reports"][k]["macro_f1"] for k in keys]))
               for fr in report["folds"]]
     return int(np.argmax(scores))
-
-
-def _write_json(data, path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_report(report: RunReport, path) -> None:
@@ -631,22 +623,15 @@ _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
                "#8c564b", "#e377c2", "#7f7f7f")
 
 
-def _polyline(xs, ys, color, width, dash="") -> str:
-    points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{dash_attr} points="{points}" />')
-
-
 def _panel(title, series, x0, width, height) -> list[str]:
-    # series: list of (label, values, color, dash); shared x axis = epoch.
+    # series: list of (values, color, dash); shared x axis = epoch.
     pad = 34.0
     plot_w, plot_h = width - 2 * pad, height - 2 * pad
-    all_vals = [v for _, values, _, _ in series for v in values]
+    all_vals = [v for values, _, _ in series for v in values]
     lo, hi = min(all_vals), max(all_vals)
     if hi - lo < 1e-12:
         hi = lo + 1.0
-    epochs = max(len(values) for _, values, _, _ in series)
+    epochs = max(len(values) for values, _, _ in series)
 
     def sx(e):
         return x0 + pad + (plot_w * (e / max(epochs - 1, 1)))
@@ -664,39 +649,30 @@ def _panel(title, series, x0, width, height) -> list[str]:
         f'<text x="{x0 + pad - 4:.2f}" y="{pad + plot_h:.2f}" text-anchor="end" '
         f'font-size="9">{lo:.3f}</text>',
     ]
-    for _, values, color, dash in series:
-        xs = [sx(e) for e in range(len(values))]
-        ys = [sy(v) for v in values]
-        parts.append(_polyline(xs, ys, color, 1.2, dash))
+    for values, color, dash in series:
+        points = " ".join(f"{sx(e):.2f},{sy(v):.2f}" for e, v in enumerate(values))
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2"'
+                     f'{dash_attr} points="{points}" />')
     return parts
 
 
 def _render_curves_svg(report: RunReport) -> str:
     width, height = 860, 300
     panel_w = width / 2
-    loss_series = []
-    acc_series = []
-    for fr in report.folds:
-        color = _SVG_COLORS[fr.fold % len(_SVG_COLORS)]
-        loss_series.append((f"fold {fr.fold} train",
-                            [r.train_loss for r in fr.epochs], color, "3,3"))
-        loss_series.append((f"fold {fr.fold} val",
-                            [r.val_loss for r in fr.epochs], color, ""))
-        acc_series.append((f"fold {fr.fold} train",
-                           [r.train_accuracy for r in fr.epochs], color, "3,3"))
-        acc_series.append((f"fold {fr.fold} val",
-                           [r.val_accuracy for r in fr.epochs], color, ""))
-    epochs = len(report.folds[0].epochs)
-    mean_val_loss = [float(np.mean([fr.epochs[e].val_loss for fr in report.folds]))
-                     for e in range(epochs)]
-    mean_val_acc = [float(np.mean([fr.epochs[e].val_accuracy for fr in report.folds]))
-                    for e in range(epochs)]
-    loss_series.append(("mean val", mean_val_loss, "#000000", ""))
-    acc_series.append(("mean val", mean_val_acc, "#000000", ""))
-
     body = []
-    body += _panel("loss (dashed = train)", loss_series, 0, panel_w, height)
-    body += _panel("accuracy (dashed = train)", acc_series, panel_w, panel_w, height)
+    for x0, (title, train, val) in zip((0, panel_w), (
+            ("loss", "train_loss", "val_loss"),
+            ("accuracy", "train_accuracy", "val_accuracy"))):
+        series = []
+        for fr in report.folds:
+            color = _SVG_COLORS[fr.fold % len(_SVG_COLORS)]
+            series.append(([getattr(r, train) for r in fr.epochs], color, "3,3"))
+            series.append(([getattr(r, val) for r in fr.epochs], color, ""))
+        mean_val = [float(np.mean([getattr(fr.epochs[e], val) for fr in report.folds]))
+                    for e in range(len(report.folds[0].epochs))]
+        series.append((mean_val, "#000000", ""))
+        body += _panel(f"{title} (dashed = train)", series, x0, panel_w, height)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">\n'

@@ -20,7 +20,7 @@ import pytest
 from conftest import child_pids, needs_proc_children
 
 import abusekit
-from abusekit import cli, training
+from abusekit import cli, corpus, training
 from abusekit.cli import _read_id_csv, main
 from abusekit.corpus import read_dataset
 from abusekit.embeddings import parse_vector_file, write_cache, write_vector_file
@@ -64,6 +64,26 @@ def write_config(path, train_jsonl, embeddings, out_dir=None, preprocess=None,
         config["preprocess"] = preprocess
     path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return path
+
+
+def filling(real_atomic_write, writes):
+    """An atomic_write whose file raises ENOSPC after the given writes."""
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > writes:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self.fh.write(data)
+
+    @contextlib.contextmanager
+    def atomic_write(path, mode="w"):
+        with real_atomic_write(path, mode) as fh:
+            yield FullDisk(fh)
+    return atomic_write
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +169,18 @@ class TestPrepare:
         assert {ex.labels["1"] for ex in merged if ex.text == "foo bar"} == {1}
         assert all(ex.source != "macd" for ex in test)
         assert len(train) == round(78 * 0.8) + 2
+
+    def test_failed_record_write_leaves_nothing(self, pipeline, tmp_path, monkeypatch,
+                                                capsys):
+        # the disk fills on train.jsonl's third record: exit 2, and neither
+        # a partial train.jsonl, a temporary file nor prepare.json is left
+        monkeypatch.setattr(corpus, "atomic_write", filling(corpus.atomic_write, 2))
+        out = tmp_path / "prep"
+        rc = main(["prepare", "--input", str(pipeline["uli_csv"]), "--language", "en",
+                   "--task", "1", "--out", str(out)])
+        assert rc == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_bad_external_spec(self, pipeline, tmp_path, capsys):
         rc = main(["prepare", "--input", str(pipeline["uli_csv"]),
@@ -769,24 +801,7 @@ class TestPredict:
                                                capsys):
         # the disk fills after the header: exit 2, and neither a truncated
         # submission nor a temporary file is left behind
-        real_atomic_write = cli.atomic_write
-
-        class FullDisk:
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 1:
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return self.fh.write(data)
-
-        @contextlib.contextmanager
-        def filling(path, mode="w"):
-            with real_atomic_write(path, mode) as fh:
-                yield FullDisk(fh)
-
-        monkeypatch.setattr(cli, "atomic_write", filling)
+        monkeypatch.setattr(cli, "atomic_write", filling(cli.atomic_write, 1))
         out = tmp_path / "out.csv"
         rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
                    "--input", str(pipeline["test_csv"]), "--out", str(out)])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import held_caches, max_rel_error, numerical_grad, saved_run
 
+from abusekit import training
 from abusekit.errors import (AbusekitError, ConfigurationError, CorruptionError,
                              ShapeError)
 from abusekit.layers import AdamConfig, softmax_cross_entropy
@@ -344,12 +345,14 @@ class TestPredict:
         after = ensemble_predict(saved_run(tmp_path / "after", [net]), [0], batch)[0]
         np.testing.assert_array_equal(before, after)
 
-    def test_batching_invisible(self, tmp_path):
+    def test_batching_invisible(self, tmp_path, monkeypatch):
         config = tiny_config()
         run = saved_run(tmp_path, [build(config, make_matrix(30, 6))])
         batch = random_batch(config, 30, batch=10, seed=2)
-        np.testing.assert_array_equal(ensemble_predict(run, [0], batch, batch_size=3)[0],
-                                      ensemble_predict(run, [0], batch, batch_size=64)[0])
+        monkeypatch.setattr(training, "EVAL_BATCH", 3)
+        small = ensemble_predict(run, [0], batch)[0]
+        monkeypatch.setattr(training, "EVAL_BATCH", 64)
+        np.testing.assert_array_equal(small, ensemble_predict(run, [0], batch)[0])
 
 
 class TestCheckpoint:

@@ -74,13 +74,13 @@ def test_worker_probabilities_bit_identical(runs):
     run = read_run(runs / "k5")
     sequences = sequences_of(run, runs / "posts.csv")
     worker = training._FoldWorker(
-        partial(training._score_fold, run, sequences, 7), [3, 1])
+        partial(training._score_fold, run, sequences), [3, 1])
     try:
         remote = worker.result()
     finally:
         worker.close()
     for fold, probs in zip([3, 1], remote):
-        local = fold_probabilities(run.load_fold(fold), sequences, 7)
+        local = fold_probabilities(run.load_fold(fold), sequences)
         assert [p.tobytes() for p in probs] == [p.tobytes() for p in local]
         assert probs[0].dtype == local[0].dtype and probs[0].shape == (40, 2)
 
@@ -90,8 +90,8 @@ def test_labels_identical_however_folds_are_spread(runs, processes):
     # the five folds in 2 to 5 shares: [0 1 2][3 4] ... [0][1][2][3][4]
     run = read_run(runs / "k5")
     sequences = sequences_of(run, runs / "posts.csv")
-    expected = ensemble_predict(run, range(5), sequences, batch_size=6)
-    got = ensemble_predict(run, range(5), sequences, processes, batch_size=6)
+    expected = ensemble_predict(run, range(5), sequences)
+    got = ensemble_predict(run, range(5), sequences, processes)
     np.testing.assert_array_equal(got[0], expected[0])
 
 
@@ -104,9 +104,9 @@ def test_parent_holds_one_fold_network_at_a_time(runs, tmp_path, monkeypatch):
 
     score, held = training.fold_probabilities, []
 
-    def counting(network, sequences, batch_size=256):
+    def counting(network, sequences):
         held.append(live_networks() - before)
-        return score(network, sequences, batch_size)
+        return score(network, sequences)
 
     monkeypatch.setattr(training, "fold_probabilities", counting)
     monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
@@ -204,7 +204,7 @@ def test_parent_failure_stops_its_workers(runs, monkeypatch):
     run = read_run(runs / "k5")
     sequences = sequences_of(run, runs / "posts.csv")
 
-    def diverge(network, sequences, batch_size=256):
+    def diverge(network, sequences):
         raise AbusekitError("parent fold failed")
 
     monkeypatch.setattr(training, "fold_probabilities", diverge)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abusekit.errors import ConfigurationError
-from abusekit.text import (OOV_INDEX, PAD_INDEX, PreprocessConfig, Vocabulary,
-                           build_vocab, clean, encode_batch,
-                           load_emoji_ranges, load_stopwords, preprocess,
-                           remove_stopwords, tokenize)
+from abusekit.text import (_LATIN_LOWER, OOV_INDEX, PAD_INDEX, PreprocessConfig,
+                           Vocabulary, _strip_emoji, build_vocab, clean,
+                           encode_batch, load_emoji_ranges, load_stopwords,
+                           preprocess, remove_stopwords, tokenize)
 from abusekit.training import read_config
 
 
@@ -89,6 +89,55 @@ class TestClean:
         config = PreprocessConfig.default()
         once = clean(text, config)
         assert clean(once, config) == once
+
+
+# The per-character cleaning code that the compiled character classes and
+# the translate table replaced, kept as the reference they must match.
+def reference_strip_emoji(text, ranges):
+    out, deleted = [], False
+    for ch in text:
+        cp = ord(ch)
+        if any(lo <= cp <= hi for lo, hi in ranges):
+            if cp == 0x200D or 0xFE00 <= cp < 0xFE10:
+                deleted = True
+            else:
+                out.append(" ")
+            continue
+        out.append(ch)
+    return "".join(out), deleted
+
+
+def reference_lowercase_latin(text):
+    return "".join(ch.lower() if ch.isupper() and ord(ch) < 0x250 else ch for ch in text)
+
+
+# range ends and characters at the zero-width codepoints, the Latin limit,
+# the surrogates, the emoji blocks and the codepoint limit, and one past each
+EDGES = [0, 0x20, 0x41, 0x130, 0x24F, 0x250, 0x200C, 0x200D, 0x200E, 0xD800,
+         0xDFFF, 0xFDFF, 0xFE00, 0xFE07, 0xFE0F, 0xFE10, 0x1F600, 0x10FFFF]
+range_ends = st.one_of(st.sampled_from(EDGES + [-1, 0x110000, 0xFFFFFFFF]),
+                       st.integers(-2, 0x110001))
+edge_text = st.text(st.one_of(st.sampled_from([chr(c) for c in EDGES]),
+                              st.characters()), max_size=40)
+
+
+class TestCleaningReference:
+    @given(edge_text, st.lists(st.tuples(range_ends, range_ends), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_emoji_classes_match_the_loop(self, text, ranges):
+        ranges = tuple(ranges)
+        assert _strip_emoji(text, ranges) == reference_strip_emoji(text, ranges)
+
+    @given(edge_text)
+    @settings(max_examples=100, deadline=None)
+    def test_packaged_table_and_lowercasing_match_the_loops(self, text):
+        ranges = PreprocessConfig.from_files().emoji_ranges
+        assert _strip_emoji(text, ranges) == reference_strip_emoji(text, ranges)
+        assert text.translate(_LATIN_LOWER) == reference_lowercase_latin(text)
+
+    def test_every_latin_codepoint_lowercases_alike(self):
+        chars = "".join(map(chr, range(0x300)))
+        assert chars.translate(_LATIN_LOWER) == reference_lowercase_latin(chars)
 
 
 class TestTokenize:

@@ -14,7 +14,8 @@ from conftest import (assert_same_bits, child_pids, held_caches,
                       needs_proc_children, saved_run)
 
 from abusekit import training
-from abusekit.errors import ConfigurationError, DataIntegrityError, NumericError
+from abusekit.errors import (ConfigurationError, CorruptionError, DataIntegrityError,
+                             NumericError)
 from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
 from abusekit.model import (ModelConfig, Network, labels_from_probs,
@@ -244,7 +245,7 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError, match="empty set"):
             evaluate(net, empty, [np.zeros(0, dtype=int)])
 
-    def test_releases_network(self):
+    def test_releases_network(self, monkeypatch):
         config = small_model_config()
         examples, vectors = marker_setup(n=10)
         from abusekit.embeddings import build_matrix
@@ -255,19 +256,22 @@ class TestEvaluate:
             0, 5, size=(10, config.seq_len), dtype=np.int32)
         net.forward(sequences, train_mode=True)
         assert held_caches(net) == ["conv", "bilstm", "dense", "head0"]
-        evaluate(net, sequences, [np.zeros(10, dtype=int)], batch_size=4)
+        monkeypatch.setattr(training, "EVAL_BATCH", 4)
+        evaluate(net, sequences, [np.zeros(10, dtype=int)])
         assert held_caches(net) == []
 
-    def test_batch_size_changes_nothing(self):
+    def test_batch_size_changes_nothing(self, monkeypatch):
         # the loss is one mean over the set, not a sum of batch means
         matrix = np.random.default_rng(2).uniform(-0.5, 0.5, (50, 8)).astype(np.float32)
         net = build(small_model_config(), matrix, num_heads=2)
         rng = np.random.default_rng(3)
         sequences = rng.integers(0, 50, size=(200, 12), dtype=np.int32)
         labels = [rng.integers(0, 2, 200), rng.integers(0, 2, 200)]
-        loss, accuracy, preds = evaluate(net, sequences, labels, batch_size=256)
+        monkeypatch.setattr(training, "EVAL_BATCH", 256)
+        loss, accuracy, preds = evaluate(net, sequences, labels)
         for batch_size in (7, 64):
-            got = evaluate(net, sequences, labels, batch_size)
+            monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
+            got = evaluate(net, sequences, labels)
             assert got[:2] == (loss, accuracy)
             for a, b in zip(got[2], preds):
                 np.testing.assert_array_equal(a, b)
@@ -367,6 +371,20 @@ class TestRunCv:
         with pytest.raises(DataIntegrityError):
             run_cv(examples, config, vectors, tmp_path,
                    model_config=small_model_config())
+
+    def test_truncated_embedding_is_named(self, tmp_path, monkeypatch):
+        # each fold reads embedding.npy through the checked reader: a file
+        # cut short is a CorruptionError naming it, not numpy's ValueError
+        train_fold = training._train_fold
+
+        def truncating(*args):
+            path = tmp_path / "embedding.npy"
+            path.write_bytes(path.read_bytes()[:-4])
+            return train_fold(*args)
+
+        monkeypatch.setattr(training, "_train_fold", truncating)
+        with pytest.raises(CorruptionError, match=r"embedding\.npy: unreadable"):
+            self.run_small(tmp_path)
 
     def test_too_few_examples(self, tmp_path):
         examples, vectors = marker_setup(n=4)
@@ -503,7 +521,7 @@ class TestEnsemble:
         with pytest.raises(ConfigurationError, match="no folds"):
             ensemble_predict(run, [], np.zeros((1, 12), dtype=np.int32))
 
-    def test_releases_every_fold(self, tmp_path):
+    def test_releases_every_fold(self, tmp_path, monkeypatch):
         matrix = self.setup_matrix()
         run = saved_run(tmp_path, [build(small_model_config(), matrix, seed=s)
                                    for s in range(3)])
@@ -514,12 +532,13 @@ class TestEnsemble:
             return loaded[-1]
 
         run.load_fold = recording_load_fold
-        ensemble_predict(run, range(3), np.zeros((5, 12), dtype=np.int32), batch_size=2)
+        monkeypatch.setattr(training, "EVAL_BATCH", 2)
+        ensemble_predict(run, range(3), np.zeros((5, 12), dtype=np.int32))
         assert len(loaded) == 3
         for state in loaded:
             assert held_caches(state) == []
 
-    def test_eval_batch_keeps_the_bits(self):
+    def test_eval_batch_keeps_the_bits(self, monkeypatch):
         # The default shape with shorter posts: every batch size from 8 to
         # 256 gives each post the same probability bits, so EVAL_BATCH is
         # free to change.  Batch 1 may differ (by ~1e-7 here), because BLAS
@@ -529,15 +548,18 @@ class TestEnsemble:
         matrix = rng.uniform(-0.5, 0.5, (400, config.embed_dim)).astype(np.float32)
         net = Network(config, matrix, 2, rng)
         posts = rng.integers(0, 400, size=(256, config.seq_len), dtype=np.int32)
-        want = fold_probabilities(net, posts, 256)
+        monkeypatch.setattr(training, "EVAL_BATCH", 256)
+        want = fold_probabilities(net, posts)
         assert held_caches(net) == []
         for batch_size in (8, 16, 32, 64, 128):
-            for got, expected in zip(fold_probabilities(net, posts, batch_size), want):
+            monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
+            for got, expected in zip(fold_probabilities(net, posts), want):
                 assert_same_bits(got, expected)
 
     @pytest.mark.parametrize("num_heads", [1, 2])
     @pytest.mark.parametrize("batch_size", [256, 7, 1])
-    def test_matches_batch_outer_reference(self, tmp_path, num_heads, batch_size):
+    def test_matches_batch_outer_reference(self, tmp_path, monkeypatch, num_heads,
+                                           batch_size):
         # fold-outer order adds the same p / k terms per post, in fold order
         matrix = self.setup_matrix()
         states = [build(small_model_config(), matrix, num_heads, seed=s)
@@ -562,8 +584,8 @@ class TestEnsemble:
                         mean_probs[h] += p / len(states)
             for h in range(num_heads):
                 outs[h].append(labels_from_probs(mean_probs[h]))
-        got = ensemble_predict(saved_run(tmp_path, states), range(5), sequences,
-                               batch_size=batch_size)
+        monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
+        got = ensemble_predict(saved_run(tmp_path, states), range(5), sequences)
         assert len(got) == num_heads
         for h in range(num_heads):
             want = np.concatenate(outs[h])
