@@ -123,7 +123,11 @@ def cmd_prepare(args) -> int:
         train = merge_external(train, extra)
         external_counts[source] = external_counts.get(source, 0) + len(extra)
 
+    # prepare.json marks a finished prepare: a rerun cut short leaves none
     os.makedirs(args.out, exist_ok=True)
+    manifest_path = os.path.join(args.out, "prepare.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     write_dataset(train, os.path.join(args.out, "train.jsonl"))
     write_dataset(test, os.path.join(args.out, "test.jsonl"))
 
@@ -150,7 +154,7 @@ def cmd_prepare(args) -> int:
         "train_label_counts": label_counts(train),
         "test_label_counts": label_counts(test),
     }
-    _write_json(manifest, os.path.join(args.out, "prepare.json"))
+    _write_json(manifest, manifest_path)
 
     print(f"posts parsed: {total_posts}   kept: {len(examples)}   dropped: {dropped}")
     print(f"train: {len(train)} examples   test: {len(test)} examples")

@@ -154,12 +154,17 @@ def make_dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Genera
 
 _ACTIVATIONS = ("relu", "linear", "tanh")
 
+# The eval paths' exactness rests on this rule, measured with OpenBLAS 0.3.31
+# on one x86-64 CPU: a row of a product 64 or more columns wide gets the same
+# bits in any product of this many rows or more (1 or 2 take other paths).
+MIN_GEMM_ROWS = 3
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+
+def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     return z
 
 
@@ -280,16 +285,29 @@ class Conv1D(Module):
     def parameters(self) -> list[Parameter]:
         return [self.kernels, self.bias]
 
-    def forward(self, x: np.ndarray, train_mode: bool = False) -> np.ndarray:
-        _, length, _ = x.shape
+    def forward(self, x: np.ndarray, train_mode: bool = False,
+                index: np.ndarray | None = None) -> np.ndarray:
+        """With index (eval only), x holds distinct rows (n x C_in) that each
+        kernel offset multiplies once, and the B x L index picks them; under
+        MIN_GEMM_ROWS output positions, x[index] is convolved instead."""
         k = self.kernel_size
+        if index is not None and train_mode:
+            raise ConfigurationError("a table and index input is eval-only")
+        if index is not None and index.shape[1] - k + 1 < MIN_GEMM_ROWS:
+            x, index = x[index], None
+        batch, length = (x if index is None else index).shape[:2]
         if length < k:
             raise ShapeError(f"sequence length {length} shorter than kernel {k}")
         out_len = length - k + 1
-        z = np.tile(self.bias.value, (x.shape[0], out_len, 1))
-        for dt in range(k):
-            z += x[:, dt:dt + out_len, :] @ self.kernels.value[dt]
-        out = _activate(self.activation, z)
+        z = np.tile(self.bias.value, (batch, out_len, 1))
+        if index is None:
+            for dt in range(k):
+                z += x[:, dt:dt + out_len, :] @ self.kernels.value[dt]
+        else:
+            x = np.pad(x, ((0, max(0, MIN_GEMM_ROWS - len(x))), (0, 0)))
+            for dt in range(k):
+                z += (x @ self.kernels.value[dt])[index[:, dt:dt + out_len]]
+        out = _activate(self.activation, z, None if train_mode else z)
         self._cache = (x, z, out) if train_mode else None
         return out
 
@@ -338,8 +356,9 @@ class Dense(Module):
         if x.shape[-1] != self.weight.value.shape[0]:
             raise ShapeError(
                 f"input features {x.shape[-1]} != weight rows {self.weight.value.shape[0]}")
-        z = x @ self.weight.value + self.bias.value
-        out = _activate(self.activation, z)
+        z = x @ self.weight.value
+        z += self.bias.value
+        out = _activate(self.activation, z, None if train_mode else z)
         self._cache = (x, z, out) if train_mode else None
         return out
 
@@ -393,18 +412,15 @@ def _eval_gates(cells, inputs, hidden):
     time into one reused time-major buffer: per cell, one GEMM of
     steps x B rows read from the cell's input view (the backward cell's
     view is time-reversed), so no full-length copy of the input or the
-    gates is made.  A GEMM of 1 or 2 rows takes another BLAS path with
-    other bits, so a tail chunk of fewer than 3 rows joins the chunk before
-    it, and sequences of 1 or 2 steps keep the train path's per-sequence
-    products: the bits are those of the train path's full slab.  Both rules
-    were measured with OpenBLAS 0.3.31 on one x86-64 CPU; they assume BLAS
-    gives a row the same bits in any product of 3 rows or more.
+    gates is made.  A tail chunk of fewer than MIN_GEMM_ROWS rows joins the
+    chunk before it, and shorter sequences keep the train path's
+    per-sequence products: the bits are those of the train path's full slab.
     """
     batch, length, in_dim = inputs[0].shape
     dtype = inputs[0].dtype
     chunk = max(8, -(-512 // max(batch, 1)))
     bounds = list(range(0, length, chunk)) + [length]
-    if len(bounds) > 2 and (length - bounds[-2]) * batch < 3:
+    if len(bounds) > 2 and (length - bounds[-2]) * batch < MIN_GEMM_ROWS:
         del bounds[-2]
     widest = max((stop - start for start, stop in zip(bounds, bounds[1:])), default=0)
     xs = np.empty((widest, batch, in_dim), dtype=dtype)
@@ -413,7 +429,7 @@ def _eval_gates(cells, inputs, hidden):
         steps = stop - start
         for cell, x, z in zip(cells, inputs, gates):
             np.copyto(xs[:steps], x[:, start:stop].transpose(1, 0, 2))
-            if length < 3:
+            if length < MIN_GEMM_ROWS:
                 np.matmul(xs[:steps].transpose(1, 0, 2), cell.W.value.T,
                           out=z[:steps].transpose(1, 0, 2))
             else:
@@ -424,7 +440,7 @@ def _eval_gates(cells, inputs, hidden):
             yield gates[:, s]
 
 
-def _lstm_forward(cells, inputs, outputs, train_mode, rng):
+def _lstm_forward(cells, inputs, outputs, train_mode, rng, state=None):
     """Run D Lstm cells of one shape through a single time loop.
 
     inputs[d] is cell d's B x L x D_in input in the order the cell reads it,
@@ -433,9 +449,10 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng):
     stacked recurrent matmul and one activation pass over the D x B x 4H
     gate slice.  In train mode the gate slice of every step lives in one
     D x B x L x 4H slab, and the function returns the cache that
-    _lstm_backward consumes.  In eval mode it returns None and keeps no
-    history: the input projection is made a few steps at a time
-    (_eval_gates), and no cell state or masked hidden state is stored.
+    _lstm_backward consumes, and the final (c, h).  An eval pass keeps no
+    history (the cache is None): the input projection is made a few steps at
+    a time (_eval_gates).  It may start from state, a (c, h) pair of D x B x H
+    arrays, and then each input may be one row that every row reads.
     """
     batch, length, _ = inputs[0].shape
     hidden = cells[0].hidden_size
@@ -473,15 +490,15 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng):
         h_masked = np.empty((len(cells), batch, length, hidden), dtype=dtype)
     else:
         step_gates = _eval_gates(cells, inputs, hidden)
-    c = np.zeros((len(cells), batch, hidden), dtype=dtype)
-    h = np.zeros_like(c)
+    c, h = state or 2 * (np.zeros((len(cells), batch, hidden), dtype=dtype),)
     U_T = np.ascontiguousarray(
         np.stack([cell.U.value for cell in cells]).transpose(0, 2, 1))
     for s, z in enumerate(step_gates):
         hm = h if rec_mask is None else h * rec_mask
         if train_mode:
             h_masked[:, :, s] = hm
-        z += np.matmul(hm, U_T)
+        zr = np.matmul(hm, U_T)
+        z = np.add(z, zr, out=z if train_mode else zr)
         g = np.tanh(z[..., 2 * hidden:3 * hidden])
         sigmoid(z, out=z)
         z[..., 2 * hidden:3 * hidden] = g
@@ -491,7 +508,8 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng):
         h = z[..., 3 * hidden:] * np.tanh(c)
         for out, h_d in zip(outputs, h):
             out[:, s] = h_d
-    return (masked, in_masks, rec_mask, gates, cs, h_masked) if train_mode else None
+    cache = (masked, in_masks, rec_mask, gates, cs, h_masked) if train_mode else None
+    return cache, (c, h)
 
 
 def _lstm_backward(cells, cache, grads):
@@ -563,7 +581,7 @@ class Lstm(Module):
     def forward(self, x: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         out = np.empty(x.shape[:2] + (self.hidden_size,), dtype=x.dtype)
-        self._cache = _lstm_forward((self,), (x,), (out,), train_mode, rng)
+        self._cache = _lstm_forward((self,), (x,), (out,), train_mode, rng)[0]
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -602,11 +620,33 @@ class BiLstm(Module):
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
+        """In eval mode, where the last positions hold the same bits in every
+        row (a sorted batch's padding), the backward cell runs them on
+        MIN_GEMM_ROWS rows, copied to the rest, both cells run the positions
+        before them, and the forward cell ends over them from one row's input."""
         batch, length, _ = x.shape
         out = np.empty((batch, length, 2 * self.hidden_size), dtype=x.dtype)
-        self._cache = _lstm_forward((self.forward_cell, self.backward_cell),
-                                    (x, x[:, ::-1, :]), self._directions(out),
-                                    train_mode, rng)
+        cells = (self.forward_cell, self.backward_cell)
+        inputs, outputs = (x, x[:, ::-1, :]), self._directions(out)
+        tail = 0
+        if not train_mode and batch > MIN_GEMM_ROWS:
+            bits = x.view(f"u{x.itemsize}")
+            tail = np.logical_and.accumulate((bits == bits[:1]).all(axis=(0, 2))[::-1]).sum()
+        span = length - tail
+        if min(tail, span) < MIN_GEMM_ROWS:   # shorter parts: per-sequence products
+            self._cache = _lstm_forward(cells, inputs, outputs, train_mode, rng)[0]
+            return out
+        self._cache = None
+        fwd, bwd = outputs
+        _, (c, h) = _lstm_forward(cells[1:], (inputs[1][:MIN_GEMM_ROWS, :tail],),
+                                  (bwd[:MIN_GEMM_ROWS, :tail],), False, None)
+        bwd[MIN_GEMM_ROWS:, :tail] = bwd[0, :tail]
+        state = [np.concatenate([np.zeros_like(v[:, :1]), v[:, :1]]).repeat(batch, 1)
+                 for v in (c, h)]
+        _, (c, h) = _lstm_forward(cells, (x[:, :span], inputs[1][:, tail:]),
+                                  (fwd[:, :span], bwd[:, tail:]), False, None, state)
+        _lstm_forward(cells[:1], (x[:1, span:],), (fwd[:, span:],), False, None,
+                      (c[:1], h[:1]))
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

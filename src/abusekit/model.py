@@ -114,14 +114,20 @@ class Network:
     def trunk_forward(self, batch: np.ndarray, train_mode: bool = False,
                       rng: np.random.Generator | None = None) -> np.ndarray:
         """Pooled features, B x dense_units.  Only a train-mode pass keeps
-        the caches and dropout masks that trunk_backward reads."""
+        the caches and dropout masks that trunk_backward reads; an eval
+        pass embeds and convolves each distinct token id once."""
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[1] != self.config.seq_len:
             raise ShapeError(
                 f"expected batch of shape (B, {self.config.seq_len}), got {batch.shape}")
-        x = self.embedding.forward(batch)
+        ids, index = batch, None
+        rows = len(self.embedding.matrix)   # out-of-range ids: the embedding's BoundsError
+        if not train_mode and batch.size and 0 <= batch.min() and batch.max() < rows:
+            present = np.bincount(batch.ravel(), minlength=rows) > 0
+            ids, index = np.flatnonzero(present), (np.cumsum(present) - 1)[batch]
+        x = self.embedding.forward(ids)
         x = self.spatial_dropout.forward(x, train_mode, rng)
-        x = self.conv.forward(x, train_mode)
+        x = self.conv.forward(x, train_mode, index)
         x = self.bilstm.forward(x, train_mode, rng)
         x = self.dense.forward(x, train_mode)
         x = self.pool.forward(x)

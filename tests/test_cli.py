@@ -182,6 +182,28 @@ class TestPrepare:
         assert "No space left on device" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_failed_rerun_drops_the_manifest(self, pipeline, tmp_path, monkeypatch,
+                                             capsys):
+        # a rerun into a prepared dir whose test.jsonl write fails leaves the
+        # new train.jsonl beside the old test.jsonl: no prepare.json may
+        # vouch for that mix
+        out = tmp_path / "prep"
+        argv = ["prepare", "--input", str(pipeline["uli_csv"]), "--language", "en",
+                "--task", "1", "--out", str(out)]
+        assert main(argv + ["--seed", "0"]) == 0
+        real_atomic_write = corpus.atomic_write
+
+        def failing_test_write(path, mode="w"):
+            if os.path.basename(path) == "test.jsonl":
+                return filling(real_atomic_write, 0)(path, mode)
+            return real_atomic_write(path, mode)
+
+        monkeypatch.setattr(corpus, "atomic_write", failing_test_write)
+        capsys.readouterr()
+        assert main(argv + ["--seed", "1"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["test.jsonl", "train.jsonl"]
+
     def test_bad_external_spec(self, pipeline, tmp_path, capsys):
         rc = main(["prepare", "--input", str(pipeline["uli_csv"]),
                    "--language", "en", "--task", "1",

@@ -13,6 +13,7 @@ import pytest
 from conftest import (assert_same_bits, boolean_mask_sigmoid, max_rel_error,
                       numerical_grad)
 
+import abusekit.layers as layers_module
 from abusekit.errors import (AbusekitError, BoundsError, ConfigurationError,
                              DataIntegrityError, ShapeError)
 from abusekit.layers import (AdamConfig, BiLstm, Conv1D, Dense, Dropout,
@@ -279,6 +280,37 @@ class TestConv1D:
         assert conv.backward(grad, input_grad=False) is None
         for param, expected in zip(conv.parameters(), want):
             assert_same_bits(param.grad, expected)
+
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 5, 40])
+    def test_eval_table_keeps_the_bits(self, distinct):
+        # An eval conv may read a table of distinct embedding rows and the
+        # index of the row at each position: every product is then made once
+        # per row, with the bits of the conv over the gathered input.  One
+        # or two rows alone would take other BLAS paths.
+        rng = np.random.default_rng(distinct)
+        conv = Conv1D(300, 64, 2, rng)
+        table = rng.uniform(-0.5, 0.5, (distinct, 300)).astype(np.float32)
+        index = rng.integers(0, distinct, (6, 30))
+        assert_same_bits(conv.forward(table, index=index), conv.forward(table[index]))
+
+    def test_table_input_is_eval_only(self):
+        rng = np.random.default_rng(0)
+        conv = Conv1D(300, 64, 2, rng)
+        table = rng.uniform(-0.5, 0.5, (5, 300)).astype(np.float32)
+        with pytest.raises(ConfigurationError, match="eval-only"):
+            conv.forward(table, train_mode=True, index=np.zeros((2, 6), dtype=np.int64))
+
+    def test_eval_table_under_three_positions(self):
+        # a post of 1 or 2 output positions makes its own 1- or 2-row
+        # products, so the conv gathers the input for it first
+        rng = np.random.default_rng(0)
+        conv = Conv1D(300, 64, 2, rng)
+        table = rng.uniform(-0.5, 0.5, (20, 300)).astype(np.float32)
+        for length in (2, 3):
+            index = rng.integers(0, 20, (5, length))
+            assert_same_bits(conv.forward(table, index=index),
+                             conv.forward(table[index]))
 
 
 class TestDense:
@@ -728,6 +760,38 @@ class TestFusedLoop:
             (batch, length, 64)).astype(np.float32)
         train = net.forward(x, train_mode=True)
         assert_same_bits(net.forward(x), train)
+
+    @pytest.mark.parametrize("batch", [3, 4, 64])
+    @pytest.mark.parametrize("tail", [1, 2, 3, 16, 17, 18])
+    def test_eval_shared_tail_keeps_the_bits(self, batch, tail, monkeypatch):
+        # Where the last positions hold the same values in every row (a
+        # length-sorted batch's padding), the backward cell runs them on 3
+        # rows first, both cells then run the positions before them, and the
+        # forward cell ends over them from one row's input; the bits are
+        # those of the loop over every row from step 0.  A part under 3
+        # steps, or a batch of 3, is not split off: of L = 19 steps, tails
+        # of 1, 2, L - 2 and L - 1 leave such parts.
+        length = 19
+        net = BiLstm(64, 128, np.random.default_rng(tail), dropout=0.0,
+                     recurrent_dropout=0.0)
+        x = np.random.default_rng(batch).standard_normal(
+            (batch, length, 64)).astype(np.float32)
+        x[:, length - tail:] = x[0, length - tail:]
+        runs, real = [], layers_module._lstm_forward
+
+        def recording(cells, inputs, outputs, train_mode, rng, state=None):
+            runs.append((len(cells), inputs[0].shape[:2], state is not None))
+            return real(cells, inputs, outputs, train_mode, rng, state)
+
+        monkeypatch.setattr(layers_module, "_lstm_forward", recording)
+        got = net.forward(x)
+        span = length - tail
+        if 3 <= tail <= length - 3 and batch > 3:
+            assert runs == [(1, (3, tail), False), (2, (batch, span), True),
+                            (1, (1, tail), True)]
+        else:
+            assert runs == [(2, (batch, length), False)]
+        assert_same_bits(got, net.forward(x, train_mode=True))
 
     @layers
     def test_eval_forward_keeps_no_cache(self, make):

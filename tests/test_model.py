@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import held_caches, max_rel_error, numerical_grad, saved_run
+from conftest import (assert_same_bits, held_caches, max_rel_error,
+                      numerical_grad, saved_run)
 
 from abusekit import training
-from abusekit.errors import (AbusekitError, ConfigurationError, CorruptionError,
-                             ShapeError)
-from abusekit.layers import AdamConfig, softmax_cross_entropy
+from abusekit.errors import (AbusekitError, BoundsError, ConfigurationError,
+                             CorruptionError, ShapeError)
+from abusekit.layers import AdamConfig, softmax, softmax_cross_entropy
 from abusekit.model import (ModelConfig, Network, labels_from_probs,
                             load_checkpoint, save_checkpoint, train_step)
 from abusekit.training import (EVAL_BATCH, ensemble_predict,
@@ -152,6 +153,75 @@ class TestForward:
             np.testing.assert_array_equal(pa.value, pb.value)
         batch = random_batch(config, 25)
         np.testing.assert_array_equal(a.forward(batch)[0], b.forward(batch)[0])
+
+
+def padded_posts(rng, vocab_rows, batch, seq_len, lengths=None):
+    """Posts of random ids, each followed by PAD up to seq_len."""
+    if lengths is None:
+        lengths = rng.integers(1, seq_len + 1, batch)
+    posts = rng.integers(2, vocab_rows, (batch, seq_len), dtype=np.int32)
+    posts[np.arange(seq_len) >= np.asarray(lengths)[:, None]] = 0
+    return posts
+
+
+def eval_case(name):
+    """(config, matrix, batch) for one of TestSharedEvalWork's cases."""
+    rng = np.random.default_rng(len(name))
+    seq_len = {"seq-len-is-kernel": 2, "two-positions": 3}.get(name, 24)
+    config = ModelConfig(seq_len=seq_len, lstm_dropout=0.0, lstm_recurrent_dropout=0.0,
+                         spatial_dropout_rate=0.0, final_dropout_rate=0.0)
+    matrix = make_matrix(60, config.embed_dim, seed=1)
+    batch = padded_posts(rng, 60, 8, seq_len, rng.integers(1, seq_len // 2 + 1, 8))
+    if name == "all-pad-row":
+        batch[3] = 0
+    elif name == "full-length-row":
+        batch[5] = rng.integers(2, 60, seq_len)
+    elif name == "one-distinct-id":
+        batch[...] = 0
+    elif name == "two-distinct-ids":
+        batch[batch != 0] = 7
+    elif name == "shared-real-tail":
+        batch[:, -6:] = [9, 10, 11, 12, 13, 14]
+    elif name == "nonzero-pad-row":
+        matrix[0] = rng.uniform(-0.5, 0.5, config.embed_dim)
+    elif name in ("batch-of-3", "batch-of-1"):
+        batch = batch[:int(name[-1])]
+    return config, matrix, batch
+
+
+class TestSharedEvalWork:
+    """An eval forward embeds and convolves each distinct id once, and runs
+    the backward LSTM over a batch's shared trailing positions once; every
+    post keeps the bits of the plain path.  With no dropout, a train-mode
+    trunk is that plain path: every position embedded and convolved, and
+    both LSTM cells run over every step of every row in one loop."""
+
+    @pytest.mark.parametrize("name", [
+        "short-posts", "all-pad-row", "full-length-row", "one-distinct-id",
+        "two-distinct-ids", "shared-real-tail", "nonzero-pad-row",
+        "seq-len-is-kernel", "two-positions", "batch-of-3", "batch-of-1"])
+    def test_trunk_keeps_the_plain_bits(self, name):
+        config, matrix, batch = eval_case(name)
+        net = build(config, matrix, num_heads=2)
+        want = net.trunk_forward(batch, train_mode=True)
+        assert_same_bits(net.trunk_forward(batch), want)
+
+    @pytest.mark.parametrize("bad", [-1, 60])
+    def test_out_of_range_id_is_a_bounds_error(self, bad):
+        # the eval pass counts the ids it embeds only once they are in range
+        config, matrix, batch = eval_case("short-posts")
+        net = build(config, matrix, num_heads=2)
+        batch[2, 0] = bad
+        for train_mode in (False, True):
+            with pytest.raises(BoundsError):
+                net.trunk_forward(batch, train_mode=train_mode)
+
+    def test_forward_keeps_the_plain_bits(self):
+        config, matrix, batch = eval_case("all-pad-row")
+        net = build(config, matrix, num_heads=2)
+        shared = net.trunk_forward(batch, train_mode=True)
+        for got, head in zip(net.forward(batch), net.heads):
+            assert_same_bits(got, softmax(head.forward(shared, train_mode=True)))
 
 
 class TestTrainStep:

@@ -16,7 +16,7 @@ from conftest import (assert_same_bits, child_pids, held_caches,
 from abusekit import training
 from abusekit.errors import (ConfigurationError, CorruptionError, DataIntegrityError,
                              NumericError)
-from abusekit.layers import AdamConfig
+from abusekit.layers import AdamConfig, softmax
 from abusekit.metrics import classification_report
 from abusekit.model import (ModelConfig, Network, labels_from_probs,
                             save_checkpoint, train_step)
@@ -555,6 +555,77 @@ class TestEnsemble:
             monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
             for got, expected in zip(fold_probabilities(net, posts), want):
                 assert_same_bits(got, expected)
+
+    @staticmethod
+    def padded_posts(n, **config):
+        """A default-shape network and n posts of 1 to 30 ids, PAD after."""
+        config = ModelConfig(seq_len=30, **config)
+        rng = np.random.default_rng(7)
+        matrix = rng.uniform(-0.5, 0.5, (400, config.embed_dim)).astype(np.float32)
+        posts = rng.integers(2, 400, size=(n, config.seq_len), dtype=np.int32)
+        posts[np.arange(config.seq_len) >= rng.integers(1, 31, (n, 1))] = 0
+        return Network(config, matrix, 2, rng), posts
+
+    def test_batches_run_longest_first(self):
+        # Sorted stably by length, but the last N mod 64 posts keep their
+        # input order; a last 1 or 2 join the sorted batch before them,
+        # which repeats its first rows up to a whole block of 4.
+        posts = np.zeros((131, 5), dtype=np.int32)
+        lengths = np.random.default_rng(0).integers(0, 6, 131)
+        posts[np.arange(5) < lengths[:, None]] = 3
+        for n, sizes, kept in ((131, [64, 64, 3], 3), (130, [64, 66 + 2], 0),
+                               (129, [64, 65 + 3], 0), (128, [64, 64], 0),
+                               (67, [64, 3], 3), (66, [66 + 2], 0), (2, [2], 0),
+                               (7, [7], 7)):
+            batches = training._eval_batches(posts[:n])
+            assert [len(rows) for rows in batches] == sizes
+            rows = np.concatenate(batches)
+            assert np.array_equal(rows[:n - kept],
+                                  np.argsort(-lengths[:n - kept], kind="stable"))
+            assert np.array_equal(rows[n - kept:n], np.arange(n - kept, n))
+            assert np.array_equal(rows[n:], batches[-1][:len(rows) - n])
+
+    def test_posts_keep_the_bits_of_plain_batches(self):
+        # Each post gets the bits of scoring the input in order, 64 posts at
+        # a time, through the plain path: every position embedded and
+        # convolved, both LSTM cells over every step of every row.  With no
+        # dropout a train-mode trunk is that path.  150 posts end in a batch
+        # of 22: its last 2 rows fall past a block of 4 in the heads' product.
+        net, posts = self.padded_posts(150, lstm_dropout=0.0, lstm_recurrent_dropout=0.0,
+                                       spatial_dropout_rate=0.0, final_dropout_rate=0.0)
+        want = [[] for _ in net.heads]
+        for start in range(0, 150, training.EVAL_BATCH):
+            shared = net.trunk_forward(posts[start:start + training.EVAL_BATCH],
+                                       train_mode=True)
+            for out, head in zip(want, net.heads):
+                out.append(softmax(head.forward(shared)))
+        for got, expected in zip(fold_probabilities(net, posts), want):
+            assert_same_bits(got, np.concatenate(expected))
+
+    def test_permuted_posts_keep_their_bits(self):
+        # A post's probabilities do not depend on its batch mates or its
+        # row, except for the heads' rows past a block of 4 (the test
+        # above): with 148 posts the last batch is 20, whole blocks.
+        net, posts = self.padded_posts(148)
+        order = np.random.default_rng(8).permutation(148)
+        for got, want in zip(fold_probabilities(net, posts[order]),
+                             fold_probabilities(net, posts)):
+            assert_same_bits(got, want[order])
+
+    @pytest.mark.parametrize("full_batches", [1, 2])
+    def test_post_past_full_batches_keeps_its_bits(self, full_batches):
+        # 64k + 1 posts: the last post is scored in a batch of 65 (filled to
+        # 68), not alone through BLAS's 1-row path, so every post gets the
+        # bits it has in a whole batch.  (Its 1-row features differ in most
+        # of their bits, but softmax can round the difference away: at k = 1
+        # it shows.)
+        n = full_batches * training.EVAL_BATCH + 1
+        net, posts = self.padded_posts(n)
+        got = fold_probabilities(net, posts)
+        for a, b, c in zip(got, fold_probabilities(net, posts[:-1]),
+                           fold_probabilities(net, posts[-training.EVAL_BATCH:])):
+            assert_same_bits(a[:-1], b)
+            assert_same_bits(a[-1], c[-1])
 
     @pytest.mark.parametrize("num_heads", [1, 2])
     @pytest.mark.parametrize("batch_size", [256, 7, 1])
