@@ -23,7 +23,7 @@ from .metrics import (ClassificationReport, classification_report, confusion,
 from .model import (ModelConfig, Network, load_checkpoint, save_checkpoint,
                     train_step)
 from .text import (PreprocessConfig, Vocabulary, build_vocab, clean,
-                   encode_batch, preprocess, remove_stopwords, tokenize)
+                   encode_batch, preprocess, remove_stopwords)
 from .training import (RunReport, SavedRun, TrainConfig, emit_curves,
                        ensemble_predict, read_config, read_run, run_cv,
                        write_report)
@@ -83,7 +83,6 @@ __all__ = [
     "save_checkpoint",
     "softmax_cross_entropy",
     "split_train_test",
-    "tokenize",
     "train_step",
     "write_cache",
     "write_dataset",

@@ -29,7 +29,7 @@ from .text import preprocess as preprocess_text
 from .training import (TrainConfig, ensemble_predict, read_config, read_run,
                        run_cv)
 
-__all__ = ["entrypoint", "main"]
+__all__ = ["main"]
 
 
 def _resolve_threads(flag_value: int | None, default: int) -> int:
@@ -358,10 +358,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def entrypoint() -> int:
-    return main()
 
 
 if __name__ == "__main__":

@@ -252,13 +252,11 @@ def build_matrix(
         raise ConfigurationError(
             f"vector file has dimension {vectors.dimension}, model expects {expected_dim}")
 
-    tokens = vocab.tokens()
-    matrix = np.zeros((len(tokens) + 2, vectors.dimension), dtype=np.float32)
+    matrix = np.zeros((len(vocab), vectors.dimension), dtype=np.float32)
     hits = 0
-    for token in tokens:
-        row = vocab.index_of(token)
+    for token, row in vocab.token_to_index.items():
         vec = vectors.entries.get(token)
         if vec is not None:
             matrix[row] = vec
             hits += 1
-    return matrix, hits / len(tokens) if tokens else 0.0
+    return matrix, hits / len(vocab.token_to_index) if vocab.token_to_index else 0.0

@@ -1,10 +1,11 @@
-"""Text normalization, tokenization, vocabulary construction, and encoding.
+"""Text normalization, vocabulary construction, and encoding.
 
 Cleaning removes markup, URLs, @-mentions, emoji, and punctuation that is
 not internal to a word, optionally lowercasing Latin script while leaving
-Devanagari and Tamil text untouched.  Encoding maps tokens to a corpus-built
-vocabulary with reserved indices 0 (padding) and 1 (out-of-vocabulary) and
-pads or truncates to a fixed length.
+Devanagari and Tamil text untouched.  Tokens are the cleaned text split on
+whitespace.  Encoding maps them to a corpus-built vocabulary with reserved
+indices 0 (padding) and 1 (out-of-vocabulary) and pads or truncates to a
+fixed length.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "open_text",
     "preprocess",
     "remove_stopwords",
-    "tokenize",
 ]
 
 PAD_INDEX = 0
@@ -288,16 +288,6 @@ def clean(text: str, config: PreprocessConfig) -> str:
     return s
 
 
-def tokenize(text: str) -> list[str]:
-    """Split on Unicode whitespace, dropping tokens that are pure punctuation."""
-    tokens = []
-    for token in text.split():
-        if all(unicodedata.category(ch)[0] in ("P", "S") for ch in token):
-            continue
-        tokens.append(token)
-    return tokens
-
-
 def remove_stopwords(tokens: list[str], language: str, config: PreprocessConfig) -> list[str]:
     """Order-preserving stopword filter for the given language."""
     stopwords = config.stopwords.get(language)
@@ -307,8 +297,9 @@ def remove_stopwords(tokens: list[str], language: str, config: PreprocessConfig)
 
 
 def preprocess(text: str, language: str, config: PreprocessConfig) -> list[str]:
-    """clean -> tokenize -> remove_stopwords."""
-    return remove_stopwords(tokenize(clean(text, config)), language, config)
+    """clean -> split on whitespace -> remove_stopwords.  Each token holds a
+    word character: clean keeps punctuation only between two of them."""
+    return remove_stopwords(clean(text, config).split(), language, config)
 
 
 @dataclass

@@ -1,12 +1,14 @@
-"""Public names and demos stay importable.
+"""Public names, demos and the console script stay importable.
 
-A name removed from a module but left in its ``__all__``, or a demo that
-still imports it, fails here instead of at a user's first import.
+A name removed from a module but left in its ``__all__``, a demo that
+still imports it, or a script target that names it, fails here instead of
+at a user's first import.
 """
 
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ import abusekit
 
 MODULES = ["abusekit"] + [f"abusekit.{info.name}"
                           for info in pkgutil.iter_modules(abusekit.__path__)]
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -31,3 +34,13 @@ def test_demo_imports(path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)   # main() runs only under __main__
     assert callable(module.main)
+
+
+def test_console_script_target_resolves():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    targets = re.findall(r'^abusekit = "([\w.]+):(\w+)"$', section.group(1), re.M)
+    assert len(targets) == 1
+    module_name, attr = targets[0]
+    assert callable(getattr(importlib.import_module(module_name), attr, None))

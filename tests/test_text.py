@@ -1,19 +1,31 @@
+import itertools
+import unicodedata
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from abusekit.errors import ConfigurationError
-from abusekit.text import (_LATIN_LOWER, OOV_INDEX, PAD_INDEX, PreprocessConfig,
-                           Vocabulary, _strip_emoji, build_vocab, clean,
-                           encode_batch, load_emoji_ranges, load_stopwords,
-                           preprocess, remove_stopwords, tokenize)
+from abusekit.text import (_LATIN_LOWER, OOV_INDEX, PAD_INDEX, CleaningFlags,
+                           PreprocessConfig, Vocabulary, _strip_emoji, build_vocab,
+                           clean, encode_batch, load_emoji_ranges, load_stopwords,
+                           preprocess, remove_stopwords)
 from abusekit.training import read_config
 
 
 @pytest.fixture(scope="module")
 def config():
     return PreprocessConfig.default()
+
+
+@pytest.fixture(scope="module")
+def flag_configs(config):
+    """config under each of the 32 on/off settings of the cleaning flags."""
+    names = [f.name for f in fields(CleaningFlags)]
+    return [replace(config, **dict(zip(names, values)))
+            for values in itertools.product((False, True), repeat=len(names))]
 
 
 class TestClean:
@@ -92,7 +104,9 @@ class TestClean:
 
 
 # The per-character cleaning code that the compiled character classes and
-# the translate table replaced, kept as the reference they must match.
+# the translate table replaced, kept as the reference they must match; and
+# the punctuation-token filter that preprocess dropped, kept to show that it
+# never fires on cleaned text.
 def reference_strip_emoji(text, ranges):
     out, deleted = [], False
     for ch in text:
@@ -109,6 +123,15 @@ def reference_strip_emoji(text, ranges):
 
 def reference_lowercase_latin(text):
     return "".join(ch.lower() if ch.isupper() and ord(ch) < 0x250 else ch for ch in text)
+
+
+def reference_tokenize(text):
+    tokens = []
+    for token in text.split():
+        if all(unicodedata.category(ch)[0] in ("P", "S") for ch in token):
+            continue
+        tokens.append(token)
+    return tokens
 
 
 # range ends and characters at the zero-width codepoints, the Latin limit,
@@ -139,20 +162,35 @@ class TestCleaningReference:
         chars = "".join(map(chr, range(0x300)))
         assert chars.translate(_LATIN_LOWER) == reference_lowercase_latin(chars)
 
+    @given(edge_text)
+    @settings(max_examples=300, deadline=None)
+    def test_cleaned_text_keeps_punctuation_only_inside_words(self, flag_configs, text):
+        for config in flag_configs:
+            cleaned = clean(text, config)
+            assert reference_tokenize(cleaned) == cleaned.split()
+            categories = [unicodedata.category(ch)[0] for ch in cleaned]
+            for i, category in enumerate(categories):
+                if category in "PS":
+                    assert 0 < i < len(cleaned) - 1, (text, cleaned)
+                    assert categories[i - 1] in "LMN" and categories[i + 1] in "LMN", \
+                        (text, cleaned)
 
-class TestTokenize:
-    def test_plain_split(self):
-        assert tokenize("this is fine") == ["this", "is", "fine"]
 
-    def test_unicode_whitespace(self):
-        assert len(tokenize("नमस्ते दुनिया")) == 2
+class TestPreprocess:
+    # "ta": the Tamil stopword list holds none of these words
+    def test_plain_split(self, config):
+        assert preprocess("this is fine", "ta", config) == ["this", "is", "fine"]
 
-    def test_no_truncation_here(self):
+    def test_unicode_whitespace(self, config):
+        assert preprocess("नमस्ते दुनिया", "ta", config) == ["नमस्ते", "दुनिया"]
+        assert preprocess("नमस्ते\u3000दुनिया\u00a0x", "ta", config) == ["नमस्ते", "दुनिया", "x"]
+
+    def test_no_truncation_here(self, config):
         text = " ".join(f"w{i}" for i in range(250))
-        assert len(tokenize(text)) == 250
+        assert len(preprocess(text, "ta", config)) == 250
 
-    def test_pure_punctuation_dropped(self):
-        assert tokenize("a ... b !!") == ["a", "b"]
+    def test_pure_punctuation_dropped(self, config):
+        assert preprocess("a ... b !!", "ta", config) == ["a", "b"]
 
 
 class TestStopwords:
