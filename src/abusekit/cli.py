@@ -61,7 +61,7 @@ def _default_processes() -> int:
     more would oversubscribe the CPUs."""
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "")
-        if value.isdigit() and int(value) > 0:
+        if value.isascii() and value.isdigit() and int(value) > 0:
             return max(1, _usable_cpus() // int(value))
     return 1
 

@@ -16,12 +16,13 @@ import numpy as np
 
 from .errors import (ConfigurationError, CorruptionError, NumericError,
                      ShapeError)
-from .layers import (AdamConfig, BiLstm, Conv1D, Dense, Dropout,
-                     EmbeddingLookup, GlobalAveragePool1D, SpatialDropout1D,
-                     adam_step, softmax, softmax_cross_entropy)
-from .text import atomic_write
+from .layers import (_ACTIVATIONS, MIN_GEMM_ROWS, AdamConfig, BiLstm, Conv1D,
+                     Dense, Dropout, EmbeddingLookup, GlobalAveragePool1D,
+                     SpatialDropout1D, adam_step, softmax, softmax_cross_entropy)
+from .text import PAD_INDEX, atomic_write
 
 __all__ = [
+    "EVAL_BATCH",
     "HEAD_CLASSES",
     "ModelConfig",
     "Network",
@@ -34,6 +35,13 @@ __all__ = [
 _WEIGHTS_NAME = "weights.bin"
 # each head scores one binary label: class 0 or 1
 HEAD_CLASSES = 2
+# Posts per trunk pass of Network.forward.  An eval forward keeps no cache,
+# so a process holds one batch's activations at a time; the tests pin that
+# batches of 8 to 256 give the same logit bits.
+EVAL_BATCH = 64
+# The heads' 2-column product gives the rows past its last whole block of
+# this many rows other bits (OpenBLAS 0.3.31, one x86-64 CPU).
+HEAD_ROW_BLOCK = 4
 
 
 @dataclass
@@ -63,6 +71,10 @@ class ModelConfig:
                 raise ConfigurationError(f"{name}={rate} outside [0, 1)")
         if self.seq_len < self.conv_kernel:
             raise ConfigurationError("seq_len shorter than conv kernel")
+        for name in ("conv_activation", "dense_activation"):
+            if getattr(self, name) not in _ACTIVATIONS:
+                raise ConfigurationError(
+                    f"{name}={getattr(self, name)!r} is not one of {list(_ACTIVATIONS)}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,10 +128,7 @@ class Network:
         """Pooled features, B x dense_units.  Only a train-mode pass keeps
         the caches and dropout masks that trunk_backward reads; an eval
         pass embeds and convolves each distinct token id once."""
-        batch = np.asarray(batch)
-        if batch.ndim != 2 or batch.shape[1] != self.config.seq_len:
-            raise ShapeError(
-                f"expected batch of shape (B, {self.config.seq_len}), got {batch.shape}")
+        batch = self._checked(batch)
         ids, index = batch, None
         rows = len(self.embedding.matrix)   # out-of-range ids: the embedding's BoundsError
         if not train_mode and batch.size and 0 <= batch.min() and batch.max() < rows:
@@ -145,11 +154,44 @@ class Network:
         # parameters: nothing reads the conv's input gradient.
         self.conv.backward(grad, input_grad=False)
 
-    def forward(self, batch: np.ndarray, train_mode: bool = False,
-                rng: np.random.Generator | None = None) -> list[np.ndarray]:
-        """Per-head softmax probability matrices, each B x classes."""
-        shared = self.trunk_forward(batch, train_mode, rng)
-        return [softmax(head.forward(shared, train_mode)) for head in self.heads]
+    def forward(self, sequences: np.ndarray) -> list[np.ndarray]:
+        """The eval-mode forward: each head's logits, N x classes, for N
+        encoded posts, whose trunk runs in _eval_batches' batches."""
+        sequences = self._checked(sequences)
+        logits = [np.empty((len(sequences), HEAD_CLASSES), dtype=self.dtype)
+                  for _ in self.heads]
+        for rows in _eval_batches(sequences):
+            shared = self.trunk_forward(sequences[rows])
+            for out, head in zip(logits, self.heads):
+                out[rows] = head.forward(shared)
+        return logits
+
+    def _checked(self, batch) -> np.ndarray:
+        batch = np.asarray(batch)
+        if batch.ndim != 2 or batch.shape[1] != self.config.seq_len:
+            raise ShapeError(
+                f"expected batch of shape (B, {self.config.seq_len}), got {batch.shape}")
+        return batch
+
+
+def _eval_batches(sequences: np.ndarray) -> list[np.ndarray]:
+    """Each eval forward's rows: the posts sorted stably by length (the index
+    after the last non-PAD id), longest first, into EVAL_BATCH batches that
+    share their padding (BiLstm.forward), but the last N mod EVAL_BATCH posts
+    stay in input order, so each keeps the bits of plain in-order batches
+    (see HEAD_ROW_BLOCK).  A last 1 or 2 posts join the batch before, which
+    repeats its first rows up to a whole HEAD_ROW_BLOCK."""
+    n = len(sequences)
+    rest = n % EVAL_BATCH if n % EVAL_BATCH >= MIN_GEMM_ROWS else 0
+    ends = ((sequences[:n - rest] != PAD_INDEX) * np.arange(1, sequences.shape[1] + 1)).max(
+        axis=1, initial=0)
+    batches = np.split(np.argsort(-ends, kind="stable"),
+                       range(EVAL_BATCH, n - rest - 2, EVAL_BATCH))
+    batches = [rows for rows in batches if len(rows)] + [np.arange(n - rest, n)] * bool(rest)
+    if batches and len(batches[-1]) > EVAL_BATCH:
+        batches[-1] = np.concatenate([batches[-1],
+                                      batches[-1][:-len(batches[-1]) % HEAD_ROW_BLOCK]])
+    return batches
 
 
 def train_step(network: Network, batch: np.ndarray,
@@ -232,6 +274,8 @@ def load_checkpoint(directory, config: ModelConfig, num_heads: int,
         raise CorruptionError(
             f"{path} holds {len(raw)} bytes, the model config needs {expected}")
     values = np.frombuffer(raw, dtype="<f4")
+    if not np.isfinite(values).all():   # training exits 3 before it saves one
+        raise CorruptionError(f"{path} holds a non-finite value")
     offset = 0
     for param in params:
         size = param.value.size

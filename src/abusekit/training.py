@@ -30,16 +30,15 @@ from .corpus import (KEY_TO_LABEL, LANGUAGES, TASK_QUESTIONS, LabeledExample,
 from .embeddings import WordVectorFile, build_matrix, load_vectors
 from .errors import (AbusekitError, ConfigurationError, CorruptionError,
                      DataIntegrityError, NumericError, ParseError)
-from .layers import MIN_GEMM_ROWS, AdamConfig, softmax, softmax_cross_entropy
+from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (HEAD_CLASSES, ModelConfig, Network, labels_from_probs,
                     load_checkpoint, save_checkpoint, train_step)
-from .text import (PAD_INDEX, PreprocessConfig, Vocabulary, _write_json,
-                   atomic_write, build_vocab, encode_batch, open_text)
+from .text import (PreprocessConfig, Vocabulary, _write_json, atomic_write,
+                   build_vocab, encode_batch, open_text)
 from .text import preprocess as preprocess_text
 
 __all__ = [
-    "EVAL_BATCH",
     "EpochRecord",
     "FORMAT_VERSION",
     "FoldReport",
@@ -50,7 +49,6 @@ __all__ = [
     "emit_curves",
     "ensemble_predict",
     "evaluate",
-    "fold_probabilities",
     "one_hot",
     "read_config",
     "read_run",
@@ -65,13 +63,6 @@ _TASK_DEFAULTS = {1: (32, 5), 2: (64, 7), 3: (32, 5)}
 # Version of the run directory layout: run_report.json and the fold
 # weights.bin files it describes.
 FORMAT_VERSION = 6
-# Posts per eval-mode forward in evaluate and predict.  An eval forward
-# keeps no cache, so a process holds one batch's activations at a time;
-# the tests pin that batches of 8 to 256 give the same probability bits.
-EVAL_BATCH = 64
-# The heads' 2-column product gives the rows past its last whole block of
-# this many rows other bits (OpenBLAS 0.3.31, one x86-64 CPU).
-HEAD_ROW_BLOCK = 4
 
 
 def task_head_keys(task: int) -> list[str]:
@@ -196,30 +187,10 @@ def train_epoch(network: Network, sequences: np.ndarray,
     return loss_sum / n, hits / (n * len(label_arrays))
 
 
-def _eval_batches(sequences: np.ndarray) -> list[np.ndarray]:
-    """Each eval forward's rows: the posts sorted stably by length (the index
-    after the last non-PAD id), longest first, into EVAL_BATCH batches that
-    share their padding (BiLstm.forward), but the last N mod EVAL_BATCH posts
-    stay in input order, so each keeps the bits of plain in-order batches
-    (see HEAD_ROW_BLOCK).  A last 1 or 2 posts join the batch before, which
-    repeats its first rows up to a whole HEAD_ROW_BLOCK."""
-    n = len(sequences)
-    rest = n % EVAL_BATCH if n % EVAL_BATCH >= MIN_GEMM_ROWS else 0
-    ends = ((sequences[:n - rest] != PAD_INDEX) * np.arange(1, sequences.shape[1] + 1)).max(
-        axis=1, initial=0)
-    batches = np.split(np.argsort(-ends, kind="stable"),
-                       range(EVAL_BATCH, n - rest - 2, EVAL_BATCH))
-    batches = [rows for rows in batches if len(rows)] + [np.arange(n - rest, n)] * bool(rest)
-    if batches and len(batches[-1]) > EVAL_BATCH:
-        batches[-1] = np.concatenate([batches[-1],
-                                      batches[-1][:-len(batches[-1]) % HEAD_ROW_BLOCK]])
-    return batches
-
-
 def evaluate(network: Network, sequences: np.ndarray,
              labels_per_head: list[np.ndarray]) -> tuple[float, float, list[np.ndarray]]:
-    """Eval-mode (mean loss, accuracy averaged over heads, per-head preds),
-    scored in _eval_batches' batches.
+    """Eval-mode (mean loss, accuracy averaged over heads, per-head preds)
+    from one Network.forward over the posts.
 
     The loss is taken once over every post's logits, so no figure depends
     on the batch size.
@@ -228,11 +199,7 @@ def evaluate(network: Network, sequences: np.ndarray,
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty set")
     num_heads = len(network.heads)
-    logits = [np.empty((n, HEAD_CLASSES), dtype=network.dtype) for _ in network.heads]
-    for rows in _eval_batches(sequences):
-        shared = network.trunk_forward(sequences[rows])
-        for out, head in zip(logits, network.heads):
-            out[rows] = head.forward(shared)
+    logits = network.forward(sequences)
     loss_sum = 0.0
     for z, labels in zip(logits, labels_per_head):
         loss_sum += softmax_cross_entropy(z, one_hot(labels))[0] * n / num_heads
@@ -352,21 +319,10 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     return report
 
 
-def fold_probabilities(network: Network, sequences: np.ndarray) -> list[np.ndarray]:
-    """One fold model's per-head softmax probabilities (N x classes) for the
-    encoded posts, run forward in _eval_batches' batches."""
-    sequences = np.asarray(sequences)
-    probs = [np.empty((len(sequences), HEAD_CLASSES), dtype=network.dtype)
-             for _ in network.heads]
-    for rows in _eval_batches(sequences):
-        for out, p in zip(probs, network.forward(sequences[rows])):
-            out[rows] = p
-    return probs
-
-
 def _score_fold(run: SavedRun, sequences: np.ndarray, fold: int) -> list[np.ndarray]:
-    """ensemble_predict's job: load one fold and score the posts with it."""
-    return fold_probabilities(run.load_fold(fold), sequences)
+    """ensemble_predict's job: load one fold and return its per-head softmax
+    probabilities (N x classes) for the posts."""
+    return [softmax(z) for z in run.load_fold(fold).forward(sequences)]
 
 
 def ensemble_predict(run: SavedRun, folds, test_sequences: np.ndarray,
@@ -602,6 +558,8 @@ def _load_embedding(path, shape: tuple[int, int]) -> np.ndarray:
             f"{path}: {matrix.dtype} array of shape {matrix.shape}, expected float32 "
             f"of shape {shape}: a row per vocab.txt index, a column per "
             "model_config.embed_dim of run_report.json")
+    if not np.isfinite(matrix).all():
+        raise CorruptionError(f"{path} holds a non-finite value")
     return matrix
 
 

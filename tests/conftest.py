@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from abusekit.layers import softmax
 from abusekit.model import save_checkpoint
 from abusekit.training import SavedRun, TrainConfig
 
@@ -91,6 +92,19 @@ def held_caches(network):
     return [name for name, layer in layers.items()
             if getattr(layer, "_cache", None) is not None
             or getattr(layer, "_mask", None) is not None]
+
+
+def fold_probabilities(network, sequences):
+    """One fold model's per-head softmax probabilities (N x classes), as
+    ensemble_predict's fold job takes them from Network.forward's logits."""
+    return [softmax(z) for z in network.forward(sequences)]
+
+
+def train_forward(network, batch, rng=None):
+    """Each head's logits from a train-mode pass through the trunk and the
+    heads, which keeps every cache and dropout mask that a backward reads."""
+    shared = network.trunk_forward(batch, train_mode=True, rng=rng)
+    return [head.forward(shared, train_mode=True) for head in network.heads]
 
 
 def saved_run(directory, networks):

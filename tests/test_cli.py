@@ -306,6 +306,10 @@ class TestTrain:
         "seed-string": ("train.seed", "a", "config.train.seed"),
         "seed-negative": ("train.seed", -1, "seed must not be negative"),
         "seq-len-string": ("model.seq_len", "12", "config.model.seq_len"),
+        "conv-activation-gelu": ("model.conv_activation", "gelu",
+                                 "conv_activation='gelu' is not one of"),
+        "dense-activation-gelu": ("model.dense_activation", "gelu",
+                                  "dense_activation='gelu' is not one of"),
         "model-list": ("model", [], "config.model"),
         # the run's seed is train.seed; every head is binary
         "model-seed": ("model.seed", 0, "unknown keys in config.model: ['seed']"),
@@ -713,6 +717,40 @@ class TestPredict:
         if case == "width":   # narrower than the report's embed_dim
             assert "embed_dim of run_report.json" in err
 
+    @pytest.mark.parametrize("named", ["fold0/weights.bin", "embedding.npy"])
+    def test_non_finite_value(self, pipeline, tmp_path, capsys, named):
+        # training exits 3 on a non-finite loss or gradient, so a run dir
+        # that holds a NaN or an infinity is damaged, though its sizes fit
+        clone = tmp_path / "run_clone"
+        shutil.copytree(pipeline["run_dir"], clone)
+        path = clone / named
+        if named == "embedding.npy":
+            matrix = np.load(path, allow_pickle=False)
+            matrix[2, 0] = np.inf
+            np.save(path, matrix)
+        else:
+            values = np.fromfile(path, dtype="<f4")
+            values[len(values) // 2] = np.nan
+            values.tofile(path)
+        out = tmp_path / "out.csv"
+        rc = main(["predict", "--run-dir", str(clone),
+                   "--input", str(pipeline["test_csv"]), "--out", str(out)])
+        assert rc == 2
+        assert f"{named} holds a non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_header_only_input(self, pipeline, tmp_path, threads):
+        # no posts: every fold scores an empty batch, and the submission
+        # is its header alone
+        posts = tmp_path / "posts.csv"
+        posts.write_text("id,text\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(posts), "--out", str(out), "--threads", threads])
+        assert rc == 0
+        assert out.read_bytes() == b"id,label\n"
+
     def test_run_ensemble_setting_is_default(self, pipeline, tmp_path):
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
@@ -741,6 +779,7 @@ class TestPredict:
         "no-seq-len": ("run_report.json", "missing key 'seq_len'"),
         "no-conv-activation": ("run_report.json", "missing key 'conv_activation'"),
         "no-lstm-dropout": ("run_report.json", "missing key 'lstm_dropout'"),
+        "gelu-conv-activation": ("run_report.json", "conv_activation='gelu' is not one of"),
         "list": ("run_report.json", "not a JSON object"),
         "garbled": ("run_report.json", "invalid JSON"),
         "no-emoji-ranges": ("preprocess.json", "missing key 'emoji_ranges'"),
@@ -770,6 +809,8 @@ class TestPredict:
             del data["folds"][1]["head_reports"]["1"]["macro_f1"]
         elif case in ("no-seq-len", "no-conv-activation", "no-lstm-dropout"):
             del data["model_config"][case[3:].replace("-", "_")]
+        elif case == "gelu-conv-activation":
+            data["model_config"]["conv_activation"] = "gelu"
         elif case == "list":
             data = [data]
         elif case == "no-emoji-ranges":

@@ -1,19 +1,21 @@
+import importlib
 import os
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (assert_same_bits, held_caches, max_rel_error,
-                      numerical_grad, saved_run)
+from conftest import (assert_same_bits, fold_probabilities, held_caches,
+                      max_rel_error, numerical_grad, saved_run, train_forward)
 
-from abusekit import training
+from abusekit import model
 from abusekit.errors import (AbusekitError, BoundsError, ConfigurationError,
                              CorruptionError, ShapeError)
 from abusekit.layers import AdamConfig, softmax, softmax_cross_entropy
-from abusekit.model import (ModelConfig, Network, labels_from_probs,
+from abusekit.model import (EVAL_BATCH, ModelConfig, Network, labels_from_probs,
                             load_checkpoint, save_checkpoint, train_step)
-from abusekit.training import (EVAL_BATCH, ensemble_predict,
-                               fold_probabilities, read_config)
+from abusekit.training import ensemble_predict, evaluate, read_config
 
 
 def make_matrix(vocab_rows, dim, seed=0, dtype=np.float32):
@@ -97,8 +99,8 @@ class TestShapes:
         assert shared.shape == (3, 128)
         conv_out = net.conv._cache[2]
         assert conv_out.shape == (3, 99, 64)
-        probs = net.forward(batch)
-        assert len(probs) == 1 and probs[0].shape == (3, 2)
+        logits = net.forward(batch)
+        assert len(logits) == 1 and logits[0].shape == (3, 2)
 
     def test_two_heads_independent(self):
         config = tiny_config()
@@ -115,6 +117,17 @@ class TestShapes:
         with pytest.raises(ShapeError):
             net.forward(np.zeros((2, 9), dtype=np.int32))
 
+    @pytest.mark.parametrize("shape", [(8,), (2, 9)], ids=["1-D", "width"])
+    def test_forward_checks_shape_before_batching(self, monkeypatch, shape):
+        net = build(tiny_config(), make_matrix(20, 6))
+
+        def no_trunk(*args, **kwargs):
+            raise AssertionError("trunk_forward reached")
+
+        monkeypatch.setattr(net, "trunk_forward", no_trunk)
+        with pytest.raises(ShapeError, match=r"\(B, 8\)"):
+            net.forward(np.zeros(shape, dtype=np.int32))
+
     def test_table_dim_mismatch(self):
         with pytest.raises(ConfigurationError):
             build(tiny_config(), make_matrix(20, 12))
@@ -124,7 +137,7 @@ class TestForward:
     def test_probability_rows(self):
         config = tiny_config()
         net = build(config, make_matrix(25, 6), num_heads=2)
-        probs = net.forward(random_batch(config, 25, batch=5))
+        probs = fold_probabilities(net, random_batch(config, 25, batch=5))
         for p in probs:
             assert np.all(p >= 0)
             np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-6)
@@ -140,7 +153,7 @@ class TestForward:
     def test_all_pad_input(self):
         config = tiny_config()
         net = build(config, make_matrix(25, 6))
-        probs = net.forward(np.zeros((2, 8), dtype=np.int32))[0]
+        probs = fold_probabilities(net, np.zeros((2, 8), dtype=np.int32))[0]
         assert np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
@@ -219,9 +232,69 @@ class TestSharedEvalWork:
     def test_forward_keeps_the_plain_bits(self):
         config, matrix, batch = eval_case("all-pad-row")
         net = build(config, matrix, num_heads=2)
-        shared = net.trunk_forward(batch, train_mode=True)
-        for got, head in zip(net.forward(batch), net.heads):
-            assert_same_bits(got, softmax(head.forward(shared, train_mode=True)))
+        for got, want in zip(net.forward(batch), train_forward(net, batch)):
+            assert_same_bits(got, want)
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracing():
+    """perfbench's tracing module, imported from its directory; its module
+    and sys.path entry are dropped afterwards."""
+    saved_path = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("tracing")
+    finally:
+        sys.path[:] = saved_path
+        for name, module in list(sys.modules.items()):
+            if Path(getattr(module, "__file__", None) or "/").parent == PERFBENCH:
+                del sys.modules[name]
+
+
+class TestEvalForward:
+    """Network.forward is the one eval forward: N posts in, each head's
+    N x 2 logits out, the trunk run in _eval_batches' batches."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 130])
+    def test_logits_are_the_batched_trunk_and_heads(self, n):
+        rng = np.random.default_rng(n)
+        config = tiny_config(seq_len=12)
+        net = build(config, make_matrix(40, 6), num_heads=2)
+        posts = padded_posts(rng, 40, n, config.seq_len)
+        want = [np.full((n, 2), np.nan, dtype=np.float32) for _ in net.heads]
+        for rows in model._eval_batches(posts):
+            shared = net.trunk_forward(posts[rows])
+            for out, head in zip(want, net.heads):
+                out[rows] = head.forward(shared)
+        got = net.forward(posts)
+        for a, b in zip(got, want):
+            assert not np.isnan(b).any()
+            assert_same_bits(a, b)
+        labels = [rng.integers(0, 2, n) for _ in net.heads]
+        _, _, preds = evaluate(net, posts, labels)
+        for p, z in zip(preds, got):
+            np.testing.assert_array_equal(p, labels_from_probs(softmax(z)))
+
+    def test_traced_forward_is_one_span(self, tracing):
+        # perfbench's model.forward.ms_per_post divides a span's time by its
+        # batch attribute: one span covers every post of the call
+        config = tiny_config(seq_len=12)
+        net = build(config, make_matrix(40, 6))
+        posts = padded_posts(np.random.default_rng(0), 40, 130, config.seq_len)
+        tracer, patcher = tracing.Tracer(), tracing.Patcher()
+        tracer.install(patcher)
+        try:
+            net.forward(posts)
+        finally:
+            patcher.restore()
+        forwards = [span for span in tracer.spans if span[0] == "model.forward"]
+        assert [span[4] for span in forwards] == [{"batch": 130, "train": False}]
+        trunks = [span for span in tracer.spans if span[0] == "model.trunk_forward"]
+        assert len(trunks) == len(model._eval_batches(posts)) == 2
+        assert all(span[3] == tracer.spans.index(forwards[0]) for span in trunks)
 
 
 class TestTrainStep:
@@ -259,7 +332,7 @@ class TestTrainStep:
         config = tiny_config()
         net = build(config, make_matrix(30, 6), num_heads=2)
         batch = random_batch(config, 30, batch=6, seed=2)
-        expected = [labels_from_probs(p) for p in net.forward(batch)]
+        expected = [labels_from_probs(p) for p in fold_probabilities(net, batch)]
         target = self.onehot(np.array([0, 1, 1, 0, 1, 0]))
         _, preds = train_step(net, batch, [target, target])
         assert len(preds) == 2
@@ -334,7 +407,7 @@ class TestEndToEndGradients:
         # an eval forward keeps nothing that backward reads, and drops what
         # a train forward kept; a fresh train forward restores it
         net, batch, target = self.setup()
-        net.forward(batch, train_mode=True)
+        train_forward(net, batch)
         net.forward(batch)
         with pytest.raises(AbusekitError, match="fresh forward"):
             net.trunk_backward(np.ones((2, net.config.dense_units)))
@@ -349,7 +422,7 @@ class TestRelease:
                              lstm_dropout=0.1, lstm_recurrent_dropout=0.1)
         net = build(config, make_matrix(20, 6), num_heads=2)
         batch = random_batch(config, 20, batch=4)
-        net.forward(batch, train_mode=True, rng=np.random.default_rng(0))
+        train_forward(net, batch, rng=np.random.default_rng(0))
         assert held_caches(net) == ["spatial_dropout", "conv", "bilstm", "dense",
                                     "final_dropout", "head0", "head1"]
         net.forward(batch)
@@ -368,13 +441,13 @@ class TestRelease:
         assert ensemble < 1.5 * single
 
     def test_predict_peak_is_one_batch(self):
-        # fold_probabilities holds one batch's activations at a time, so
-        # four batches of posts cost about what one batch costs
+        # Network.forward holds one batch's activations at a time, so four
+        # batches of posts cost about what one batch costs
         config = memory_config()
         net = build(config, make_matrix(50, 16))
         posts = random_batch(config, 50, batch=4 * EVAL_BATCH, seed=4)
-        one = traced_peak(lambda: fold_probabilities(net, posts[:EVAL_BATCH]))
-        four = traced_peak(lambda: fold_probabilities(net, posts))
+        one = traced_peak(lambda: net.forward(posts[:EVAL_BATCH]))
+        four = traced_peak(lambda: net.forward(posts))
         assert four <= 1.2 * one
 
 
@@ -419,9 +492,9 @@ class TestPredict:
         config = tiny_config()
         run = saved_run(tmp_path, [build(config, make_matrix(30, 6))])
         batch = random_batch(config, 30, batch=10, seed=2)
-        monkeypatch.setattr(training, "EVAL_BATCH", 3)
+        monkeypatch.setattr(model, "EVAL_BATCH", 3)
         small = ensemble_predict(run, [0], batch)[0]
-        monkeypatch.setattr(training, "EVAL_BATCH", 64)
+        monkeypatch.setattr(model, "EVAL_BATCH", 64)
         np.testing.assert_array_equal(small, ensemble_predict(run, [0], batch)[0])
 
 

@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from conftest import child_pids, needs_proc_children
+from conftest import child_pids, fold_probabilities, needs_proc_children
 
 from abusekit import cli, training
 from abusekit.cli import _read_id_csv, main
@@ -22,8 +22,7 @@ from abusekit.model import ModelConfig, Network
 from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of, write_test_csv)
 from abusekit.text import encode_batch, preprocess
-from abusekit.training import (TrainConfig, ensemble_predict, fold_probabilities,
-                               read_run, run_cv)
+from abusekit.training import TrainConfig, ensemble_predict, read_run, run_cv
 
 MODEL = ModelConfig(seq_len=12, embed_dim=8, conv_filters=4, conv_kernel=2,
                     lstm_units=4, dense_units=4)
@@ -102,13 +101,13 @@ def test_parent_holds_one_fold_network_at_a_time(runs, tmp_path, monkeypatch):
         gc.collect()
         return sum(isinstance(o, Network) for o in gc.get_objects())
 
-    score, held = training.fold_probabilities, []
+    forward, held = Network.forward, []
 
     def counting(network, sequences):
         held.append(live_networks() - before)
-        return score(network, sequences)
+        return forward(network, sequences)
 
-    monkeypatch.setattr(training, "fold_probabilities", counting)
+    monkeypatch.setattr(Network, "forward", counting)
     monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
     before = live_networks()
     assert predict(runs, 5, tmp_path / "out.csv", "--threads", "1") == 0
@@ -175,6 +174,7 @@ def test_bad_thread_count_exits_2(runs, tmp_path, monkeypatch, capsys, flags, en
     (2, "1", None, 2),
     (8, "2", "1", 4),    # OPENBLAS_NUM_THREADS wins, as in OpenBLAS
     (8, "x", "4", 2),
+    (8, "²", "4", 2),    # a digit to str.isdigit, not to int()
     (8, "0", None, 1),
     (2, "4", None, 1),
 ])
@@ -207,7 +207,7 @@ def test_parent_failure_stops_its_workers(runs, monkeypatch):
     def diverge(network, sequences):
         raise AbusekitError("parent fold failed")
 
-    monkeypatch.setattr(training, "fold_probabilities", diverge)
+    monkeypatch.setattr(Network, "forward", diverge)
     before = child_pids()
     with pytest.raises(AbusekitError, match="parent fold failed"):
         ensemble_predict(run, range(5), sequences, 2)

@@ -10,13 +10,14 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import (assert_same_bits, child_pids, held_caches,
-                      needs_proc_children, saved_run)
+from conftest import (assert_same_bits, child_pids, fold_probabilities,
+                      held_caches, needs_proc_children, saved_run,
+                      train_forward)
 
-from abusekit import training
+from abusekit import model, training
 from abusekit.errors import (ConfigurationError, CorruptionError, DataIntegrityError,
                              NumericError)
-from abusekit.layers import AdamConfig, softmax
+from abusekit.layers import AdamConfig
 from abusekit.metrics import classification_report
 from abusekit.model import (ModelConfig, Network, labels_from_probs,
                             save_checkpoint, train_step)
@@ -24,8 +25,7 @@ from abusekit.synthetic import (make_marker_corpus, make_vector_file,
                                 vocabulary_of)
 from abusekit.training import (EpochRecord, FoldReport, RunReport,
                                TrainConfig, best_fold_index, emit_curves,
-                               ensemble_predict, evaluate,
-                               fold_probabilities, one_hot,
+                               ensemble_predict, evaluate, one_hot,
                                read_config, read_run, run_cv, run_folds,
                                task_head_keys, train_epoch, write_report)
 
@@ -254,9 +254,9 @@ class TestEvaluate:
         net = build(config, build_matrix(vocab, vectors, expected_dim=8)[0])
         sequences = np.random.default_rng(0).integers(
             0, 5, size=(10, config.seq_len), dtype=np.int32)
-        net.forward(sequences, train_mode=True)
+        train_forward(net, sequences)
         assert held_caches(net) == ["conv", "bilstm", "dense", "head0"]
-        monkeypatch.setattr(training, "EVAL_BATCH", 4)
+        monkeypatch.setattr(model, "EVAL_BATCH", 4)
         evaluate(net, sequences, [np.zeros(10, dtype=int)])
         assert held_caches(net) == []
 
@@ -267,10 +267,10 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         sequences = rng.integers(0, 50, size=(200, 12), dtype=np.int32)
         labels = [rng.integers(0, 2, 200), rng.integers(0, 2, 200)]
-        monkeypatch.setattr(training, "EVAL_BATCH", 256)
+        monkeypatch.setattr(model, "EVAL_BATCH", 256)
         loss, accuracy, preds = evaluate(net, sequences, labels)
         for batch_size in (7, 64):
-            monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
+            monkeypatch.setattr(model, "EVAL_BATCH", batch_size)
             got = evaluate(net, sequences, labels)
             assert got[:2] == (loss, accuracy)
             for a, b in zip(got[2], preds):
@@ -532,7 +532,7 @@ class TestEnsemble:
             return loaded[-1]
 
         run.load_fold = recording_load_fold
-        monkeypatch.setattr(training, "EVAL_BATCH", 2)
+        monkeypatch.setattr(model, "EVAL_BATCH", 2)
         ensemble_predict(run, range(3), np.zeros((5, 12), dtype=np.int32))
         assert len(loaded) == 3
         for state in loaded:
@@ -540,20 +540,20 @@ class TestEnsemble:
 
     def test_eval_batch_keeps_the_bits(self, monkeypatch):
         # The default shape with shorter posts: every batch size from 8 to
-        # 256 gives each post the same probability bits, so EVAL_BATCH is
-        # free to change.  Batch 1 may differ (by ~1e-7 here), because BLAS
+        # 256 gives each post the same logit bits, so EVAL_BATCH is free to
+        # change.  Batch 1 may differ (by ~1e-7 here), because BLAS
         # takes another path for a one-row product.
         config = ModelConfig(seq_len=20)
         rng = np.random.default_rng(5)
         matrix = rng.uniform(-0.5, 0.5, (400, config.embed_dim)).astype(np.float32)
         net = Network(config, matrix, 2, rng)
         posts = rng.integers(0, 400, size=(256, config.seq_len), dtype=np.int32)
-        monkeypatch.setattr(training, "EVAL_BATCH", 256)
-        want = fold_probabilities(net, posts)
+        monkeypatch.setattr(model, "EVAL_BATCH", 256)
+        want = net.forward(posts)
         assert held_caches(net) == []
         for batch_size in (8, 16, 32, 64, 128):
-            monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
-            for got, expected in zip(fold_probabilities(net, posts), want):
+            monkeypatch.setattr(model, "EVAL_BATCH", batch_size)
+            for got, expected in zip(net.forward(posts), want):
                 assert_same_bits(got, expected)
 
     @staticmethod
@@ -577,7 +577,7 @@ class TestEnsemble:
                                (129, [64, 65 + 3], 0), (128, [64, 64], 0),
                                (67, [64, 3], 3), (66, [66 + 2], 0), (2, [2], 0),
                                (7, [7], 7)):
-            batches = training._eval_batches(posts[:n])
+            batches = model._eval_batches(posts[:n])
             assert [len(rows) for rows in batches] == sizes
             rows = np.concatenate(batches)
             assert np.array_equal(rows[:n - kept],
@@ -594,22 +594,20 @@ class TestEnsemble:
         net, posts = self.padded_posts(150, lstm_dropout=0.0, lstm_recurrent_dropout=0.0,
                                        spatial_dropout_rate=0.0, final_dropout_rate=0.0)
         want = [[] for _ in net.heads]
-        for start in range(0, 150, training.EVAL_BATCH):
-            shared = net.trunk_forward(posts[start:start + training.EVAL_BATCH],
-                                       train_mode=True)
-            for out, head in zip(want, net.heads):
-                out.append(softmax(head.forward(shared)))
-        for got, expected in zip(fold_probabilities(net, posts), want):
+        for start in range(0, 150, model.EVAL_BATCH):
+            for out, logits in zip(want, train_forward(
+                    net, posts[start:start + model.EVAL_BATCH])):
+                out.append(logits)
+        for got, expected in zip(net.forward(posts), want):
             assert_same_bits(got, np.concatenate(expected))
 
     def test_permuted_posts_keep_their_bits(self):
-        # A post's probabilities do not depend on its batch mates or its
+        # A post's logits do not depend on its batch mates or its
         # row, except for the heads' rows past a block of 4 (the test
         # above): with 148 posts the last batch is 20, whole blocks.
         net, posts = self.padded_posts(148)
         order = np.random.default_rng(8).permutation(148)
-        for got, want in zip(fold_probabilities(net, posts[order]),
-                             fold_probabilities(net, posts)):
+        for got, want in zip(net.forward(posts[order]), net.forward(posts)):
             assert_same_bits(got, want[order])
 
     @pytest.mark.parametrize("full_batches", [1, 2])
@@ -619,11 +617,11 @@ class TestEnsemble:
         # bits it has in a whole batch.  (Its 1-row features differ in most
         # of their bits, but softmax can round the difference away: at k = 1
         # it shows.)
-        n = full_batches * training.EVAL_BATCH + 1
+        n = full_batches * model.EVAL_BATCH + 1
         net, posts = self.padded_posts(n)
         got = fold_probabilities(net, posts)
         for a, b, c in zip(got, fold_probabilities(net, posts[:-1]),
-                           fold_probabilities(net, posts[-training.EVAL_BATCH:])):
+                           fold_probabilities(net, posts[-model.EVAL_BATCH:])):
             assert_same_bits(a[:-1], b)
             assert_same_bits(a[-1], c[-1])
 
@@ -647,7 +645,7 @@ class TestEnsemble:
             batch = sequences[start:start + batch_size]
             mean_probs = None
             for state in states:
-                probs = state.forward(batch)
+                probs = fold_probabilities(state, batch)
                 if mean_probs is None:
                     mean_probs = [p / len(states) for p in probs]
                 else:
@@ -655,7 +653,7 @@ class TestEnsemble:
                         mean_probs[h] += p / len(states)
             for h in range(num_heads):
                 outs[h].append(labels_from_probs(mean_probs[h]))
-        monkeypatch.setattr(training, "EVAL_BATCH", batch_size)
+        monkeypatch.setattr(model, "EVAL_BATCH", batch_size)
         got = ensemble_predict(saved_run(tmp_path, states), range(5), sequences)
         assert len(got) == num_heads
         for h in range(num_heads):
