@@ -33,18 +33,18 @@ __all__ = ["main"]
 
 
 def _resolve_threads(flag_value: int | None, default: int) -> int:
-    """Priority: --threads flag, ABUSE_DETECT_THREADS env, then default (the
-    config file's for train, _default_processes for predict)."""
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("ABUSE_DETECT_THREADS")
-    if env:
+    """The process count: --threads, else ABUSE_DETECT_THREADS, else default."""
+    count, env = flag_value, os.environ.get("ABUSE_DETECT_THREADS")
+    if count is None and env:
         try:
-            return int(env)
+            count = int(env)
         except ValueError:
             raise ConfigurationError(
                 f"ABUSE_DETECT_THREADS={env!r} is not an integer") from None
-    return default
+    count = default if count is None else count
+    if count < 1:
+        raise ConfigurationError(f"threads must be positive, got {count}")
+    return count
 
 
 def _usable_cpus() -> int:
@@ -91,6 +91,11 @@ def load_run_config(path) -> RunConfig:
         raise ConfigurationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path)) from None
+    train = raw.get("train") if isinstance(raw, dict) else None
+    if isinstance(train, dict) and "threads" in train:   # perfbench's configs state it
+        del train["threads"]
+        print("note: train.threads is no longer read; set the process count with "
+              "--threads or ABUSE_DETECT_THREADS", file=sys.stderr)
     return read_config(RunConfig, raw, "config", complete=False)
 
 
@@ -166,14 +171,14 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    processes = _resolve_threads(args.threads, 1)
     config = load_run_config(args.config)
     out_dir = args.out_dir or config.output_dir
     if not out_dir:
         raise ConfigurationError("give --out-dir or output_dir in the config")
 
-    train_config = replace(
-        config.train, threads=_resolve_threads(args.threads, config.train.threads),
-        seed=config.train.seed if args.seed is None else args.seed)
+    train_config = replace(config.train, seed=config.train.seed if args.seed is None
+                           else args.seed)
     prep_config = PreprocessConfig.from_files(**asdict(config.preprocess))
 
     examples = read_dataset(config.data.train)
@@ -181,7 +186,7 @@ def cmd_train(args) -> int:
         raise ConfigurationError("training dataset is empty")
     # run_cv reads the vector file itself and frees it once the matrix is built
     report = run_cv(examples, train_config, config.data.embeddings, out_dir,
-                    config.model, prep_config)
+                    config.model, prep_config, processes)
     print(f"task {train_config.task} ({train_config.language})  "
           f"folds={train_config.folds}  epochs={train_config.epochs}  "
           f"batch={train_config.batch_size}")
@@ -235,8 +240,6 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
 
 def cmd_predict(args) -> int:
     processes = _resolve_threads(args.threads, _default_processes())
-    if processes < 1:
-        raise ConfigurationError(f"threads must be positive, got {processes}")
     run = read_run(args.run_dir)
     mode = args.ensemble or run.train_config.ensemble
     chosen = [run.best_fold] if mode == "best" else range(run.train_config.folds)
@@ -312,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--threads", type=int,
-                   help="processes sharing the folds (env ABUSE_DETECT_THREADS; "
-                        "default: the config's train.threads)")
+                   help="processes sharing the folds (env ABUSE_DETECT_THREADS; default 1)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write submission CSV from a trained run")

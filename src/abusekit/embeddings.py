@@ -189,7 +189,13 @@ def write_cache(vectors: WordVectorFile, path) -> None:
 
 
 def read_cache(path) -> WordVectorFile:
-    """Load a cache written by write_cache, validating structure throughout."""
+    """Load a cache written by write_cache, validating structure throughout.
+
+    A cache must pass parse_vector_file's rules too: at least one entry, at
+    least one component, and only finite components.  The vectors are read
+    into one count x dimension block, checked in one pass, whose rows are
+    the entries.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _CACHE_MAGIC:
@@ -200,13 +206,17 @@ def read_cache(path) -> WordVectorFile:
             raise CorruptionError(f"{path}: truncated header")
         dimension = struct.unpack("<I", header[:4])[0]
         count = struct.unpack("<Q", header[4:])[0]
-        entries: dict[str, np.ndarray] = {}
         vec_bytes = 4 * dimension
         # each entry takes 2 + vec_bytes bytes or more, so a damaged header
         # is caught here instead of asking read() for gigabytes
         if count * (2 + vec_bytes) > os.fstat(fh.fileno()).st_size - 16:
             raise CorruptionError(f"{path}: {count} entries of dimension {dimension} "
                                   "do not fit in the file")
+        if dimension == 0 or count == 0:
+            raise CorruptionError(f"{path}: damaged vector cache: "
+                                  + ("no vector components" if count else "no entries"))
+        block = np.empty((count, dimension), dtype="<f4")
+        words = []
         for i in range(count):
             raw_len = fh.read(2)
             if len(raw_len) != 2:
@@ -215,13 +225,18 @@ def read_cache(path) -> WordVectorFile:
             word_raw = fh.read(word_len)
             if len(word_raw) != word_len:
                 raise CorruptionError(f"{path}: truncated word for entry {i}")
-            word = word_raw.decode("utf-8", "surrogateescape")
-            raw_vec = fh.read(vec_bytes)
-            if len(raw_vec) != vec_bytes:
+            words.append(word_raw.decode("utf-8", "surrogateescape"))
+            if fh.readinto(block[i]) != vec_bytes:
                 raise CorruptionError(f"{path}: truncated vector for entry {i}")
-            entries[word] = np.frombuffer(raw_vec, dtype="<f4").copy()
         if fh.read(1):
             raise CorruptionError(f"{path}: trailing bytes after {count} entries")
+    # a row of finite float32 values sums to a finite float64
+    finite = np.isfinite(block.sum(axis=1, dtype=np.float64))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CorruptionError(f"{path}: damaged vector cache: entry {i} "
+                              f"({words[i]!r}) holds a non-finite vector component")
+    entries = dict(zip(words, block))
     return WordVectorFile(dimension=dimension, entries=entries, had_header=False)
 
 

@@ -192,12 +192,6 @@ class PreprocessConfig(CleaningFlags):
                 "emoji_ranges": [list(r) for r in self.emoji_ranges]}
 
 
-def _is_word_char(ch: str) -> bool:
-    # Letters, combining marks (Devanagari matras etc.), and digits count
-    # as word-internal; everything else is a boundary.
-    return unicodedata.category(ch)[0] in ("L", "M", "N")
-
-
 @functools.lru_cache(maxsize=8)
 def _emoji_classes(ranges) -> tuple[re.Pattern, re.Pattern]:
     """(zero-width class, other class): the inclusive codepoint ranges as two
@@ -226,19 +220,33 @@ def _strip_emoji(text: str, ranges) -> tuple[str, bool]:
     return text, deleted > 0
 
 
+class _Categories(dict):
+    """codepoint -> "P" for punctuation and symbols, "W" for a word
+    character (letters, combining marks such as Devanagari matras, digits),
+    "o" for the rest: a str.translate table that fills itself as it meets
+    codepoints, so no table over all of Unicode is built."""
+
+    def __missing__(self, codepoint: int) -> str:
+        major = unicodedata.category(chr(codepoint))[0]
+        letter = self[codepoint] = "P" if major in "PS" else "W" if major in "LMN" else "o"
+        return letter
+
+
+_CATEGORY = _Categories()
+# a run of punctuation/symbols, each lacking a word character on one side
+_LONE_SYMBOLS_RE = re.compile(r"(?:(?<!W)P|P(?!W))+")
+
+
 def _strip_symbols(text: str) -> str:
     # Punctuation/symbols survive only when flanked by word characters on
-    # both sides ("don't" keeps its apostrophe; a trailing comma does not).
-    out = []
-    n = len(text)
-    for i, ch in enumerate(text):
-        if unicodedata.category(ch)[0] in ("P", "S"):
-            prev_word = i > 0 and _is_word_char(text[i - 1])
-            next_word = i + 1 < n and _is_word_char(text[i + 1])
-            if not (prev_word and next_word):
-                out.append(" ")
-                continue
-        out.append(ch)
+    # both sides ("don't" keeps its apostrophe; a trailing comma does not);
+    # each other one becomes a space.
+    out, end = [], 0
+    for match in _LONE_SYMBOLS_RE.finditer(text.translate(_CATEGORY)):
+        start, stop = match.span()
+        out += (text[end:start], " " * (stop - start))
+        end = stop
+    out.append(text[end:])
     return "".join(out)
 
 

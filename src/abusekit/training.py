@@ -62,7 +62,7 @@ __all__ = [
 _TASK_DEFAULTS = {1: (32, 5), 2: (64, 7), 3: (32, 5)}
 # Version of the run directory layout: run_report.json and the fold
 # weights.bin files it describes.
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 def task_head_keys(task: int) -> list[str]:
@@ -80,7 +80,6 @@ class TrainConfig:
     epochs: int | None = None       # None: the task's default
     optimizer: AdamConfig = field(default_factory=AdamConfig)
     seed: int = 0
-    threads: int = 1
     ensemble: str = "average"
 
     def __post_init__(self):
@@ -98,8 +97,6 @@ class TrainConfig:
             raise ConfigurationError("folds must be at least 2")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigurationError("batch_size and epochs must be positive")
-        if self.threads < 1:
-            raise ConfigurationError("threads must be positive")
         if self.seed < 0:
             raise ConfigurationError(f"seed must not be negative, got {self.seed}")
         if self.ensemble not in ("average", "best"):
@@ -245,14 +242,15 @@ def _train_fold(model_config: ModelConfig, sequences, label_arrays, head_keys, f
 def run_cv(examples: list[LabeledExample], config: TrainConfig,
            vectors: WordVectorFile | str | os.PathLike, out_dir,
            model_config: ModelConfig | None = None,
-           prep_config: PreprocessConfig | None = None) -> RunReport:
+           prep_config: PreprocessConfig | None = None,
+           processes: int = 1) -> RunReport:
     """Full k-fold run over labeled examples into the run directory out_dir.
 
     The vocabulary comes from all given examples (the training partition),
     so every fold shares one embedding matrix.  embedding.npy, vocab.txt and
     preprocess.json are written first, each fold{k}/weights.bin as its fold
     ends, and curves.* and run_report.json, the returned report, last.
-    The folds run in config.threads processes (run_folds).  vectors is a
+    The folds run in processes processes (run_folds).  vectors is a
     parsed file or a path that load_vectors reads here; given a path, the
     parsed file is freed once the matrix is built, before the first fold.
     """
@@ -302,7 +300,7 @@ def run_cv(examples: list[LabeledExample], config: TrainConfig,
     folds = kfold_indices(n, k=config.folds, seed=config.seed)
     job = partial(_train_fold, model_config, sequences, label_arrays, head_keys,
                   folds, config, out_dir, len(vocab))
-    fold_reports = run_folds(job, range(config.folds), config.threads)
+    fold_reports = run_folds(job, range(config.folds), processes)
 
     averaged = {key: {name: float(np.mean([getattr(fr.head_reports[key], name)
                                            for fr in fold_reports]))

@@ -126,6 +126,12 @@ needs_proc_children = pytest.mark.skipif(
     reason="needs /proc/<pid>/task/<tid>/children")
 
 
+def run_dir_bytes(run_dir):
+    """Every file of a run directory, by relative path."""
+    return {str(path.relative_to(run_dir)): path.read_bytes()
+            for path in sorted(run_dir.rglob("*")) if path.is_file()}
+
+
 def child_pids() -> list[str]:
     """Every child of this process, reaped or not, from any of its threads."""
     pids = []

@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import child_pids, needs_proc_children
+from conftest import child_pids, needs_proc_children, run_dir_bytes
 
 import abusekit
 from abusekit import cli, corpus, training
 from abusekit.cli import _read_id_csv, main
 from abusekit.corpus import read_dataset
-from abusekit.embeddings import parse_vector_file, write_cache, write_vector_file
+from abusekit.embeddings import (WordVectorFile, parse_vector_file, write_cache,
+                                 write_vector_file)
 from abusekit.errors import NumericError
 from abusekit.layers import Conv1D
 from abusekit.model import ModelConfig, load_checkpoint, save_checkpoint
@@ -84,6 +85,18 @@ def filling(real_atomic_write, writes):
         with real_atomic_write(path, mode) as fh:
             yield FullDisk(fh)
     return atomic_write
+
+
+def record_processes(monkeypatch):
+    """The process count of each training.run_folds call, in call order."""
+    counts, real = [], training.run_folds
+
+    def run_folds(job, folds, processes=1):
+        counts.append(processes)
+        return real(job, folds, processes)
+
+    monkeypatch.setattr(training, "run_folds", run_folds)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -234,7 +247,7 @@ class TestTrain:
     def test_report_contents(self, pipeline):
         report = json.loads(
             (pipeline["run_dir"] / "run_report.json").read_text(encoding="utf-8"))
-        assert report["format_version"] == FORMAT_VERSION == 6
+        assert report["format_version"] == FORMAT_VERSION == 7
         # each fact once: vocab.txt, preprocess.json and train_config are
         # not restated, and model_config holds exactly the model's fields
         assert "vocab_size" not in report and "preprocess_summary" not in report
@@ -243,6 +256,8 @@ class TestTrain:
         assert len(report["model_config"]) == 12
         assert report["train_config"]["task"] == 1
         assert report["train_config"]["batch_size"] == 8
+        # how the run ran is not what it is: no process count
+        assert "threads" not in report["train_config"]
         assert report["train_config"]["epochs"] == 8
         assert len(report["folds"]) == 3
         assert all(len(f["epochs"]) == 8 for f in report["folds"])
@@ -315,6 +330,9 @@ class TestTrain:
         "model-seed": ("model.seed", 0, "unknown keys in config.model: ['seed']"),
         "model-classes-per-head": ("model.classes_per_head", 2,
                                    "unknown keys in config.model: ['classes_per_head']"),
+        # only train.threads is let through, with a note (test below)
+        "model-threads": ("model.threads", 1, "unknown keys in config.model: ['threads']"),
+        "train-thread": ("train.thread", 1, "unknown keys in config.train: ['thread']"),
         "lr-string": ("train.optimizer.lr", "x", "config.train.optimizer.lr"),
         "lr-negative": ("train.optimizer.lr", -1.0, "lr=-1.0"),
         "beta1-one": ("train.optimizer.beta1", 1.0, "beta1=1.0 outside [0, 1)"),
@@ -388,13 +406,63 @@ class TestTrain:
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1, folds=2)
+        counts = record_processes(monkeypatch)
         monkeypatch.setenv("ABUSE_DETECT_THREADS", "2")
         rc = main(["train", "--config", str(config),
                    "--out-dir", str(tmp_path / "run")])
         assert rc == 0
+        assert counts == [2]
         report = json.loads(
             (tmp_path / "run" / "run_report.json").read_text(encoding="utf-8"))
-        assert report["train_config"]["threads"] == 2
+        assert "threads" not in report["train_config"]
+
+    @pytest.mark.parametrize("flags, env, count", [
+        (["--threads", "0"], None, 0), (["--threads", "-1"], "2", -1), ([], "0", 0)])
+    def test_bad_thread_count_exits_2(self, pipeline, tmp_path, monkeypatch, capsys,
+                                      flags, env, count):
+        # checked before the config, the data or the vectors are read
+        config = write_config(tmp_path / "c.json",
+                              pipeline["prep_dir"] / "train.jsonl",
+                              pipeline["emb_path"], epochs=1, folds=2)
+        if env is None:
+            monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ABUSE_DETECT_THREADS", env)
+        rc = main(["train", "--config", str(config),
+                   "--out-dir", str(tmp_path / "run"), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: threads must be positive, got {count}"]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flags, env, count", [
+        ([], None, 1), ([], "2", 2), (["--threads", "2"], "3", 2)])
+    def test_config_threads_key_is_noted_and_not_read(self, pipeline, tmp_path,
+                                                      monkeypatch, capsys, flags,
+                                                      env, count):
+        # a run config may still name train.threads: it trains at the
+        # --threads / ABUSE_DETECT_THREADS / 1 count, with one note on
+        # stderr, into the run dir a config without the key gives
+        train_jsonl = pipeline["prep_dir"] / "train.jsonl"
+        noted = write_config(tmp_path / "noted.json", train_jsonl,
+                             pipeline["emb_path"], epochs=1, folds=2, threads=4)
+        plain = write_config(tmp_path / "plain.json", train_jsonl,
+                             pipeline["emb_path"], epochs=1, folds=2)
+        if env is None:
+            monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ABUSE_DETECT_THREADS", env)
+        counts = record_processes(monkeypatch)
+        assert main(["train", "--config", str(noted),
+                     "--out-dir", str(tmp_path / "noted"), *flags]) == 0
+        assert counts == [count]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "train.threads is no longer read" in err[0]
+        assert "--threads" in err[0] and "ABUSE_DETECT_THREADS" in err[0]
+        assert main(["train", "--config", str(plain),
+                     "--out-dir", str(tmp_path / "plain"), "--threads", "1"]) == 0
+        assert capsys.readouterr().err == ""
+        assert run_dir_bytes(tmp_path / "noted") == run_dir_bytes(tmp_path / "plain")
 
     def test_env_thread_garbage(self, pipeline, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path / "c.json",
@@ -514,6 +582,22 @@ class TestTrain:
         for name in ("embedding.npy", "fold0/weights.bin", "fold1/weights.bin"):
             assert (tmp_path / "cache" / name).read_bytes() == \
                 (tmp_path / "text" / name).read_bytes()
+
+    def test_non_finite_cache_trains_nothing(self, pipeline, tmp_path, capsys):
+        # the vectors are read before the run directory is made
+        vectors = parse_vector_file(pipeline["emb_path"])
+        word = next(iter(vectors.entries))
+        vectors.entries[word] = np.full(vectors.dimension, np.nan, np.float32)
+        cache = tmp_path / "vectors.cache"
+        write_cache(vectors, cache)
+        config = write_config(tmp_path / "c.json", pipeline["prep_dir"] / "train.jsonl",
+                              cache, epochs=1, folds=2)
+        rc = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cache}: damaged vector cache: entry 0 ({word!r}) "
+            "holds a non-finite vector component"]
+        assert not (tmp_path / "run").exists()
 
     def test_retrain_with_fewer_folds_drops_old_folds(self, pipeline, tmp_path):
         # fold2/ and fold3/ of the 4-fold run belong to no run once the
@@ -674,7 +758,7 @@ class TestPredict:
         shutil.copytree(pipeline["run_dir"], clone)
         report_path = clone / "run_report.json"
         report = json.loads(report_path.read_text(encoding="utf-8"))
-        report["format_version"] = 5
+        report["format_version"] = 6
         report_path.write_text(json.dumps(report), encoding="utf-8")
         rc = main(["predict", "--run-dir", str(clone),
                    "--input", str(pipeline["test_csv"]),
@@ -682,7 +766,7 @@ class TestPredict:
         assert rc == 2
         err = capsys.readouterr().err
         assert "run_report.json" in err
-        assert "format_version 5" in err and "reads 6" in err
+        assert "format_version 6" in err and "reads 7" in err
 
     @pytest.mark.parametrize("case", ["missing", "truncated", "float64", "1-D",
                                       "row-count", "width", "unbalanced-header"])
@@ -1002,6 +1086,24 @@ class TestInspectEmbeddings:
         rc = main(["inspect-embeddings", "--file", str(bad)])
         assert rc == 2
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension, rows, message", [
+        (3, {"cat": [1, 2, 3], "dog": [np.nan, 1, 1], "eel": [np.inf, 0, 0]},
+         "entry 1 ('dog') holds a non-finite vector component"),
+        (0, {}, "no entries"),
+    ])
+    def test_damaged_cache_is_one_error_line(self, tmp_path, capsys, dimension, rows,
+                                            message):
+        # a cache holds the rules a text vector file does
+        cache = tmp_path / "vectors.bin"
+        write_cache(WordVectorFile(dimension, {word: np.array(row, np.float32)
+                                               for word, row in rows.items()}, False),
+                    cache)
+        rc = main(["inspect-embeddings", "--file", str(cache)])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: {cache}: damaged vector cache: {message}"]
 
     def test_overflow_is_one_error_line(self, tmp_path):
         # 1e39 overflows float32 to inf; a fresh interpreter shows any numpy

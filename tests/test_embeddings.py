@@ -327,12 +327,16 @@ class TestBinaryCache:
 
     def test_round_trip_identical(self, tmp_path):
         vectors = self.sample()
+        # finite however large: the finiteness check must not overflow
+        vectors.entries["huge"] = np.full(20, np.finfo(np.float32).max, np.float32)
         path = tmp_path / "v.bin"
         write_cache(vectors, path)
         back = read_cache(path)
         assert back.dimension == 20
         assert list(back.entries) == list(vectors.entries)
         for word in vectors.entries:
+            assert back.entries[word].dtype == np.float32
+            assert back.entries[word].flags.writeable
             np.testing.assert_array_equal(back.entries[word], vectors.entries[word])
 
     def test_unicode_words(self, tmp_path):
@@ -379,6 +383,24 @@ class TestBinaryCache:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CorruptionError):
             read_cache(path)
+
+    @pytest.mark.parametrize("dimension, rows, message", [
+        # the rules parse_vector_file holds a text file to
+        (3, {"cat": [1, 2, 3], "dog": [np.nan, 1, 1], "eel": [np.inf, 0, 0]},
+         "entry 1 ('dog') holds a non-finite vector component"),
+        (2, {"cat": [1, 2], "dog": [3, 4], "eel": [5, -np.inf]},
+         "entry 2 ('eel') holds a non-finite vector component"),
+        (0, {"cat": []}, "no vector components"),
+        (0, {}, "no entries"),
+        (4, {}, "no entries"),
+    ])
+    def test_text_file_rules_hold(self, tmp_path, dimension, rows, message):
+        path = tmp_path / "v.bin"
+        write_cache(WordVectorFile(dimension, {word: np.array(row, np.float32)
+                                               for word, row in rows.items()}, False), path)
+        with pytest.raises(CorruptionError) as caught:
+            read_cache(path)
+        assert str(caught.value) == f"{path}: damaged vector cache: {message}"
 
 
 class TestMatrixAssembly:

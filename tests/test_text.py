@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from abusekit.errors import ConfigurationError
 from abusekit.text import (_LATIN_LOWER, OOV_INDEX, PAD_INDEX, CleaningFlags,
-                           PreprocessConfig, Vocabulary, _strip_emoji, build_vocab,
-                           clean, encode_batch, load_emoji_ranges, load_stopwords,
-                           preprocess, remove_stopwords)
+                           PreprocessConfig, Vocabulary, _strip_emoji, _strip_symbols,
+                           build_vocab, clean, encode_batch, load_emoji_ranges,
+                           load_stopwords, preprocess, remove_stopwords)
 from abusekit.training import read_config
 
 
@@ -104,7 +104,7 @@ class TestClean:
 
 
 # The per-character cleaning code that the compiled character classes and
-# the translate table replaced, kept as the reference they must match; and
+# the translate tables replaced, kept as the reference they must match; and
 # the punctuation-token filter that preprocess dropped, kept to show that it
 # never fires on cleaned text.
 def reference_strip_emoji(text, ranges):
@@ -123,6 +123,20 @@ def reference_strip_emoji(text, ranges):
 
 def reference_lowercase_latin(text):
     return "".join(ch.lower() if ch.isupper() and ord(ch) < 0x250 else ch for ch in text)
+
+
+def reference_strip_symbols(text):
+    out = []
+    for i, ch in enumerate(text):
+        if unicodedata.category(ch)[0] in ("P", "S"):
+            prev_word = i > 0 and unicodedata.category(text[i - 1])[0] in ("L", "M", "N")
+            next_word = i + 1 < len(text) and \
+                unicodedata.category(text[i + 1])[0] in ("L", "M", "N")
+            if not (prev_word and next_word):
+                out.append(" ")
+                continue
+        out.append(ch)
+    return "".join(out)
 
 
 def reference_tokenize(text):
@@ -144,7 +158,36 @@ edge_text = st.text(st.one_of(st.sampled_from([chr(c) for c in EDGES]),
                               st.characters()), max_size=40)
 
 
+# one character of each class _strip_symbols tells apart: letter, digit,
+# Devanagari matra, punctuation, symbol, space, control, zero-width joiner,
+# a letter and a symbol above U+FFFF, a plane-14 tag
+CLASS_SAMPLES = ["a", "\u0967", "\u093f", "!", "+", " ", "\x00", "\u200d",
+                 "\U0001d400", "\U0001f600", "\U000e0041"]
+# above U+FFFF: a math letter, emoji, a skin-tone modifier (Sk), plane-14
+# tags and a variation selector, unassigned codepoints, private use
+ASTRAL = [0x1D400, 0x1F600, 0x1F3FD, 0xE0001, 0xE0041, 0xE007F, 0xE0100, 0x2FFFF,
+          0x40000, 0xE0000, 0x100000, 0x10FFFF]
+symbol_text = st.one_of(
+    st.text(st.characters(categories=["P", "S", "L", "M", "N", "Z", "C"]), max_size=40),
+    st.text(st.one_of(st.sampled_from([chr(c) for c in ASTRAL]),
+                      st.characters(min_codepoint=0x10000)), max_size=40),
+    st.text(st.sampled_from(CLASS_SAMPLES), max_size=12))
+
+
 class TestCleaningReference:
+    @given(symbol_text)
+    @settings(max_examples=500, deadline=None)
+    def test_symbol_strip_matches_the_loop(self, text):
+        assert _strip_symbols(text) == reference_strip_symbols(text)
+
+    @pytest.mark.parametrize("text", [
+        "", "!", "!!", "a", "!a", "a!", "!a!", "a!b", "a!!b", "a!?!b", "a! b", "a !b",
+        "१!२", "क!ि", "a\u200d!b", "\U0001d400!\U0001d400", "a\U0001f600b",
+        "\U000e0041!a", "a+b+c", "+a+", "don't", "end.", ".start", "a.,b"])
+    def test_symbol_strip_boundaries(self, text):
+        # a symbol at the start, at the end and between two symbols
+        assert _strip_symbols(text) == reference_strip_symbols(text)
+
     @given(edge_text, st.lists(st.tuples(range_ends, range_ends), max_size=4))
     @settings(max_examples=300, deadline=None)
     def test_emoji_classes_match_the_loop(self, text, ranges):

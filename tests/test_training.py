@@ -11,7 +11,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 from conftest import (assert_same_bits, child_pids, fold_probabilities,
-                      held_caches, needs_proc_children, saved_run,
+                      held_caches, needs_proc_children, run_dir_bytes, saved_run,
                       train_forward)
 
 from abusekit import model, training
@@ -71,8 +71,6 @@ class TestTrainConfig:
             TrainConfig(task=1, language="fr").validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(folds=1).validate()
-        with pytest.raises(ConfigurationError):
-            TrainConfig(threads=0).validate()
         with pytest.raises(ConfigurationError, match="ensemble"):
             TrainConfig(ensemble="median").validate()
 
@@ -277,20 +275,13 @@ class TestEvaluate:
                 np.testing.assert_array_equal(a, b)
 
 
-def run_dir_bytes(run_dir):
-    """Every file of a run directory except run_report.json, by relative path."""
-    return {str(path.relative_to(run_dir)): path.read_bytes()
-            for path in sorted(run_dir.rglob("*"))
-            if path.is_file() and path.name != "run_report.json"}
-
-
 class TestRunCv:
-    def run_small(self, out_dir, threads=1, seed=0):
+    def run_small(self, out_dir, processes=1, seed=0):
         examples, vectors = marker_setup(n=40, seed=seed)
         config = TrainConfig(task=1, language="en", folds=4, epochs=2,
-                             batch_size=8, seed=3, threads=threads)
+                             batch_size=8, seed=3)
         return run_cv(examples, config, vectors, out_dir,
-                      model_config=small_model_config())
+                      model_config=small_model_config(), processes=processes)
 
     def test_report_structure(self, tmp_path):
         report = self.run_small(tmp_path)
@@ -317,7 +308,7 @@ class TestRunCv:
 
     def test_fold_network_dropped_before_next_fold_saves(self, tmp_path,
                                                          monkeypatch):
-        # a fold keeps only its report: at threads=1 no earlier fold's
+        # a fold keeps only its report: at 1 process no earlier fold's
         # network is alive when the next one reaches its checkpoint, and the
         # network saved holds no forward cache
         saved = []
@@ -339,16 +330,17 @@ class TestRunCv:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_thread_count_invisible_in_results(self, tmp_path):
-        serial = self.run_small(tmp_path / "serial", threads=1).to_dict()
-        threaded = self.run_small(tmp_path / "threaded", threads=2).to_dict()
-        # the recorded config faithfully differs; the numbers must not
-        serial["train_config"].pop("threads")
-        threaded["train_config"].pop("threads")
+        serial = self.run_small(tmp_path / "serial", processes=1).to_dict()
+        threaded = self.run_small(tmp_path / "threaded", processes=2).to_dict()
+        # the report records what the run is, not how many processes ran it
+        assert "threads" not in serial["train_config"]
         assert json.dumps(serial, sort_keys=True) == json.dumps(threaded,
                                                                 sort_keys=True)
-        # every weights.bin, the matrix, vocab, preprocess and curves too
+        # every file byte for byte: run_report.json, each weights.bin, the
+        # matrix, vocab, preprocess and curves
         files = run_dir_bytes(tmp_path / "serial")
         assert sum(name.endswith("weights.bin") for name in files) == 4
+        assert "run_report.json" in files
         assert files == run_dir_bytes(tmp_path / "threaded")
 
     def test_two_head_task(self, tmp_path):
