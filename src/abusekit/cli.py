@@ -190,8 +190,8 @@ def cmd_train(args) -> int:
     print(f"task {train_config.task} ({train_config.language})  "
           f"folds={train_config.folds}  epochs={train_config.epochs}  "
           f"batch={train_config.batch_size}")
-    print(f"vocab size: {len(read_run(out_dir).vocab)}   embedding coverage: "
-          f"{report.embedding_coverage:.3f}")
+    print(f"vocab size: {len(Vocabulary.load(os.path.join(out_dir, 'vocab.txt')))}   "
+          f"embedding coverage: {report.embedding_coverage:.3f}")
     header = f"{'fold':>4}  {'head':>4}  {'precision':>9}  {'recall':>9}  {'macro_f1':>9}"
     print(header)
     for fold_report in report.folds:

@@ -160,21 +160,22 @@ _ACTIVATIONS = ("relu", "linear", "tanh")
 MIN_GEMM_ROWS = 3
 
 
-def _activate(name: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0, out=out)
+        return np.maximum(z, 0.0, out=z)
     if name == "tanh":
-        return np.tanh(z, out=out)
+        return np.tanh(z, out=z)
     return z
 
 
-def _activate_backward(name: str, grad: np.ndarray, z: np.ndarray,
-                       out: np.ndarray) -> np.ndarray:
+def _activate_backward(name: str, grad: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The pre-activation gradient from the output (relu: out > 0 iff z > 0),
+    made C-contiguous: numpy may sum a broadcast grad's matmul in another order."""
     if name == "relu":
-        return grad * (z > 0)
+        return grad * (out > 0)
     if name == "tanh":
         return grad * (1.0 - out * out)
-    return grad
+    return np.ascontiguousarray(grad)
 
 
 class Module:
@@ -307,8 +308,8 @@ class Conv1D(Module):
             x = np.pad(x, ((0, max(0, MIN_GEMM_ROWS - len(x))), (0, 0)))
             for dt in range(k):
                 z += (x @ self.kernels.value[dt])[index[:, dt:dt + out_len]]
-        out = _activate(self.activation, z, None if train_mode else z)
-        self._cache = (x, z, out) if train_mode else None
+        out = _activate(self.activation, z)
+        self._cache = (x, out) if train_mode else None
         return out
 
     def backward(self, grad_out: np.ndarray,
@@ -316,10 +317,10 @@ class Conv1D(Module):
         """Accumulate the kernel and bias gradients and return the input
         gradient; with input_grad=False, for an input nothing trains (a
         frozen embedding), return None and skip that product."""
-        x, z, out = _take_cache(self)
-        if grad_out.shape != z.shape:
-            raise ShapeError(f"gradient shape {grad_out.shape} != output {z.shape}")
-        dz = _activate_backward(self.activation, grad_out, z, out)
+        x, out = _take_cache(self)
+        if grad_out.shape != out.shape:
+            raise ShapeError(f"gradient shape {grad_out.shape} != output {out.shape}")
+        dz = _activate_backward(self.activation, grad_out, out)
         batch, out_len, out_ch = dz.shape
         k = self.kernel_size
         self.bias.grad += dz.sum(axis=(0, 1))
@@ -358,16 +359,16 @@ class Dense(Module):
                 f"input features {x.shape[-1]} != weight rows {self.weight.value.shape[0]}")
         z = x @ self.weight.value
         z += self.bias.value
-        out = _activate(self.activation, z, None if train_mode else z)
-        self._cache = (x, z, out) if train_mode else None
+        out = _activate(self.activation, z)
+        self._cache = (x, out) if train_mode else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, z, out = _take_cache(self)
-        dz = _activate_backward(self.activation, grad_out, z, out)
-        flat_in = x.reshape(-1, x.shape[-1])
+        x, out = _take_cache(self)
+        dz = _activate_backward(self.activation, grad_out, out)
         flat_dz = dz.reshape(-1, dz.shape[-1])
-        self.weight.grad += flat_in.T @ flat_dz
+        self.weight.grad += x.reshape(-1, x.shape[-1]).T @ flat_dz
+        del x, out   # before the input-gradient product
         self.bias.grad += flat_dz.sum(axis=0)
         return dz @ self.weight.value.T
 
@@ -383,8 +384,8 @@ class GlobalAveragePool1D(Module):
         return x.mean(axis=1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        length = self._length
-        return np.repeat(grad_out[:, None, :] / length, length, axis=1)
+        step = grad_out[:, None, :] / self._length   # one row, viewed at every step
+        return np.broadcast_to(step, (len(step), self._length, step.shape[2]))
 
 
 def _init_lstm_params(input_dim: int, hidden: int, rng: np.random.Generator | None,
@@ -449,10 +450,11 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng, state=None):
     stacked recurrent matmul and one activation pass over the D x B x 4H
     gate slice.  In train mode the gate slice of every step lives in one
     D x B x L x 4H slab, and the function returns the cache that
-    _lstm_backward consumes, and the final (c, h).  An eval pass keeps no
-    history (the cache is None): the input projection is made a few steps at
-    a time (_eval_gates).  It may start from state, a (c, h) pair of D x B x H
-    arrays, and then each input may be one row that every row reads.
+    _lstm_backward consumes (it holds the inputs and outputs themselves, so
+    nothing may write into them before), and the final (c, h).  An eval pass
+    keeps no history (the cache is None): the input projection is made a few
+    steps at a time (_eval_gates).  It may start from state, a (c, h) pair of
+    D x B x H arrays, and then each input may be one row that every row reads.
     """
     batch, length, _ = inputs[0].shape
     hidden = cells[0].hidden_size
@@ -461,7 +463,7 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng, state=None):
     rec_mask = None
     if train_mode:
         # Masks are drawn cell by cell, input mask before recurrent mask.
-        masked, in_masks, rec_masks = [], [], []
+        in_masks, rec_masks = [], []
         for cell, x in zip(cells, inputs):
             in_mask = rec_mask = None
             if cell.dropout > 0.0:
@@ -470,8 +472,6 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng, state=None):
             if cell.recurrent_dropout > 0.0:
                 rec_mask = make_dropout_mask((batch, hidden), cell.recurrent_dropout,
                                              rng, dtype=dtype)
-            xm = x if in_mask is None else x * in_mask[:, None, :]
-            masked.append(np.ascontiguousarray(xm))
             in_masks.append(in_mask)
             rec_masks.append(rec_mask)
         # the cells share their rates, so every cell has a mask or none does
@@ -480,14 +480,13 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng, state=None):
         # gates[d, :, s] holds cell d's input projection for step s, then its
         # activations i, f, g, o; backward overwrites them with the gate grads.
         gates = np.empty((len(cells), batch, length, 4 * hidden), dtype=dtype)
-        for d, (cell, xm) in enumerate(zip(cells, masked)):
-            np.matmul(xm, cell.W.value.T, out=gates[d])
+        for d, (cell, x, in_mask) in enumerate(zip(cells, inputs, in_masks)):
+            np.matmul(_masked(x, in_mask), cell.W.value.T, out=gates[d])
             gates[d] += cell.b.value
         step_gates = (gates[:, :, s] for s in range(length))
         # cs[s] is the cell state entering step s, so cs[s + 1] is its output.
         cs = np.empty((length + 1, len(cells), batch, hidden), dtype=dtype)
         cs[0] = 0.0
-        h_masked = np.empty((len(cells), batch, length, hidden), dtype=dtype)
     else:
         step_gates = _eval_gates(cells, inputs, hidden)
     c, h = state or 2 * (np.zeros((len(cells), batch, hidden), dtype=dtype),)
@@ -495,8 +494,6 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng, state=None):
         np.stack([cell.U.value for cell in cells]).transpose(0, 2, 1))
     for s, z in enumerate(step_gates):
         hm = h if rec_mask is None else h * rec_mask
-        if train_mode:
-            h_masked[:, :, s] = hm
         zr = np.matmul(hm, U_T)
         z = np.add(z, zr, out=z if train_mode else zr)
         g = np.tanh(z[..., 2 * hidden:3 * hidden])
@@ -508,18 +505,24 @@ def _lstm_forward(cells, inputs, outputs, train_mode, rng, state=None):
         h = z[..., 3 * hidden:] * np.tanh(c)
         for out, h_d in zip(outputs, h):
             out[:, s] = h_d
-    cache = (masked, in_masks, rec_mask, gates, cs, h_masked) if train_mode else None
+    cache = (inputs, outputs, in_masks, rec_mask, gates, cs) if train_mode else None
     return cache, (c, h)
 
 
-def _lstm_backward(cells, cache, grads):
-    """Backward of _lstm_forward; grads[d] is laid out like outputs[d].
+def _masked(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """x (B x L x C) times its B x C dropout mask (if any) at every step, contiguous."""
+    return np.ascontiguousarray(x if mask is None else x * mask[:, None, :])
+
+
+def _lstm_backward(cells, layer, grads):
+    """Backward of the _lstm_forward whose cache the layer holds, taken here
+    so that no caller keeps cs alive; grads[d] is laid out like outputs[d].
 
     Accumulates every cell's parameter gradients and returns each cell's
     input gradient in its own time order.  Step s reads the activations
     in the gate slab before writing its gate gradients there.
     """
-    masked, in_masks, rec_mask, gates, cs, h_masked = cache
+    inputs, outputs, in_masks, rec_mask, gates, cs = _take_cache(layer)
     _, batch, length, four_h = gates.shape
     hidden = four_h // 4
     dh_carry = np.zeros(cs.shape[1:], dtype=gates.dtype)
@@ -544,15 +547,20 @@ def _lstm_backward(cells, cache, grads):
         a[..., 3 * hidden:] = do * o * (1.0 - o)
         dhm = np.matmul(a, U)
         dh_carry = dhm if rec_mask is None else dhm * rec_mask
+    del cs
 
     dxs = []
-    for cell, d_z, xm, h_m, in_mask in zip(cells, gates, masked, h_masked, in_masks):
+    for d, (cell, d_z, in_mask) in enumerate(zip(cells, gates, in_masks)):
         dz_flat = d_z.reshape(batch * length, four_h)
-        cell.W.grad += dz_flat.T @ xm.reshape(batch * length, -1)
+        cell.W.grad += dz_flat.T @ _masked(inputs[d], in_mask).reshape(batch * length, -1)
+        # the forward's step s read the zero state or output s - 1, masked
+        h_m = np.zeros((batch, length, hidden), dtype=gates.dtype)
+        h_m[:, 1:] = outputs[d][:, :-1]
+        h_m *= 1 if rec_mask is None else rec_mask[d][:, None, :]
         cell.U.grad += dz_flat.T @ h_m.reshape(batch * length, hidden)
+        del h_m
         cell.b.grad += dz_flat.sum(axis=0)
-        dxm = d_z @ cell.W.value
-        dxs.append(dxm if in_mask is None else dxm * in_mask[:, None, :])
+        dxs.append(_masked(d_z @ cell.W.value, in_mask))
     return dxs
 
 
@@ -585,7 +593,7 @@ class Lstm(Module):
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return _lstm_backward((self,), _take_cache(self), (grad_out,))[0]
+        return _lstm_backward((self,), self, (grad_out,))[0]
 
 
 class BiLstm(Module):
@@ -593,7 +601,9 @@ class BiLstm(Module):
 
     Output is B x L x 2H with the forward direction in channels [:H] and
     the backward direction in channels [H:].  Both directions advance in
-    one time loop; the backward cell reads the time-reversed input.
+    one time loop; the backward cell reads the time-reversed input.  A train
+    forward's cache holds its input and output, which backward reads: a
+    caller must not write into either before backward.
     """
 
     def __init__(self, input_dim: int, hidden_size: int, rng: np.random.Generator | None,
@@ -651,7 +661,7 @@ class BiLstm(Module):
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         dx_f, dx_b = _lstm_backward((self.forward_cell, self.backward_cell),
-                                    _take_cache(self), self._directions(grad_out))
+                                    self, self._directions(grad_out))
         return dx_f + dx_b[:, ::-1, :]
 
 

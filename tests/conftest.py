@@ -136,6 +136,9 @@ def child_pids() -> list[str]:
     """Every child of this process, reaped or not, from any of its threads."""
     pids = []
     for path in glob.glob("/proc/self/task/*/children"):
-        with open(path, encoding="ascii") as fh:
-            pids += fh.read().split()
+        try:
+            with open(path, encoding="ascii") as fh:
+                pids += fh.read().split()
+        except FileNotFoundError:   # the thread ended after the glob
+            continue
     return pids

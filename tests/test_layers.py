@@ -219,15 +219,16 @@ class TestConv1D:
 
     def test_gradients_relu_away_from_kink(self):
         # relu has no gradient at 0; check on seeds whose pre-activations
-        # stay clear of it so finite differences remain valid
+        # stay clear of it so finite differences remain valid.  The relu
+        # layer keeps no pre-activations, so a linear twin drawn from the
+        # same seed gives them.
         checked = 0
         seed = 0
         while checked < 5 and seed < 60:
-            rng = np.random.default_rng(seed)
-            conv = Conv1D(3, 4, 2, rng, activation="relu", dtype=np.float64)
+            conv, twin = (Conv1D(3, 4, 2, np.random.default_rng(seed), activation=act,
+                                 dtype=np.float64) for act in ("relu", "linear"))
             x = np.random.default_rng(seed + 500).standard_normal((2, 5, 3))
-            conv.forward(x, train_mode=True)
-            z = conv._cache[1]
+            z = twin.forward(x)
             seed += 1
             if np.min(np.abs(z)) < 1e-3:
                 continue
@@ -341,6 +342,21 @@ class TestDense:
             dense = Dense(4, 3, rng, activation="tanh", dtype=np.float64)
             x = np.random.default_rng(seed + 70).standard_normal(shape)
             gradcheck(dense, x, lambda a: dense.forward(a, train_mode=True))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "linear"])
+    def test_broadcast_gradient_bits(self, activation):
+        # the pool's backward hands dense a read-only stride-0 view; the
+        # gradients carry the bits of the same gradient materialised
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((8, 30, 64)).astype(np.float32)
+        g = rng.standard_normal((8, 1, 32)).astype(np.float32)
+        grads = []
+        for grad_out in (np.broadcast_to(g, (8, 30, 32)), np.repeat(g, 30, axis=1)):
+            dense = Dense(64, 32, np.random.default_rng(4), activation=activation)
+            dense.forward(x, train_mode=True)
+            grads.append((dense.backward(grad_out), dense.weight.grad, dense.bias.grad))
+        for broadcast, materialised in zip(*grads):
+            assert_same_bits(broadcast, materialised)
 
 
 @pytest.mark.parametrize("make", [

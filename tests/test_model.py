@@ -97,7 +97,7 @@ class TestShapes:
         batch = random_batch(config, 30, batch=3)
         shared = net.trunk_forward(batch, train_mode=True, rng=np.random.default_rng(0))
         assert shared.shape == (3, 128)
-        conv_out = net.conv._cache[2]
+        conv_out = net.conv._cache[-1]
         assert conv_out.shape == (3, 99, 64)
         logits = net.forward(batch)
         assert len(logits) == 1 and logits[0].shape == (3, 2)
@@ -466,6 +466,31 @@ class TestRelease:
         batch, length, _ = x.shape
         slab = 2 * batch * length * 4 * config.lstm_units * x.itemsize
         assert peak < out[0].nbytes + slab / 4
+
+    def test_train_step_keeps_only_what_backward_reads(self):
+        # At the default shape and B=32 a train step peaks in the dense
+        # backward.  It then holds the BiLSTM's gate slab and cell states,
+        # the layer outputs the caches hold (the conv's input, the conv's
+        # and the BiLSTM's output) and dense's pre-activation gradient, and
+        # it makes dense's input gradient, a quarter slab.  Half a conv
+        # output covers the masks and small temporaries, so a kept
+        # pre-activation (one conv output or more), a repeated pool
+        # gradient, or an LSTM masked-input or hidden-state slab fails.
+        config = ModelConfig()
+        net = build(config, make_matrix(50, config.embed_dim))
+        batch = random_batch(config, 50, batch=32, seed=7)
+        onehot = [np.eye(2, dtype=np.float32)[np.arange(32) % 2]]
+        rng = np.random.default_rng(0)
+        train_step(net, batch, onehot, rng=rng)   # gradients and Adam moments
+        peak = traced_peak(lambda: train_step(net, batch, onehot, rng=rng))
+        steps = config.seq_len - config.conv_kernel + 1
+        size = 32 * np.dtype(np.float32).itemsize   # one float32 for each of 32 posts
+        slab = 2 * steps * 4 * config.lstm_units * size
+        cell_states = (steps + 1) * 2 * config.lstm_units * size
+        conv_out = steps * config.conv_filters * size
+        outputs = (config.seq_len * config.embed_dim * size + conv_out
+                   + slab / 4 + steps * config.dense_units * size)
+        assert peak < slab + cell_states + outputs + slab / 4 + conv_out / 2
 
 
 class TestPredict:

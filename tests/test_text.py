@@ -1,3 +1,4 @@
+import functools
 import itertools
 import unicodedata
 from dataclasses import fields, replace
@@ -20,11 +21,13 @@ def config():
     return PreprocessConfig.default()
 
 
-@pytest.fixture(scope="module")
-def flag_configs(config):
-    """config under each of the 32 on/off settings of the cleaning flags."""
+@functools.cache
+def flag_configs():
+    """The default config under each of the 32 on/off settings of the
+    cleaning flags.  Not a fixture: hypothesis prints a failing test's
+    arguments, and these would bury the drawn text."""
     names = [f.name for f in fields(CleaningFlags)]
-    return [replace(config, **dict(zip(names, values)))
+    return [replace(PreprocessConfig.default(), **dict(zip(names, values)))
             for values in itertools.product((False, True), repeat=len(names))]
 
 
@@ -207,8 +210,8 @@ class TestCleaningReference:
 
     @given(edge_text)
     @settings(max_examples=300, deadline=None)
-    def test_cleaned_text_keeps_punctuation_only_inside_words(self, flag_configs, text):
-        for config in flag_configs:
+    def test_cleaned_text_keeps_punctuation_only_inside_words(self, text):
+        for config in flag_configs():
             cleaned = clean(text, config)
             assert reference_tokenize(cleaned) == cleaned.split()
             categories = [unicodedata.category(ch)[0] for ch in cleaned]
