@@ -12,8 +12,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
                      load_external, merge_external, parse_integer,
                      parse_uli_csv, read_csv, read_dataset, split_train_test,
@@ -263,18 +261,13 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     golds = _read_label_csv(args.gold)
     preds = _read_label_csv(args.pred, column=args.column)
-    gold_ids = set(golds)
-    pred_ids = set(preds)
-    if gold_ids != pred_ids:
-        offenders = sorted(gold_ids ^ pred_ids)[:10]
+    if golds.keys() != preds.keys():
+        offenders = sorted(golds.keys() ^ preds.keys())[:10]
         raise SchemaError(
             f"gold and prediction ids differ; first offenders: {offenders}",
             path=args.pred)
     ordered = sorted(golds)
-    report = classification_report(
-        np.array([golds[i] for i in ordered]),
-        np.array([preds[i] for i in ordered]),
-        num_classes=2)
+    report = classification_report([golds[i] for i in ordered], [preds[i] for i in ordered])
     json.dump(report.to_dict(), sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return 0
@@ -354,10 +347,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except AbusekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (AbusekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

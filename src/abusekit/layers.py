@@ -142,13 +142,16 @@ def adam_step(param: Parameter, config: AdamConfig = AdamConfig()) -> None:
     param.zero_grad()
 
 
-def make_dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator,
-                      dtype=np.float32) -> np.ndarray:
-    """Inverted-dropout keep mask: entries are 0 or 1/(1-rate)."""
+def make_dropout_mask(shape: tuple[int, ...], rate: float,
+                      rng: np.random.Generator | None, dtype=np.float32) -> np.ndarray:
+    """Inverted-dropout keep mask: entries are 0 or 1/(1-rate).  Only rate 0
+    draws nothing, so it alone needs no rng."""
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate {rate} outside [0, 1)")
     if rate == 0.0:
         return np.ones(shape, dtype=dtype)
+    if rng is None:
+        raise ConfigurationError(f"dropout rate {rate} needs a random generator (rng)")
     return (rng.random(shape) >= rate).astype(dtype) / (1.0 - rate)
 
 
@@ -287,10 +290,14 @@ class Conv1D(Module):
         return [self.kernels, self.bias]
 
     def forward(self, x: np.ndarray, train_mode: bool = False,
-                index: np.ndarray | None = None) -> np.ndarray:
+                index: np.ndarray | None = None, source=None) -> np.ndarray:
         """With index (eval only), x holds distinct rows (n x C_in) that each
         kernel offset multiplies once, and the B x L index picks them; under
-        MIN_GEMM_ROWS output positions, x[index] is convolved instead."""
+        MIN_GEMM_ROWS output positions, x[index] is convolved instead.  With
+        source (train only), a (table, ids, mask) triple whose table[ids] * mask
+        (table[ids] if mask is None) is x, the cache keeps source, not x, and
+        backward rebuilds x by that gather and multiply: a caller must not
+        write into table, ids or mask before backward."""
         k = self.kernel_size
         if index is not None and train_mode:
             raise ConfigurationError("a table and index input is eval-only")
@@ -309,7 +316,7 @@ class Conv1D(Module):
             for dt in range(k):
                 z += (x @ self.kernels.value[dt])[index[:, dt:dt + out_len]]
         out = _activate(self.activation, z)
-        self._cache = (x, out) if train_mode else None
+        self._cache = (x if source is None else source, out) if train_mode else None
         return out
 
     def backward(self, grad_out: np.ndarray,
@@ -318,6 +325,9 @@ class Conv1D(Module):
         gradient; with input_grad=False, for an input nothing trains (a
         frozen embedding), return None and skip that product."""
         x, out = _take_cache(self)
+        if isinstance(x, tuple):
+            table, ids, mask = x
+            x = table[ids] if mask is None else table[ids] * mask
         if grad_out.shape != out.shape:
             raise ShapeError(f"gradient shape {grad_out.shape} != output {out.shape}")
         dz = _activate_backward(self.activation, grad_out, out)

@@ -88,18 +88,9 @@ class ClassificationReport:
     zero_division_count: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "confusion": self.matrix.tolist(),
-            "precision": self.precision,
-            "recall": self.recall,
-            "support": self.support,
-            "accuracy": self.accuracy,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "macro_f1_class_mean": self.macro_f1_class_mean,
-            "zero_division_count": self.zero_division_count,
-        }
+        data = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        data["confusion"] = data.pop("matrix").tolist()
+        return data
 
 
 def classification_report(golds, preds, num_classes: int = 2) -> ClassificationReport:

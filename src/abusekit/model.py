@@ -126,8 +126,9 @@ class Network:
     def trunk_forward(self, batch: np.ndarray, train_mode: bool = False,
                       rng: np.random.Generator | None = None) -> np.ndarray:
         """Pooled features, B x dense_units.  Only a train-mode pass keeps
-        the caches and dropout masks that trunk_backward reads; an eval
-        pass embeds and convolves each distinct token id once."""
+        the caches and dropout masks that trunk_backward reads; the conv's
+        holds batch itself, so nothing may write into batch before then.
+        An eval pass embeds and convolves each distinct token id once."""
         batch = self._checked(batch)
         ids, index = batch, None
         rows = len(self.embedding.matrix)   # out-of-range ids: the embedding's BoundsError
@@ -136,7 +137,8 @@ class Network:
             ids, index = np.flatnonzero(present), (np.cumsum(present) - 1)[batch]
         x = self.embedding.forward(ids)
         x = self.spatial_dropout.forward(x, train_mode, rng)
-        x = self.conv.forward(x, train_mode, index)
+        source = (self.embedding.matrix, ids, self.spatial_dropout._mask)
+        x = self.conv.forward(x, train_mode, index, source if train_mode else None)
         x = self.bilstm.forward(x, train_mode, rng)
         x = self.dense.forward(x, train_mode)
         x = self.pool.forward(x)

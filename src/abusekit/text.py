@@ -82,16 +82,19 @@ def atomic_write(path, mode: str = "w"):
     on a temporary file beside path, which replaces path (os.replace) once
     the block ends cleanly.  A reader sees the old file or the new one,
     never a part: if the block raises, path is untouched and the temporary
-    file is removed.  Every run-directory file is written through here."""
+    file is removed; an OSError on the temporary file names path.  Every
+    run-directory file is written through here."""
     temp = f"{path}.{os.getpid()}.tmp"
     text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
         with open(temp, mode, **text) as fh:
             yield fh
         os.replace(temp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(temp):
             os.remove(temp)
+        if getattr(exc, "filename", None) == temp:   # an OSError names path, not temp
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
         raise
 
 

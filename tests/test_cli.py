@@ -956,6 +956,18 @@ class TestPredict:
         assert "No space left on device" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unwritable_out_names_the_given_path(self, pipeline, tmp_path, capsys):
+        # the submission is written through a temporary file beside it, but
+        # the error names the path the user gave
+        out = tmp_path / "missing" / "x.csv"
+        rc = main(["predict", "--run-dir", str(pipeline["run_dir"]),
+                   "--input", str(pipeline["test_csv"]), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"missing{os.sep}x.csv" in err[0], err
+        assert ".tmp" not in err[0]
+        assert list(tmp_path.iterdir()) == []
+
     def test_ids_parsed_strictly(self, pipeline, tmp_path, capsys):
         posts = tmp_path / "posts.csv"
         posts.write_text("id,text\n9007199254740993,hello\n12.0,there\n",

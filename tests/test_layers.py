@@ -282,6 +282,22 @@ class TestConv1D:
         for param, expected in zip(conv.parameters(), want):
             assert_same_bits(param.grad, expected)
 
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_gradients_from_a_rebuilt_input(self, rate):
+        # Given its input's source, a train conv keeps the (table, ids, mask)
+        # triple in place of the input and backward rebuilds the input from
+        # it: the input and parameter gradients still match finite differences.
+        for seed in SEEDS:
+            rng = np.random.default_rng(seed)
+            conv = Conv1D(3, 4, 2, rng, activation="tanh", dtype=np.float64)
+            table = rng.standard_normal((6, 3))
+            ids = rng.integers(0, 6, (2, 5))
+            mask = make_dropout_mask((2, 1, 3), rate, rng, np.float64) if rate else None
+            source = (table, ids, mask)
+            x = table[ids] if mask is None else table[ids] * mask
+            conv.forward(x, train_mode=True, source=source)
+            assert conv._cache[0] is source
+            gradcheck(conv, x, lambda a: conv.forward(a, train_mode=True, source=source))
 
     @pytest.mark.parametrize("distinct", [1, 2, 3, 5, 40])
     def test_eval_table_keeps_the_bits(self, distinct):

@@ -12,7 +12,8 @@ from conftest import (assert_same_bits, fold_probabilities, held_caches,
 from abusekit import model
 from abusekit.errors import (AbusekitError, BoundsError, ConfigurationError,
                              CorruptionError, ShapeError)
-from abusekit.layers import AdamConfig, softmax, softmax_cross_entropy
+from abusekit.layers import (AdamConfig, Conv1D, EmbeddingLookup, SpatialDropout1D,
+                             softmax, softmax_cross_entropy)
 from abusekit.model import (EVAL_BATCH, ModelConfig, Network, labels_from_probs,
                             load_checkpoint, save_checkpoint, train_step)
 from abusekit.training import ensemble_predict, evaluate, read_config
@@ -357,6 +358,80 @@ class TestTrainStep:
             train_step(net, batch, labels)
         np.testing.assert_array_equal(net.embedding.matrix, frozen)
 
+    @pytest.mark.parametrize("rate", [0.2, 0.0])
+    def test_conv_gradients_from_the_rebuilt_input(self, rate):
+        # a train step's conv keeps the batch ids and the spatial-dropout
+        # mask, not their product, and rebuilds that product at backward:
+        # its gradients are those of a plain conv over matrix[ids] * mask
+        config = tiny_config(spatial_dropout_rate=rate, final_dropout_rate=0.1,
+                             lstm_dropout=0.1, lstm_recurrent_dropout=0.1)
+        net = build(config, make_matrix(30, 6))
+        batch = random_batch(config, 30, batch=8, seed=4)
+        plain = Conv1D(6, 5, 2, None)
+        for mine, theirs in zip(plain.parameters(), net.conv.parameters()):
+            mine.value[...] = theirs.value
+        seen = {}
+        conv_backward = net.conv.backward
+
+        def recording(grad_out, input_grad=True):
+            table, ids, mask = net.conv._cache[0]   # the ids and the mask, not their product
+            assert table is net.embedding.matrix and ids is batch
+            assert mask is net.spatial_dropout._mask
+            result = conv_backward(grad_out, input_grad)
+            seen.update(grad_out=grad_out, grads=[p.grad.copy() for p in net.conv.parameters()])
+            return result
+
+        net.conv.backward = recording
+        train_step(net, batch, [self.onehot(np.arange(8) % 2)], rng=np.random.default_rng(1))
+        mask = net.spatial_dropout._mask
+        assert (mask is None) == (rate == 0.0)
+        x = net.embedding.matrix[batch]
+        plain.forward(x if mask is None else x * mask, train_mode=True)
+        plain.backward(seen["grad_out"], input_grad=False)
+        for param, got in zip(plain.parameters(), seen["grads"]):
+            assert_same_bits(got, param.grad)
+
+    def test_one_lookup_and_one_spatial_dropout_per_step(self, monkeypatch):
+        # the conv's backward rebuilds its input by its own gather and
+        # multiply, so neither layer runs a second time in a step
+        calls = []
+        for cls in (EmbeddingLookup, SpatialDropout1D):
+            def counted(self, *args, _forward=cls.forward, _name=cls.__name__, **kwargs):
+                calls.append(_name)
+                return _forward(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "forward", counted)
+        config = tiny_config(spatial_dropout_rate=0.2)
+        net = build(config, make_matrix(30, 6))
+        batch = random_batch(config, 30, batch=4, seed=3)
+        train_step(net, batch, [self.onehot(np.array([0, 1, 0, 1]))],
+                   rng=np.random.default_rng(0))
+        assert sorted(calls) == ["EmbeddingLookup", "SpatialDropout1D"]
+
+    @pytest.mark.parametrize("rate", [None, "spatial_dropout_rate", "final_dropout_rate",
+                                      "lstm_dropout", "lstm_recurrent_dropout"])
+    def test_dropout_without_rng_is_a_configuration_error(self, rate):
+        # every dropout path draws its mask through make_dropout_mask, which
+        # names the missing generator before any weight changes; None: the
+        # default rates, else only that rate above 0
+        shape = dict(seq_len=8, embed_dim=6, conv_filters=5, lstm_units=4, dense_units=7)
+        config = ModelConfig(**shape) if rate is None else tiny_config(**{rate: 0.1})
+        net = build(config, make_matrix(30, 6))
+        before = [p.value.copy() for p in net.parameters()]
+        batch = random_batch(config, 30, batch=4)
+        with pytest.raises(ConfigurationError, match="random generator"):
+            train_step(net, batch, [self.onehot(np.array([0, 1, 0, 1]))])
+        for param, value in zip(net.parameters(), before):
+            assert_same_bits(param.value, value)
+
+    def test_every_rate_zero_trains_without_rng(self):
+        config = tiny_config()
+        net = build(config, make_matrix(30, 6))
+        before = [p.value.copy() for p in net.parameters()]
+        loss, _ = train_step(net, random_batch(config, 30, batch=4),
+                             [self.onehot(np.array([0, 1, 0, 1]))])
+        assert np.isfinite(loss)
+        assert any((p.value != value).any() for p, value in zip(net.parameters(), before))
+
     def test_grads_zeroed_after_step(self):
         config = tiny_config()
         net = build(config, make_matrix(30, 6))
@@ -470,12 +545,13 @@ class TestRelease:
     def test_train_step_keeps_only_what_backward_reads(self):
         # At the default shape and B=32 a train step peaks in the dense
         # backward.  It then holds the BiLSTM's gate slab and cell states,
-        # the layer outputs the caches hold (the conv's input, the conv's
-        # and the BiLSTM's output) and dense's pre-activation gradient, and
-        # it makes dense's input gradient, a quarter slab.  Half a conv
-        # output covers the masks and small temporaries, so a kept
-        # pre-activation (one conv output or more), a repeated pool
-        # gradient, or an LSTM masked-input or hidden-state slab fails.
+        # the layer outputs the caches hold (the conv's and the BiLSTM's
+        # output) and dense's pre-activation gradient, and it makes dense's
+        # input gradient, a quarter slab.  Half a conv output covers the
+        # masks and small temporaries, so a kept conv input (the conv
+        # rebuilds it from the ids and the mask), a kept pre-activation (one
+        # conv output or more), a repeated pool gradient, or an LSTM
+        # masked-input or hidden-state slab fails.
         config = ModelConfig()
         net = build(config, make_matrix(50, config.embed_dim))
         batch = random_batch(config, 50, batch=32, seed=7)
@@ -488,8 +564,7 @@ class TestRelease:
         slab = 2 * steps * 4 * config.lstm_units * size
         cell_states = (steps + 1) * 2 * config.lstm_units * size
         conv_out = steps * config.conv_filters * size
-        outputs = (config.seq_len * config.embed_dim * size + conv_out
-                   + slab / 4 + steps * config.dense_units * size)
+        outputs = conv_out + slab / 4 + steps * config.dense_units * size
         assert peak < slab + cell_states + outputs + slab / 4 + conv_out / 2
 
 
