@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, replace
 
 from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
                      load_external, merge_external, parse_integer,
@@ -19,13 +19,12 @@ from .corpus import (LANGUAGES, TASK_QUESTIONS, assemble_examples,
 from .embeddings import build_matrix, load_vectors
 from .errors import (AbusekitError, ConfigurationError, NumericError,
                      ParseError, SchemaError)
-from .metrics import classification_report
-from .model import ModelConfig
-from .text import (PreprocessConfig, PreprocessFiles, Vocabulary, _write_json,
-                   atomic_write, encode_batch, open_text)
+from .text import (PreprocessConfig, Vocabulary, _write_json, atomic_write,
+                   encode_batch, open_text)
 from .text import preprocess as preprocess_text
-from .training import (TrainConfig, ensemble_predict, read_config, read_run,
-                       run_cv)
+
+# training, model, layers and metrics load inside the commands that run
+# them, so prepare and inspect-embeddings never compile the model code
 
 __all__ = ["main"]
 
@@ -64,25 +63,9 @@ def _default_processes() -> int:
     return 1
 
 
-@dataclass
-class DataPaths:
-    train: str
-    embeddings: str   # a text vector file or a write_cache file
-
-
-@dataclass
-class RunConfig:
-    """A run config file; its fields and theirs are the file's schema."""
-
-    data: DataPaths
-    train: TrainConfig
-    model: ModelConfig = field(default_factory=ModelConfig)
-    preprocess: PreprocessFiles = field(default_factory=PreprocessFiles)
-    output_dir: str | None = None
-
-
-def load_run_config(path) -> RunConfig:
-    """Read a run config file and check every value (read_config)."""
+def load_run_config(path):
+    """Read a run config file into a RunConfig and check every value (read_config)."""
+    from .training import RunConfig, read_config
     try:
         raw = json.loads("".join(open_text(path)))
     except FileNotFoundError:
@@ -169,6 +152,7 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .training import run_cv
     processes = _resolve_threads(args.threads, 1)
     config = load_run_config(args.config)
     out_dir = args.out_dir or config.output_dir
@@ -237,6 +221,7 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
 
 
 def cmd_predict(args) -> int:
+    from .training import ensemble_predict, read_run
     processes = _resolve_threads(args.threads, _default_processes())
     run = read_run(args.run_dir)
     mode = args.ensemble or run.train_config.ensemble
@@ -247,10 +232,10 @@ def cmd_predict(args) -> int:
     token_lists = [preprocess_text(text, run.train_config.language, run.prep_config)
                    for _, _, text in rows]
     sequences = encode_batch(token_lists, run.vocab, max_len=run.model_config.seq_len)
-    labels = ensemble_predict(run, chosen, sequences, processes)
-
-    columns = ["label"] if len(labels) == 1 else [f"label_{k}" for k in run.head_keys]
+    # --out opens first, so an unwritable path fails before any fold runs
     with atomic_write(args.out) as fh:
+        labels = ensemble_predict(run, chosen, sequences, processes)
+        columns = ["label"] if len(labels) == 1 else [f"label_{k}" for k in run.head_keys]
         fh.write(",".join(["id", *columns]) + "\n")
         for i, post_id in enumerate(ids):
             fh.write(",".join([str(post_id), *(str(h[i]) for h in labels)]) + "\n")
@@ -259,6 +244,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from .metrics import classification_report
     golds = _read_label_csv(args.gold)
     preds = _read_label_csv(args.pred, column=args.column)
     if golds.keys() != preds.keys():

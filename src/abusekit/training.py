@@ -34,8 +34,8 @@ from .layers import AdamConfig, softmax, softmax_cross_entropy
 from .metrics import ClassificationReport, classification_report
 from .model import (HEAD_CLASSES, ModelConfig, Network, labels_from_probs,
                     load_checkpoint, save_checkpoint, train_step)
-from .text import (PreprocessConfig, Vocabulary, _write_json, atomic_write,
-                   build_vocab, encode_batch, open_text)
+from .text import (PreprocessConfig, PreprocessFiles, Vocabulary, _write_json,
+                   atomic_write, build_vocab, encode_batch, open_text)
 from .text import preprocess as preprocess_text
 
 __all__ = [
@@ -106,6 +106,23 @@ class TrainConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass
+class DataPaths:
+    train: str
+    embeddings: str   # a text vector file or a write_cache file
+
+
+@dataclass
+class RunConfig:
+    """A run config file; its fields and theirs are the file's schema."""
+
+    data: DataPaths
+    train: TrainConfig
+    model: ModelConfig = field(default_factory=ModelConfig)
+    preprocess: PreprocessFiles = field(default_factory=PreprocessFiles)
+    output_dir: str | None = None
 
 
 @dataclass

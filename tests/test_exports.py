@@ -28,6 +28,18 @@ def test_all_names_resolve(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
+def test_package_names_are_their_modules_objects():
+    # import abusekit loads no submodule; each name is fetched from its
+    # defining module on first use, so it is that module's very object
+    for name in abusekit.__all__:
+        value = getattr(abusekit, name)
+        module = importlib.import_module(value.__module__)
+        assert getattr(module, name) is value, name
+        assert module.__name__ == f"abusekit.{abusekit._MODULE_OF[name]}", name
+    assert "__all__" in dir(abusekit)
+    assert set(abusekit.__all__) <= set(dir(abusekit))
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
 def test_demo_imports(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)

@@ -132,7 +132,22 @@ def test_damaged_fold_in_workers_share_exits_2(runs, tmp_path, capsys, case):
     expected = f"missing {weights}" if case == "missing" else \
         f"{weights} holds {size - 4} bytes, the model config needs {size}"
     assert expected in capsys.readouterr().err
-    assert not (tmp_path / "out.csv").exists()
+    assert list(tmp_path.glob("out.csv*")) == []   # no submission, no temporary file
+
+
+def test_unwritable_out_fails_before_any_fold(runs, tmp_path, monkeypatch, capsys):
+    # --out is opened before the folds run, so a missing directory costs
+    # no fold; the same command into a writable path scores all five
+    calls, score = [], training._score_fold
+    monkeypatch.setattr(training, "_score_fold",
+                        lambda run, sequences, fold: calls.append(fold)
+                        or score(run, sequences, fold))
+    out = tmp_path / "missing" / "x.csv"
+    assert predict(runs, 5, out, "--threads", "1") == 2
+    assert str(out) in capsys.readouterr().err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    assert predict(runs, 5, tmp_path / "out.csv", "--threads", "1") == 0
+    assert calls == [0, 1, 2, 3, 4]
 
 
 @needs_proc_children
