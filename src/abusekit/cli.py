@@ -29,37 +29,21 @@ from .text import preprocess as preprocess_text
 __all__ = ["main"]
 
 
-def _resolve_threads(flag_value: int | None, default: int) -> int:
-    """The process count: --threads, else ABUSE_DETECT_THREADS, else default."""
-    count, env = flag_value, os.environ.get("ABUSE_DETECT_THREADS")
-    if count is None and env:
-        try:
-            count = int(env)
-        except ValueError:
-            raise ConfigurationError(
-                f"ABUSE_DETECT_THREADS={env!r} is not an integer") from None
-    count = default if count is None else count
-    if count < 1:
-        raise ConfigurationError(f"threads must be positive, got {count}")
-    return count
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _default_processes() -> int:
-    """predict's process count when neither --threads nor the environment
-    sets one: as many as the usable CPUs hold at the BLAS thread count that
-    every process inherits (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS).
-    An unpinned BLAS already runs a thread per CPU, so that is one process:
-    more would oversubscribe the CPUs."""
+def _process_count(threads: int | None) -> int:
+    """The processes sharing the folds: --threads, else as many as the usable
+    CPUs hold at the BLAS thread count that every process inherits
+    (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS), else 1.  An unpinned BLAS
+    already runs a thread per CPU, so more processes would oversubscribe it."""
+    if threads is not None:
+        if threads < 1:
+            raise ConfigurationError(f"threads must be positive, got {threads}")
+        return threads
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "")
         if value.isascii() and value.isdigit() and int(value) > 0:
-            return max(1, _usable_cpus() // int(value))
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return max(1, cpus // int(value))
     return 1
 
 
@@ -76,7 +60,7 @@ def load_run_config(path):
     if isinstance(train, dict) and "threads" in train:   # perfbench's configs state it
         del train["threads"]
         print("note: train.threads is no longer read; set the process count with "
-              "--threads or ABUSE_DETECT_THREADS", file=sys.stderr)
+              "--threads", file=sys.stderr)
     return read_config(RunConfig, raw, "config", complete=False)
 
 
@@ -153,7 +137,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_train(args) -> int:
     from .training import run_cv
-    processes = _resolve_threads(args.threads, 1)
+    processes = _process_count(args.threads)
     config = load_run_config(args.config)
     out_dir = args.out_dir or config.output_dir
     if not out_dir:
@@ -222,7 +206,7 @@ def _read_label_csv(path, column: str = "label") -> dict[int, int]:
 
 def cmd_predict(args) -> int:
     from .training import ensemble_predict, read_run
-    processes = _resolve_threads(args.threads, _default_processes())
+    processes = _process_count(args.threads)
     run = read_run(args.run_dir)
     mode = args.ensemble or run.train_config.ensemble
     chosen = [run.best_fold] if mode == "best" else range(run.train_config.folds)
@@ -270,6 +254,11 @@ def cmd_inspect_embeddings(args) -> int:
     return 0
 
 
+_THREADS_HELP = ("processes sharing the folds (default: the usable CPUs over the "
+                "pinned BLAS threads, or 1 if OPENBLAS_NUM_THREADS/OMP_NUM_THREADS "
+                "is unset)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="abusekit",
@@ -293,8 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out-dir", help="output directory (overrides config)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--threads", type=int,
-                   help="processes sharing the folds (env ABUSE_DETECT_THREADS; default 1)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="write submission CSV from a trained run")
@@ -303,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="submission CSV path")
     p.add_argument("--ensemble", choices=["average", "best"],
                    help="fold combination (default: the run's train.ensemble)")
-    p.add_argument("--threads", type=int,
-                   help="processes sharing the folds (env ABUSE_DETECT_THREADS; "
-                        "default: the usable CPUs over the pinned BLAS threads, "
-                        "or 1 if OPENBLAS_NUM_THREADS/OMP_NUM_THREADS is unset)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold labels")

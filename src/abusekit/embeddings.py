@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, CorruptionError, ParseError
-from .text import Vocabulary
+from .errors import (ConfigurationError, CorruptionError, DataIntegrityError,
+                     ParseError)
+from .text import Vocabulary, atomic_write
 
 __all__ = [
     "WordVectorFile",
@@ -168,21 +169,27 @@ def write_vector_file(vectors: WordVectorFile, path, header: bool = False) -> No
     Nine significant digits reproduce any float32 exactly on re-parse, so
     text round-trips are lossless, not merely close.
     """
-    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+    with atomic_write(path, "wb") as fh:
         if header:
-            fh.write(f"{len(vectors.entries)} {vectors.dimension}\n")
+            fh.write(f"{len(vectors.entries)} {vectors.dimension}\n".encode())
         for word, vec in vectors.entries.items():
-            fh.write(word + " " + " ".join("%.9g" % v for v in vec) + "\n")
+            line = word + " " + " ".join("%.9g" % v for v in vec) + "\n"
+            fh.write(line.encode("utf-8", "surrogateescape"))
 
 
 def write_cache(vectors: WordVectorFile, path) -> None:
-    """Binary cache: 'EMB1', u32 dim, u64 count, then length-prefixed entries."""
-    with open(path, "wb") as fh:
+    """Binary cache: 'EMB1', u32 dim, u64 count, then entries each prefixed
+    by its word's u16 byte length.  A word longer than that field holds is
+    refused, and the file at path is left as it was."""
+    with atomic_write(path, "wb") as fh:
         fh.write(_CACHE_MAGIC)
         fh.write(struct.pack("<I", vectors.dimension))
         fh.write(struct.pack("<Q", len(vectors.entries)))
         for word, vec in vectors.entries.items():
             encoded = word.encode("utf-8", "surrogateescape")
+            if len(encoded) > 0xFFFF:
+                raise DataIntegrityError(f"a vector cache holds words of at most 65535 "
+                                         f"bytes, not one of {len(encoded)}")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(np.asarray(vec, dtype="<f4").tobytes())

@@ -157,9 +157,12 @@ def make_dropout_mask(shape: tuple[int, ...], rate: float,
 
 _ACTIVATIONS = ("relu", "linear", "tanh")
 
-# The eval paths' exactness rests on this rule, measured with OpenBLAS 0.3.31
-# on one x86-64 CPU: a row of a product 64 or more columns wide gets the same
+# The eval paths' exactness rests on this rule, measured on OpenBLAS 0.3.31's
+# SkylakeX kernel: a row of a product 64 or more columns wide gets the same
 # bits in any product of this many rows or more (1 or 2 take other paths).
+# The Haswell kernel (AMD Zen, AVX2 without AVX-512) keeps a row's bits only
+# inside a whole block of 12 rows, so the bitwise eval tests fail there
+# (ROADMAP item 18).
 MIN_GEMM_ROWS = 3
 
 

@@ -40,7 +40,8 @@ HEAD_CLASSES = 2
 # batches of 8 to 256 give the same logit bits.
 EVAL_BATCH = 64
 # The heads' 2-column product gives the rows past its last whole block of
-# this many rows other bits (OpenBLAS 0.3.31, one x86-64 CPU).
+# this many rows other bits (OpenBLAS 0.3.31's SkylakeX kernel; the rules
+# differ on Haswell, where the bitwise eval tests fail: ROADMAP item 18).
 HEAD_ROW_BLOCK = 4
 
 

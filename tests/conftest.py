@@ -1,5 +1,6 @@
 """Shared numeric helpers for the test suite."""
 
+import ctypes
 import glob
 import os
 
@@ -9,6 +10,29 @@ import pytest
 from abusekit.layers import softmax
 from abusekit.model import save_checkpoint
 from abusekit.training import SavedRun, TrainConfig
+
+
+def pytest_report_header(config):
+    # the bitwise eval tests hold on the kernel their row rules were
+    # measured on (SkylakeX) and fail on Haswell: see ROADMAP item 18
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return f"OpenBLAS core: {openblas_corename()}, OPENBLAS_NUM_THREADS={threads}"
+
+
+def openblas_corename() -> str:
+    """The kernel numpy's bundled scipy_openblas picked for this CPU, read
+    through its get_corename symbol, or "unknown"."""
+    for path in glob.glob(os.path.dirname(np.__file__) + ".libs/*scipy_openblas*"):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+            get = getattr(lib, name, None)
+            if get is not None:
+                get.restype = ctypes.c_char_p
+                return get().decode("ascii", "replace")
+    return "unknown"
 
 
 def numerical_grad(loss_fn, array, eps=1e-5):

@@ -102,7 +102,6 @@ def record_processes(monkeypatch):
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full prepare->train->predict run shared by the assertion tests."""
-    saved_env = os.environ.pop("ABUSE_DETECT_THREADS", None)
     root = tmp_path_factory.mktemp("cli")
     examples = make_marker_corpus(80, seed=3, pool_size=30)
     uli_csv = root / "uli.csv"
@@ -139,8 +138,6 @@ def pipeline(tmp_path_factory):
         "run_dir": root / "run", "test_csv": test_csv, "gold_csv": gold_csv,
         "sub_csv": sub_csv, "test_count": len(test_examples),
     }
-    if saved_env is not None:
-        os.environ["ABUSE_DETECT_THREADS"] = saved_env
 
 
 class TestPrepare:
@@ -402,32 +399,42 @@ class TestTrain:
         assert rc == 2
         capsys.readouterr()
 
-    def test_env_thread_fallback(self, pipeline, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("blas, count", [("1", 2), (None, 1)])
+    def test_default_process_count(self, pipeline, tmp_path, monkeypatch, blas, count):
+        # without --threads, train and predict each run as many processes as
+        # the usable CPUs hold at the pinned BLAS thread count, else 1; the
+        # retired ABUSE_DETECT_THREADS variable is not read
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setenv("ABUSE_DETECT_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1, folds=2)
         counts = record_processes(monkeypatch)
-        monkeypatch.setenv("ABUSE_DETECT_THREADS", "2")
-        rc = main(["train", "--config", str(config),
-                   "--out-dir", str(tmp_path / "run")])
-        assert rc == 0
-        assert counts == [2]
-        report = json.loads(
-            (tmp_path / "run" / "run_report.json").read_text(encoding="utf-8"))
-        assert "threads" not in report["train_config"]
+        assert main(["train", "--config", str(config),
+                     "--out-dir", str(tmp_path / "run")]) == 0
+        assert main(["predict", "--run-dir", str(tmp_path / "run"),
+                     "--input", str(pipeline["test_csv"]),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert counts == [count, count]
 
-    @pytest.mark.parametrize("flags, env, count", [
-        (["--threads", "0"], None, 0), (["--threads", "-1"], "2", -1), ([], "0", 0)])
+    @pytest.mark.parametrize("flags, blas, count", [
+        (["--threads", "0"], None, 0), (["--threads", "-1"], "2", -1)])
     def test_bad_thread_count_exits_2(self, pipeline, tmp_path, monkeypatch, capsys,
-                                      flags, env, count):
-        # checked before the config, the data or the vectors are read
+                                      flags, blas, count):
+        # checked before the config, the data or the vectors are read,
+        # whatever the BLAS thread count
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1, folds=2)
-        if env is None:
-            monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
-            monkeypatch.setenv("ABUSE_DETECT_THREADS", env)
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
         rc = main(["train", "--config", str(config),
                    "--out-dir", str(tmp_path / "run"), *flags])
         assert rc == 2
@@ -435,44 +442,38 @@ class TestTrain:
             f"error: threads must be positive, got {count}"]
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("flags, env, count", [
+    @pytest.mark.parametrize("flags, blas, count", [
         ([], None, 1), ([], "2", 2), (["--threads", "2"], "3", 2)])
     def test_config_threads_key_is_noted_and_not_read(self, pipeline, tmp_path,
                                                       monkeypatch, capsys, flags,
-                                                      env, count):
-        # a run config may still name train.threads: it trains at the
-        # --threads / ABUSE_DETECT_THREADS / 1 count, with one note on
-        # stderr, into the run dir a config without the key gives
+                                                      blas, count):
+        # a run config may still name train.threads: it trains at the count
+        # of --threads, else of 4 usable CPUs over the pinned BLAS threads,
+        # else 1, with one note on stderr, into the run dir a config without
+        # the key gives
         train_jsonl = pipeline["prep_dir"] / "train.jsonl"
         noted = write_config(tmp_path / "noted.json", train_jsonl,
                              pipeline["emb_path"], epochs=1, folds=2, threads=4)
         plain = write_config(tmp_path / "plain.json", train_jsonl,
                              pipeline["emb_path"], epochs=1, folds=2)
-        if env is None:
-            monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        if blas is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         else:
-            monkeypatch.setenv("ABUSE_DETECT_THREADS", env)
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
         counts = record_processes(monkeypatch)
         assert main(["train", "--config", str(noted),
                      "--out-dir", str(tmp_path / "noted"), *flags]) == 0
         assert counts == [count]
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "train.threads is no longer read" in err[0]
-        assert "--threads" in err[0] and "ABUSE_DETECT_THREADS" in err[0]
+        assert "--threads" in err[0]
         assert main(["train", "--config", str(plain),
                      "--out-dir", str(tmp_path / "plain"), "--threads", "1"]) == 0
         assert capsys.readouterr().err == ""
         assert run_dir_bytes(tmp_path / "noted") == run_dir_bytes(tmp_path / "plain")
-
-    def test_env_thread_garbage(self, pipeline, tmp_path, monkeypatch, capsys):
-        config = write_config(tmp_path / "c.json",
-                              pipeline["prep_dir"] / "train.jsonl",
-                              pipeline["emb_path"], epochs=1, folds=2)
-        monkeypatch.setenv("ABUSE_DETECT_THREADS", "many")
-        rc = main(["train", "--config", str(config),
-                   "--out-dir", str(tmp_path / "run")])
-        assert rc == 2
-        assert "ABUSE_DETECT_THREADS" in capsys.readouterr().err
 
     def test_interrupted_retrain_leaves_no_report(self, pipeline, tmp_path, capsys,
                                                   monkeypatch):
@@ -489,7 +490,8 @@ class TestTrain:
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1)
-        rc = main(["train", "--config", str(config), "--out-dir", str(run)])
+        rc = main(["train", "--config", str(config), "--out-dir", str(run),
+                   "--threads", "1"])
         assert rc == 2 and "disk full" in capsys.readouterr().err
         assert not (run / "run_report.json").exists()
         fold0 = (run / "fold0" / "weights.bin").read_bytes()
@@ -520,7 +522,8 @@ class TestTrain:
             return train_fold(*args)
 
         monkeypatch.setattr(training, "_train_fold", fail_fold1)
-        rc = main(["train", "--config", str(config), "--out-dir", str(run)])
+        rc = main(["train", "--config", str(config), "--out-dir", str(run),
+                   "--threads", "1"])
         assert rc == 3 and "fold 1 diverged" in capsys.readouterr().err
         assert not (run / "run_report.json").exists()
         for name in ("fold0/weights.bin", "embedding.npy", "vocab.txt",
@@ -554,7 +557,7 @@ class TestTrain:
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1)
         assert main(["train", "--config", str(config),
-                     "--out-dir", str(tmp_path / "run")]) == 0
+                     "--out-dir", str(tmp_path / "run"), "--threads", "1"]) == 0
         assert alive == [False] * 3
 
     def test_embeddings_cache_key_rejected(self, pipeline, tmp_path, capsys):
@@ -637,8 +640,7 @@ class TestTrain:
         assert not (tmp_path / "run" / "run_report.json").exists()
 
     @needs_proc_children
-    def test_no_process_outlives_train(self, pipeline, tmp_path, monkeypatch):
-        monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+    def test_no_process_outlives_train(self, pipeline, tmp_path):
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1, folds=2)
@@ -650,10 +652,9 @@ class TestTrain:
 
     @needs_proc_children
     def test_failed_worker_fold_exits_2_and_leaves_no_process(
-            self, pipeline, tmp_path, capsys, monkeypatch):
+            self, pipeline, tmp_path, capsys):
         # at 2 processes the worker trains fold 1, whose directory cannot
         # be made: a file stands in its place
-        monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
         config = write_config(tmp_path / "c.json",
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1, folds=2)
@@ -684,7 +685,7 @@ class TestTrain:
                               pipeline["prep_dir"] / "train.jsonl",
                               pipeline["emb_path"], epochs=1, folds=2)
         rc = main(["train", "--config", str(config),
-                   "--out-dir", str(tmp_path / "run")])
+                   "--out-dir", str(tmp_path / "run"), "--threads", "1"])
         assert rc == 3
         err = capsys.readouterr().err
         assert "numeric failure" in err and "conv.kernels" in err
@@ -1176,7 +1177,6 @@ def test_fold_threads_invisible_at_two_blas_threads(pipeline, tmp_path):
     # count of 2 may round differently from 1, but fold threads must still
     # change nothing.  Default model shape, so BLAS has work to split.
     env = child_env(OPENBLAS_NUM_THREADS="2")
-    env.pop("ABUSE_DETECT_THREADS", None)
     vectors = tmp_path / "vectors300.txt"
     write_vector_file(make_vector_file(vocabulary_of(pipeline["examples"]),
                                        dim=300, seed=1), vectors)

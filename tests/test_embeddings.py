@@ -14,7 +14,8 @@ from abusekit import embeddings
 from abusekit.embeddings import (WordVectorFile, build_matrix,
                                  parse_vector_file, read_cache, write_cache,
                                  write_vector_file)
-from abusekit.errors import ConfigurationError, CorruptionError, ParseError
+from abusekit.errors import (ConfigurationError, CorruptionError,
+                             DataIntegrityError, ParseError)
 from abusekit.text import build_vocab
 
 
@@ -317,6 +318,16 @@ class TestTextRoundTrip:
         np.testing.assert_allclose(back.entries["tiny"], entries["tiny"], atol=1e-6)
         np.testing.assert_allclose(back.entries["big"], entries["big"], atol=1e-6)
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old 1 2\n", encoding="utf-8")
+        vectors = WordVectorFile(dimension=2, had_header=False, entries={
+            "a": np.zeros(2, dtype=np.float32), "b": None})
+        with pytest.raises(TypeError):
+            write_vector_file(vectors, path)
+        assert path.read_text(encoding="utf-8") == "old 1 2\n"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestBinaryCache:
     def sample(self):
@@ -346,6 +357,31 @@ class TestBinaryCache:
         path = tmp_path / "v.bin"
         write_cache(vectors, path)
         assert set(read_cache(path).entries) == set(entries)
+
+    def test_word_longer_than_its_length_field_writes_nothing(self, tmp_path):
+        # a word's byte length is a u16: a longer word is refused, the cache
+        # already at the path stays whole and a new path gets no file
+        path = tmp_path / "v.bin"
+        write_cache(self.sample(), path)
+        old = path.read_bytes()
+        vectors = self.sample()
+        vectors.entries["\u00e9" * 35000] = np.ones(20, np.float32)   # 70000 bytes
+        for target in (path, tmp_path / "new.bin"):
+            with pytest.raises(DataIntegrityError, match="not one of 70000"):
+                write_cache(vectors, target)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_keeps_the_old_cache(self, tmp_path):
+        path = tmp_path / "v.bin"
+        write_cache(self.sample(), path)
+        old = path.read_bytes()
+        vectors = self.sample()
+        vectors.entries["bad"] = "not a vector"
+        with pytest.raises(ValueError):
+            write_cache(vectors, path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "v.bin"

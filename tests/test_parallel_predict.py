@@ -7,6 +7,7 @@ anywhere exits 2 naming its file, and no process outlives the command.
 """
 
 import gc
+import os
 import shutil
 from functools import partial
 
@@ -48,8 +49,7 @@ def predict(runs, k, out, *flags):
 
 @pytest.mark.parametrize("k", [2, 5])
 @pytest.mark.parametrize("mode", ["average", "best"])
-def test_submission_identical_at_any_worker_count(runs, tmp_path, monkeypatch, k, mode):
-    monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+def test_submission_identical_at_any_worker_count(runs, tmp_path, k, mode):
     submissions = set()
     for threads in ("1", "2", "3", "4", "5"):
         out = tmp_path / f"{threads}.csv"
@@ -108,7 +108,6 @@ def test_parent_holds_one_fold_network_at_a_time(runs, tmp_path, monkeypatch):
         return forward(network, sequences)
 
     monkeypatch.setattr(Network, "forward", counting)
-    monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
     before = live_networks()
     assert predict(runs, 5, tmp_path / "out.csv", "--threads", "1") == 0
     assert held == [1] * 5
@@ -167,18 +166,17 @@ def test_fold_failing_inside_a_worker_is_named(runs, tmp_path):
     assert child_pids() == before
 
 
-@pytest.mark.parametrize("flags, env, message", [
+@pytest.mark.parametrize("flags, blas, message", [
     (["--threads", "0"], None, "threads must be positive, got 0"),
     (["--threads", "-1"], None, "threads must be positive, got -1"),
-    ([], "x", "ABUSE_DETECT_THREADS='x' is not an integer"),
-    ([], "0", "threads must be positive, got 0"),
+    (["--threads", "0"], "1", "threads must be positive, got 0"),
 ])
-def test_bad_thread_count_exits_2(runs, tmp_path, monkeypatch, capsys, flags, env,
+def test_bad_thread_count_exits_2(runs, tmp_path, monkeypatch, capsys, flags, blas,
                                   message):
-    if env is None:
-        monkeypatch.delenv("ABUSE_DETECT_THREADS", raising=False)
+    if blas is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     else:
-        monkeypatch.setenv("ABUSE_DETECT_THREADS", env)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
     assert predict(runs, 2, tmp_path / "out.csv", *flags) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
@@ -195,13 +193,14 @@ def test_bad_thread_count_exits_2(runs, tmp_path, monkeypatch, capsys, flags, en
 ])
 def test_default_process_count_follows_blas_threads(monkeypatch, cpus, openblas, omp,
                                                     expected):
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
         if value is None:
             monkeypatch.delenv(name, raising=False)
         else:
             monkeypatch.setenv(name, value)
-    assert cli._default_processes() == expected
+    assert cli._process_count(None) == expected
 
 
 @needs_proc_children

@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import abusekit.cli  # noqa: F401  perfbench's child imports every module first
+# as perfbench's child does: this loads corpus, text, embeddings and errors,
+# and Patcher imports each other module it patches
+import abusekit.cli  # noqa: F401
 from abusekit import model
 from abusekit.layers import AdamConfig
 from abusekit.model import ModelConfig, Network
